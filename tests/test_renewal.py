@@ -17,12 +17,16 @@ from renewal_dst import (
     ks_scaled_sum_exact,
     partial_sum_cdf_exact,
     partial_sum_pmf,
+    pmf_gap_bound_check,
     s_infinity_cdf,
     sample_scaled_limit,
     scaled_sum_sample,
     simulate_count,
     tv_distance,
+    tv_to_limit,
 )
+from renewal_dst.metrics import MAX_TV_N
+from renewal_dst.renewal import floor_log2
 from renewal_dst.rng import stream_rng
 
 DST = GeometricDst()
@@ -37,6 +41,83 @@ def test_depth_distribution_small_n():
     assert d3.prob(1) == pytest.approx(0.25, abs=1e-15)
     assert d3.prob(2) == pytest.approx(0.625, abs=1e-15)
     assert d3.prob(3) == pytest.approx(0.125, abs=1e-15)
+
+
+def _single_step_dp(n: int) -> np.ndarray:
+    """Reference law: the chain advanced one step at a time, n times."""
+    width = min(n, n.bit_length() + 60)
+    p = np.zeros(width + 1)
+    p[0] = 1.0
+    up = 2.0 ** -np.arange(width + 1)
+    stay = 1.0 - up
+    moved = np.empty_like(p)
+    for _ in range(n):
+        np.multiply(p, up, out=moved)
+        np.multiply(p, stay, out=p)
+        p[1:] += moved[:-1]
+    return p
+
+
+# n < B, exact multiples of the block length B, and nonzero remainders
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 31, 32, 33, 1023, 1025, 4097,
+                               65537])
+def test_depth_distribution_matches_single_step_dp(n):
+    ref = _single_step_dp(n)
+    law = depth_distribution_exact(n)
+    got = np.array([law.prob(k) for k in range(ref.size)])
+    np.testing.assert_allclose(got, ref, rtol=1e-11, atol=1e-300)
+
+
+def test_depth_distribution_matches_mpmath_closed_form():
+    # P(X_n < j) = P(S_j > n) = sum_i B_i q_i^(n-j+1), p_i = 2^(1-i); the
+    # right tail is a difference of values near 1, so 1e-300 masses need
+    # over 300 digits
+    mp = pytest.importorskip("mpmath")
+    n = 3 * 2 ** 16 + 1
+    law = depth_distribution_exact(n)
+    with mp.workdps(330):
+        below = [mp.mpf(0)]
+        for j in range(1, law.support_max + 3):
+            p = {i: mp.ldexp(1, 1 - i) for i in range(2, j + 1)}
+            below.append(mp.fsum(
+                mp.fprod(p[l] * (1 - p[i]) / (p[l] - p[i])
+                         for l in p if l != i) * (1 - p[i]) ** (n - j + 1)
+                for i in p))
+        ref = [float(b - a) for a, b in zip(below, below[1:])]
+    checked = 0
+    for j, mass in enumerate(ref):
+        if mass > 1e-300:
+            assert law.prob(j) == pytest.approx(mass, rel=1e-9, abs=0)
+            checked += 1
+    assert checked == len(law.masses)
+
+
+@pytest.mark.parametrize("cast", [np.int64, np.uint32])
+def test_exact_entry_points_accept_numpy_integers(cast):
+    law = depth_distribution_exact(cast(1024))
+    ref = depth_distribution_exact(1024)
+    assert law.offset == ref.offset and law.truncation == ref.truncation
+    assert np.array_equal(law.masses, ref.masses)
+    centered, eta = centered_count_distribution(cast(1024))
+    assert np.array_equal(centered.masses, ref.masses) and eta == 0.0
+    assert floor_log2(cast(1024)) == 10
+    assert tv_to_limit(cast(1024)) == tv_to_limit(1024)
+    assert (partial_sum_cdf_exact(9, cast(1024))
+            == partial_sum_cdf_exact(9, 1024))
+    assert pmf_gap_bound_check(cast(64), 0) == pmf_gap_bound_check(64, 0)
+
+
+@pytest.mark.parametrize("call", [
+    depth_distribution_exact,
+    centered_count_distribution,
+    floor_log2,
+    tv_to_limit,
+    lambda t: partial_sum_cdf_exact(9, t),
+    lambda t: pmf_gap_bound_check(t, 0),
+])
+def test_exact_entry_points_reject_non_integers(call):
+    with pytest.raises(TypeError):
+        call(2.0)
 
 
 def test_depth_distribution_domain():
@@ -104,7 +185,7 @@ def test_centered_count_distribution():
     assert eta == 0.0
     law, eta = centered_count_distribution(3)
     assert eta == pytest.approx(math.log2(3) - 1)
-    for n in (2 ** 10, 2 ** 16, 2 ** 20):
+    for n in (2 ** 10, 2 ** 16, 2 ** 20, MAX_TV_N):
         law, eta = centered_count_distribution(n)
         assert eta == 0.0
         assert law.total() == pytest.approx(1.0, abs=1e-12)
