@@ -68,7 +68,6 @@ from .renewal import (
     depth_distribution_exact,
     ks_scaled_sum_exact,
     partial_sum_cdf_exact,
-    partial_sum_pmf,
     sample_scaled_limit,
     scaled_sum_sample,
     simulate_count,
@@ -114,7 +113,6 @@ __all__ = [
     "parse_corpus",
     "partial_fraction_coefficients",
     "partial_sum_cdf_exact",
-    "partial_sum_pmf",
     "pmf_gap_bound_check",
     "q_cdf",
     "q_pmf",

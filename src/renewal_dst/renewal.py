@@ -10,6 +10,11 @@ recursion, run on every start level at once, gives the B-step transition
 matrix, so n steps cost about 2 sqrt(n) array operations instead of n. Every
 operation multiplies and adds nonnegative numbers, so tiny tail masses keep
 their relative accuracy.
+The exact KS distance between 2^(-n) S_n and its limit uses closed forms
+instead: partial fractions write P(S_n > j) as a sum of geometric terms
+B_i q_i^(j-n+1) with exactly computed coefficients, the limit tail is the
+signed exponential mixture, and both are evaluated over consecutive jump
+points in fixed-size batches, one matrix product each.
 Everything else (general growth rates, sanity cross-checks) is seeded Monte
 Carlo.
 """
@@ -19,19 +24,19 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .lifetimes import GeometricDst, LifetimeFamily, sample_lifetime
-from .limit_law import s_infinity_cdf, sample_s_infinity
+from .limit_law import mixture_coefficients, s_infinity_sf, sample_s_infinity
 from .pmf import IntPmf
 from .rng import stream_rng
 
 MAX_EXACT_N = 2 ** 26      # time guard for the DP (~2 sqrt(n) block steps)
-MAX_EXACT_KS_N = 22        # partial-sum grids reach cap * 2^n integers
+MAX_EXACT_KS_N = 22        # time guard: the KS walks cap * 2^n jump points
 _STATE_SLACK = 60          # levels above ceil(log2(n+1)) carry mass < 1e-300
+_KS_BATCH = 1 << 16        # jump points per KS batch; memory is O(batch)
+_KS_LADDER = 256           # consecutive powers per row of a batch's product
 
 
 class UnsupportedFamilyError(ValueError):
@@ -196,52 +201,71 @@ def sample_scaled_limit(family: LifetimeFamily, rng: np.random.Generator,
     return out
 
 
-def partial_sum_pmf(n: int, j_max: int) -> np.ndarray:
-    """Exact pmf of S_n on the integers n..j_max for the DST family.
+def _partial_sum_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B_i, log q_i), i = 2..n, with P(S_n > j) = sum_i B_i q_i^(j-n+1).
 
-    S_n - n is a sum of independent shifted geometrics; each convolution is
-    the first-order recursion h(s) = p f(s) + (1-p) h(s-1), applied as a
-    linear filter. Mass beyond j_max is the (reported) deficit from 1.
+    S_n - n is a sum of independent Geom(p_i) - 1 with p_i = 2^(1-i) and
+    q_i = 1 - p_i; partial fractions give B_i = prod_{l != i} p_l q_i /
+    (p_l - p_i). Every difference of powers of two is exact, so the B_i do
+    not cancel: sum |B_i| < 8.3 and max |B_i| < 3.5 for every n.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if j_max < n:
-        raise ValueError(f"j_max must be >= n, got {j_max} < {n}")
-    arr = np.zeros(j_max - n + 1)
-    arr[0] = 1.0
-    for k in range(2, n + 1):
-        p = 2.0 ** (1 - k)
-        arr = lfilter([p], [1.0, -(1.0 - p)], arr)
-    return arr
+    p = 2.0 ** (1 - np.arange(2, n + 1))
+    q = 1.0 - p
+    diff = p - p[:, None]
+    np.fill_diagonal(diff, 1.0)
+    ratio = p * q[:, None] / diff
+    np.fill_diagonal(ratio, 1.0)
+    return ratio.prod(axis=1), np.log1p(-p)
 
 
-@lru_cache(maxsize=128)
+def _power_sums(coeffs: np.ndarray, logs: np.ndarray, start: int,
+                count: int) -> np.ndarray:
+    """sum_r coeffs[r] exp(logs[r] e) for e = start .. start + count - 1.
+
+    One matrix product: row m of ``starts`` holds the terms at
+    e = start + W m, the ladder holds exp(logs t) for t < W, so
+    (starts @ ladder.T)[m, t] is the sum at e = start + W m + t. Each term
+    keeps its relative accuracy; terms that underflow are 0.
+    """
+    rows = -(-count // _KS_LADDER)
+    starts = coeffs * np.exp(
+        np.multiply.outer(start + _KS_LADDER * np.arange(rows), logs))
+    ladder = np.exp(np.multiply.outer(np.arange(_KS_LADDER), logs))
+    return (starts @ ladder.T).ravel()[:count]
+
+
 def ks_scaled_sum_exact(n: int, cap_multiplier: int = 8) -> tuple[float, float]:
     """Exact KS distance between 2^(-n) S_n and the limit law S.
 
     The scaled sum is a step CDF with jumps at j 2^(-n); against the
     continuous limit CDF the supremum is attained at jump points, checking
-    both one-sided gaps. Returns (ks, truncation_bound) where the bound
-    covers all mass either law carries beyond cap_multiplier * 2^n.
+    both one-sided gaps. Both laws are closed forms in j:
+    P(S_n > j) = sum_i B_i q_i^(j-n+1) (partial fractions of the geometric
+    lifetimes) and P(S > j 2^(-n)) = sum_k a_k exp(-2^(k-n) j) (the limit
+    mixture), so the gaps are differences of tails and no pmf is built.
+    The jump points j = n .. cap_multiplier * 2^n are walked in fixed-size
+    batches, each evaluated as one matrix product. Returns
+    (ks, truncation_bound) where the bound covers all mass either law
+    carries beyond cap_multiplier * 2^n.
     """
     if not 1 <= n <= MAX_EXACT_KS_N:
         raise ValueError(f"n must be in [1, {MAX_EXACT_KS_N}], got {n}")
     if cap_multiplier < 2:
         raise ValueError(f"cap_multiplier must be >= 2, got {cap_multiplier}")
+    sum_coeffs, sum_logs = _partial_sum_terms(n)
+    mix = np.array(mixture_coefficients().coeffs)
+    mix_logs = -np.ldexp(1.0, np.arange(1, mix.size + 1) - n)  # -2^(k-n)
     j_max = cap_multiplier << n
-    cdf = np.cumsum(partial_sum_pmf(n, j_max))
-    scale = 2.0 ** -n
     ks = 0.0
-    block = 1 << 20
-    for start in range(0, cdf.size, block):
-        stop = min(start + block, cdf.size)
-        limit_vals = s_infinity_cdf((np.arange(start, stop) + n) * scale)
-        seg = cdf[start:stop]
-        before = cdf[start - 1] if start else 0.0
-        prev = np.concatenate(([before], seg[:-1]))
+    before = 1.0                    # P(S_n > n - 1)
+    for j0 in range(n, j_max + 1, _KS_BATCH):
+        count = min(_KS_BATCH, j_max + 1 - j0)
+        sum_tail = _power_sums(sum_coeffs, sum_logs, j0 - n + 1, count)
+        limit_tail = _power_sums(mix, mix_logs, j0, count)
+        prev = np.concatenate(([before], sum_tail[:-1]))  # P(S_n > j - 1)
         ks = max(ks,
-                 float(np.abs(seg - limit_vals).max()),
-                 float(np.abs(prev - limit_vals).max()))
-    truncation = max(1.0 - float(cdf[-1]),
-                     1.0 - s_infinity_cdf(float(cap_multiplier)))
+                 float(np.abs(limit_tail - sum_tail).max()),
+                 float(np.abs(limit_tail - prev).max()))
+        before = float(sum_tail[-1])
+    truncation = max(before, s_infinity_sf(float(cap_multiplier)))
     return ks, truncation

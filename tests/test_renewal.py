@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import renewal_dst
 from renewal_dst import (
     GeometricDst,
     GrowthRate,
@@ -16,7 +20,6 @@ from renewal_dst import (
     ks_discrete_vs_continuous,
     ks_scaled_sum_exact,
     partial_sum_cdf_exact,
-    partial_sum_pmf,
     pmf_gap_bound_check,
     s_infinity_cdf,
     sample_scaled_limit,
@@ -26,7 +29,7 @@ from renewal_dst import (
     tv_to_limit,
 )
 from renewal_dst.metrics import MAX_TV_N
-from renewal_dst.renewal import floor_log2
+from renewal_dst.renewal import _partial_sum_terms, _power_sums, floor_log2
 from renewal_dst.rng import stream_rng
 
 DST = GeometricDst()
@@ -161,9 +164,11 @@ def test_partial_sum_cdf_rejects_other_families():
         partial_sum_cdf_exact(2, 2, fam)
 
 
-def test_partial_sum_pmf_matches_dp_identity():
+def test_partial_sum_cdf_grid_matches_dp_identity():
+    # the KS kernel's closed form P(S_n <= t) = 1 - sum_i B_i q_i^(t-n+1),
+    # on the grid t = n..200, against the chain identity
     for n in (2, 3, 5, 8):
-        cdf = np.cumsum(partial_sum_pmf(n, 200))
+        cdf = 1.0 - _power_sums(*_partial_sum_terms(n), 1, 201 - n)
         for t in (n, n + 1, n + 3, 50, 200):
             assert cdf[t - n] == pytest.approx(
                 partial_sum_cdf_exact(n, t), abs=1e-12)
@@ -261,3 +266,51 @@ def test_ks_scaled_sum_domain():
 def test_ks_scaled_sum_truncation_reported():
     _, trunc = ks_scaled_sum_exact(6, cap_multiplier=8)
     assert 0 <= trunc < 1e-6
+
+
+@pytest.mark.parametrize("n", [3, 6, 8])
+def test_ks_scaled_sum_matches_mpmath_full_grid(n):
+    # both one-sided gaps at every jump point j = n..8 2^n, in 30 digits:
+    # P(S_n > j) = sum_i B_i q_i^(j-n+1), P(S > t) = sum_k a_k exp(-2^k t)
+    mp = pytest.importorskip("mpmath")
+    cap = 8
+    with mp.workdps(30):
+        p = {i: mp.ldexp(1, 1 - i) for i in range(2, n + 1)}
+        b = [mp.fprod(p[l] * (1 - p[i]) / (p[l] - p[i]) for l in p if l != i)
+             for i in p]
+        q = [1 - p[i] for i in p]
+        mix = [1 / mp.fprod(1 - mp.ldexp(1, -j) for j in range(1, 120))]
+        for k in range(1, 25):
+            mix.append(mix[-1] / (1 - mp.ldexp(1, k)))
+
+        def limit_tail(t):
+            return mp.fsum(a * mp.exp(-mp.ldexp(t, k))
+                           for k, a in enumerate(mix, start=1))
+
+        ks, before = mp.mpf(0), mp.mpf(1)
+        for j in range(n, (cap << n) + 1):
+            sum_tail = mp.fsum(bi * qi ** (j - n + 1) for bi, qi in zip(b, q))
+            lim = limit_tail(mp.ldexp(j, -n))
+            ks = max(ks, abs(lim - sum_tail), abs(lim - before))
+            before = sum_tail
+        trunc = max(before, limit_tail(cap))
+    got, got_trunc = ks_scaled_sum_exact(n, cap_multiplier=cap)
+    assert got == pytest.approx(float(ks), rel=0, abs=1e-14)
+    assert got_trunc == pytest.approx(float(trunc), rel=1e-12, abs=0)
+
+
+def test_ks_scaled_sum_top_of_range():
+    # 8 2^22 jump points span hundreds of batches
+    ks22, trunc22 = ks_scaled_sum_exact(22)
+    ks21, trunc21 = ks_scaled_sum_exact(21)
+    assert 0 < ks22 < ks21
+    assert trunc22 < 1e-6 and trunc21 < 1e-6
+
+
+def test_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(renewal_dst.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, renewal_dst; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
