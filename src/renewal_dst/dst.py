@@ -4,6 +4,13 @@ Keys are routed by successive bits, 0 left and 1 right, and stored at the
 first empty node on the path; the tree never compares key values, only bits.
 A probe walks the same path without mutating, which is how the depth process
 along a fixed direction is read off one built tree.
+
+``Dst`` is the node-by-node reference. ``simulate_insertion_depth`` builds
+many random trees without it: in a DST the node for an l-bit prefix holds the
+earliest-inserted key with that prefix that no shallower node took, so after
+sorting each replicate's keys by value the trees grow level by level, every
+level a few array operations over a chunk of replicates. Chunks hold at most
+2^16 keys, so the simulator's memory does not grow with the replicate count.
 """
 
 from __future__ import annotations
@@ -19,6 +26,10 @@ from .rng import stream_rng
 # sqrt 2, sqrt 3, sqrt 5, sqrt 10, cbrt 2, cbrt 3, 2^(1/4), ln 2, ln 3, ln 10.
 _KNUTH_BITS = ("0110", "1011", "0011", "0010", "0100",
                "0111", "0011", "1011", "0001", "0100")
+
+# Keys per chunk of replicates in simulate_insertion_depth; bounds its
+# memory whatever the replicate count.
+_SIM_BATCH = 2 ** 16
 
 
 class InsufficientBitsError(ValueError):
@@ -174,20 +185,65 @@ def load_corpus(path) -> list[tuple[str, str]]:
         return parse_corpus(fh.read())
 
 
-def _walk_depth(occupied: set, key: int, width: int, limit: int,
-                place: bool) -> int:
-    """Depth of the first free node along ``key``'s bit path, claiming it
-    when ``place`` is set; -1 if the bit budget runs out first."""
-    node = 1
+def _prefix_differs(a: np.ndarray, b: np.ndarray, level: int) -> np.ndarray:
+    """Whether the rows of ``a`` and ``b``, keys as uint64 words most
+    significant first, differ within their first ``level`` bits."""
+    out = np.zeros(len(a), dtype=bool)
+    for w in range(min(a.shape[1], -(-level // 64))):
+        x = a[:, w] ^ b[:, w]
+        tail = 64 * (w + 1) - level  # bits of word w below the prefix
+        if tail > 0:
+            x = x >> np.uint64(tail)
+        out |= x != 0
+    return out
+
+
+def _chunk_depths(keys: np.ndarray, bit_budget: int,
+                  probe_limit: int) -> np.ndarray:
+    """Depth of the last key in each replicate of a chunk, or -1 where a
+    key runs out of bits first.
+
+    ``keys`` is (c, n+1, words): each replicate's keys in insertion order,
+    the probe last. The first n keys may take nodes down to level
+    ``bit_budget``; the probe may descend to level ``probe_limit``.
+
+    The node for an l-bit prefix holds the earliest-inserted key among those
+    with that prefix that no shallower node took. With each replicate's keys
+    sorted by value, those keys form one contiguous run, so every level is a
+    handful of array operations: find the runs, place each run's key of
+    least insertion index, drop the placed keys. The probe, inserted last,
+    is placed at the first level where no other key in play shares its
+    prefix.
+    """
+    c, n_all, words = keys.shape
+    probe = n_all - 1
+    order = np.lexsort(keys[..., ::-1].transpose(2, 0, 1), axis=-1)
+    key = np.take_along_axis(keys, order[..., None], axis=1).reshape(
+        c * n_all, words)
+    idx = order.ravel()
+    rep = np.repeat(np.arange(c), n_all)
+    depth = np.full(c, -1, dtype=np.int64)
+    dropped = np.zeros(c, dtype=bool)
     level = 0
-    while node in occupied:
-        if level >= limit:
-            return -1
-        node = (node << 1) | ((key >> (width - 1 - level)) & 1)
+    while rep.size:
+        start = np.empty(rep.size, dtype=bool)
+        start[0] = True
+        start[1:] = rep[1:] != rep[:-1]
+        start[1:] |= _prefix_differs(key[1:], key[:-1], level)
+        runs = np.flatnonzero(start)
+        first = np.minimum.reduceat(idx, runs)
+        placed = idx == np.repeat(first, np.diff(runs, append=rep.size))
+        depth[rep[placed & (idx == probe)]] = level
+        keep = ~placed
+        if level >= min(bit_budget, probe_limit):
+            stuck = keep & np.where(idx == probe, level >= probe_limit,
+                                    level >= bit_budget)
+            dropped[rep[stuck]] = True
+            keep &= ~dropped[rep]
+        rep, idx, key = rep[keep], idx[keep], key[keep]
         level += 1
-    if place:
-        occupied.add(node)
-    return level
+    depth[dropped] = -1
+    return depth
 
 
 def simulate_insertion_depth(n: int, replicates: int, bit_budget: int = 64,
@@ -201,6 +257,12 @@ def simulate_insertion_depth(n: int, replicates: int, bit_budget: int = 64,
     direction probed without inserting; the law is the same either way.
     Replicates where any key exhausts its bit budget are dropped and counted
     in the returned pmf's ``truncation``.
+
+    Replicates run in chunks of at most ``_SIM_BATCH`` keys, so memory is
+    O(chunk) whatever ``replicates`` is. Within a chunk the trees are built
+    level by level for all replicates at once (see ``_chunk_depths``); the
+    keys are drawn replicate-major as (chunk, keys, words) uint64 arrays, so
+    the Philox stream is consumed exactly as one replicate at a time would.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -216,49 +278,31 @@ def simulate_insertion_depth(n: int, replicates: int, bit_budget: int = 64,
         rng = stream_rng()
 
     words = (bit_budget + 63) // 64
-    width = 64 * words
     n_keys = n if probe_bits is not None else n + 1
-    probe_key = int(probe_bits, 2) if probe_bits else None
-    probe_width = len(probe_bits) if probe_bits else width
-    probe_limit = len(probe_bits) if probe_bits else bit_budget
+    if probe_bits is not None:
+        # Probe bits past the keys' 64 * words are never read: every other
+        # key has left the probe's run by level bit_budget <= 64 * words.
+        padded = probe_bits[:64 * words].ljust(64 * words, "0")
+        fixed = np.array([int(padded[64 * w:64 * (w + 1)], 2)
+                          for w in range(words)], dtype=np.uint64)
+        probe_limit = len(probe_bits)
+    else:
+        probe_limit = bit_budget
 
-    depths = np.empty(replicates, dtype=np.int64)
-    kept = 0
-    exceeded = 0
-    for _ in range(replicates):
-        if n_keys:
-            rows = rng.integers(0, 2 ** 64, size=(n_keys, words),
-                                dtype=np.uint64).tolist()
-            if words == 1:
-                keys = [row[0] for row in rows]
-            else:
-                keys = []
-                for row in rows:
-                    k = 0
-                    for w in row:
-                        k = (k << 64) | w
-                    keys.append(k)
-        else:
-            keys = []
-        occupied = set()
-        bad = False
-        for key in keys[:n]:
-            if _walk_depth(occupied, key, width, bit_budget, True) < 0:
-                bad = True
-                break
-        if bad:
-            exceeded += 1
-            continue
+    chunk = max(1, _SIM_BATCH // max(n_keys, 1))
+    depths = []
+    for done in range(0, replicates, chunk):
+        keys = rng.integers(0, 2 ** 64,
+                            size=(min(chunk, replicates - done), n_keys,
+                                  words),
+                            dtype=np.uint64)
         if probe_bits is not None:
-            d = _walk_depth(occupied, probe_key, probe_width, probe_limit,
-                            False)
-        else:
-            d = _walk_depth(occupied, keys[n], width, bit_budget, False)
-        if d < 0:
-            exceeded += 1
-            continue
-        depths[kept] = d
-        kept += 1
-    if kept == 0:
+            keys = np.concatenate(
+                [keys, np.broadcast_to(fixed, (len(keys), 1, words))], axis=1)
+        depths.append(_chunk_depths(keys, bit_budget, probe_limit))
+    depths = np.concatenate(depths)
+    kept = depths[depths >= 0]
+    if kept.size == 0:
         raise InsufficientBitsError("probe", bit_budget)
-    return IntPmf.from_samples(depths[:kept], truncation=exceeded / replicates)
+    return IntPmf.from_samples(
+        kept, truncation=(replicates - kept.size) / replicates)

@@ -74,10 +74,6 @@ class SignedExpMixture:
     def order(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def rates(self) -> tuple[float, ...]:
-        return tuple(2.0 ** k for k in range(1, len(self.coeffs) + 1))
-
     def effective(self, eps: float = COEFF_EPS) -> "SignedExpMixture":
         """Truncate to the leading terms with |a_k| >= eps (at least one)."""
         keep = len(self.coeffs)

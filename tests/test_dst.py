@@ -17,6 +17,7 @@ from renewal_dst import (
     tv_distance,
 )
 from renewal_dst.dst import CorpusFormatError
+from renewal_dst.pmf import IntPmf
 from renewal_dst.rng import stream_rng
 
 EXPECTED_DEPTHS = [0, 1, 1, 2, 2, 3, 3, 2, 3, 3]
@@ -151,3 +152,117 @@ def test_simulated_depth_reproducible():
     a = simulate_insertion_depth(10, 500, 64, stream_rng(9, 9))
     b = simulate_insertion_depth(10, 500, 64, stream_rng(9, 9))
     assert a.offset == b.offset and np.array_equal(a.masses, b.masses)
+
+
+# (offset, masses, truncation) recorded from the one-replicate-at-a-time
+# set walk that the level-synchronous simulator replaced; equality is exact,
+# so these pin both the tree logic and the Philox draw layout.
+P64 = "0110" * 16
+P100 = "10" * 50
+PINNED = [
+    ((100, 3000, 64, (20070201, 25), None),
+     (4, [0.005333333333333333, 0.136, 0.43033333333333335, 0.328, 0.09,
+          0.01, 0.0003333333333333333], 0.0)),
+    ((100, 3000, 64, (20070201, 25), P64),
+     (4, [0.005, 0.12633333333333333, 0.44433333333333336, 0.344,
+          0.07366666666666667, 0.006333333333333333, 0.0003333333333333333],
+      0.0)),
+    ((5, 500, 3, (1, 1), None), (1, [0.052, 0.516, 0.36], 0.072)),
+    ((40, 600, 70, (7, 3), None),
+     (3, [0.023333333333333334, 0.21333333333333335, 0.4633333333333333,
+          0.25666666666666665, 0.04, 0.0033333333333333335], 0.0)),
+    ((40, 600, 70, (7, 4), P100),
+     (3, [0.02, 0.23333333333333334, 0.47833333333333333, 0.22, 0.045,
+          0.0033333333333333335], 0.0)),
+    # 1500 = 2 * 648 + 204 replicates: a ragged last chunk
+    ((100, 1500, 64, (3, 5), None),
+     (4, [0.006, 0.13666666666666666, 0.43666666666666665, 0.328,
+          0.08466666666666667, 0.008], 0.0)),
+    ((12, 7000, 4, (2, 2), None),
+     (1, [0.00014285714285714287, 0.05828571428571429, 0.373,
+          0.3387142857142857], 0.22985714285714287)),
+    # a two-bit probe that is blocked in most replicates
+    ((6, 400, 64, (5, 6), "01"), (1, [0.0325, 0.425], 0.5425)),
+    ((0, 30, 64, (5, 7), "01"), (0, [1.0], 0.0)),
+]
+
+
+@pytest.mark.parametrize("args,expected", PINNED)
+def test_simulated_depth_pinned(args, expected):
+    n, replicates, budget, (seed, stream), probe = args
+    emp = simulate_insertion_depth(n, replicates, budget,
+                                   stream_rng(seed, stream), probe_bits=probe)
+    assert (emp.offset, emp.masses.tolist(), emp.truncation) == expected
+
+
+class _MaskedRng:
+    """A generator whose integer draws are ANDed with a per-word mask, so
+    keys share long prefixes and trees grow past one 64-bit word."""
+
+    def __init__(self, rng, mask):
+        self._rng = rng
+        self._mask = np.array(mask, dtype=np.uint64)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs) & self._mask
+
+
+def _oracle_depths(n, replicates, budget, rng, probe):
+    """Insert each replicate's keys into a ``Dst`` one at a time, drawing
+    them replicate by replicate; -1 marks a dropped replicate."""
+    words = (budget + 63) // 64
+    n_keys = n if probe is not None else n + 1
+    depths = []
+    for _ in range(replicates):
+        rows = rng.integers(0, 2 ** 64, size=(n_keys, words), dtype=np.uint64)
+        bits = ["".join(format(int(w), "064b") for w in row)[:budget]
+                for row in rows]
+        tree = Dst()
+        try:
+            for i, b in enumerate(bits[:n]):
+                tree.insert(i, b)
+            depths.append(tree.probe(probe if probe is not None
+                                     else bits[n]).depth)
+        except InsufficientBitsError:
+            depths.append(-1)
+    return np.array(depths)
+
+
+def _assert_matches_oracle(n, replicates, budget, make_rng, probe):
+    depths = _oracle_depths(n, replicates, budget, make_rng(), probe)
+    kept = depths[depths >= 0]
+    if kept.size == 0:
+        with pytest.raises(InsufficientBitsError):
+            simulate_insertion_depth(n, replicates, budget, make_rng(), probe)
+        return
+    emp = simulate_insertion_depth(n, replicates, budget, make_rng(), probe)
+    want = IntPmf.from_samples(
+        kept, truncation=(replicates - kept.size) / replicates)
+    assert (emp.offset, emp.masses.tolist(), emp.truncation) == (
+        want.offset, want.masses.tolist(), want.truncation), (n, budget, probe)
+
+
+@pytest.mark.parametrize("batch", [None, 7])
+@pytest.mark.parametrize("probe", [None, "01", "1" * 70])
+@pytest.mark.parametrize("budget", [2, 3, 64, 70])
+def test_simulated_depth_matches_dst_oracle(monkeypatch, budget, probe, batch):
+    if batch is not None:
+        # several chunks per call, the last one ragged
+        monkeypatch.setattr("renewal_dst.dst._SIM_BATCH", batch)
+    for n in (0, 1, 2, 5, 9):
+        stream = 1000 * budget + 10 * n + len(probe or "")
+        _assert_matches_oracle(n, 60, budget,
+                               lambda: stream_rng(budget, stream), probe)
+
+
+@pytest.mark.parametrize("probe", [None, "0" * 66, "0" * 63 + "1" * 9])
+@pytest.mark.parametrize("budget", [64, 66, 70])
+def test_deep_trees_match_dst_oracle(monkeypatch, budget, probe):
+    # Keys agree on their first 63 bits, so the trees chain down past bit 64
+    # (the second key word) and often exhaust the budget.
+    monkeypatch.setattr("renewal_dst.dst._SIM_BATCH", 200)
+    mask = [1, 0xFF << 56][:(budget + 63) // 64]
+    for n in (64, 70):
+        _assert_matches_oracle(
+            n, 30, budget,
+            lambda: _MaskedRng(stream_rng(budget, n), mask), probe)
