@@ -34,11 +34,9 @@ from .lifetimes import (
     sample_lifetime,
 )
 from .limit_law import (
-    LimitLaw,
     SignedExpMixture,
     euler_b,
     exp_convolution_cdf,
-    limit_law,
     mixture_coefficients,
     partial_fraction_coefficients,
     q_cdf,
@@ -87,7 +85,6 @@ __all__ = [
     "InsufficientBitsError",
     "IntPmf",
     "LifetimeFamily",
-    "LimitLaw",
     "RateRow",
     "RenewalConfig",
     "ScaledBase",
@@ -107,7 +104,6 @@ __all__ = [
     "ks_discrete_vs_continuous",
     "ks_scaled_sum_exact",
     "lifetime_mean",
-    "limit_law",
     "load_corpus",
     "mixture_coefficients",
     "parse_corpus",

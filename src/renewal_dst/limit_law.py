@@ -15,13 +15,24 @@ with coefficients up to |b| ~ 3.46 cancel catastrophically near 0, so every
 CDF-like quantity is evaluated termwise through expm1 and summed exactly with
 math.fsum; tails are never formed as 1 - cdf.
 
+Every scalar value is one of two private series over a coefficient
+sequence a: _cdf_terms(t, a) = fsum a_k * -expm1(-2^k t) = P(S <= t) and
+_sf_terms(c, a) = fsum a_k * exp(-2^k c) = P(S > c). Both double u = 2^k t
+once per term; doubling only raises the binary exponent, so u equals
+(2.0**k) * t and math.ldexp(t, k) bit for bit, and overflows to inf where
+ldexp would raise. Each stops once its remaining terms are known:
+_cdf_terms at u >= 40, where -expm1(-u) is exactly 1.0, appending the
+remaining a_k as they are; _sf_terms at the first exp(-u) that underflows
+to 0.0. Neither exit changes the fsum.
+
 The discretized family is Q_eta = L(floor(-log2 S + eta)) for eta in [0, 1]:
 
-    P(Q_eta <= x) = sum_k a_k exp(-2^(k + eta - 1 - x)),  x integer.
+    P(Q_eta <= x) = sum_k a_k exp(-2^k c),  c = 2^(eta - 1 - x),  x integer.
 
 The two endpoints are translates: Q_1({j}) = Q_0({j-1}), and the series
 reproduces that identity exactly in floating point because the exponents
-k + 1 - 1 - x and k - 1 - (x - 1) are the same float.
+eta - 1 - x at (0, x) and at (1, x + 1) are the same integer, so both give
+the same c.
 """
 
 from __future__ import annotations
@@ -35,10 +46,6 @@ import numpy as np
 COEFF_EPS = 1e-18     # series truncation threshold for coefficients
 MAX_TERMS = 64        # hard cap; |a_k| underflows long before this
 DEFAULT_TERMS = 32    # default mixture order, already past float64 precision
-
-# exp(-2^w) underflows to 0.0 well before w reaches this; guarding here also
-# keeps 2.0**w itself from overflowing for extreme integer arguments
-_EXP_CUTOFF = 60.0
 
 
 @lru_cache(maxsize=1)
@@ -99,28 +106,6 @@ def _default_mixture() -> SignedExpMixture:
     return mixture_coefficients(DEFAULT_TERMS)
 
 
-@dataclass(frozen=True)
-class LimitLaw:
-    """One member Q_eta of the discretized limit family."""
-
-    eta: float
-    mixture: SignedExpMixture
-
-    def cdf(self, x: int) -> float:
-        return q_cdf(self.eta, x, self.mixture)
-
-    def pmf(self, j: int) -> float:
-        return q_pmf(self.eta, j, self.mixture)
-
-    def tail(self, j: int) -> float:
-        return q_tail(self.eta, j, self.mixture)
-
-
-def limit_law(eta: float, order: int = DEFAULT_TERMS) -> LimitLaw:
-    _check_eta(eta)
-    return LimitLaw(eta, mixture_coefficients(order))
-
-
 def partial_fraction_coefficients(n: int) -> np.ndarray:
     """Coefficients a_{n,1}..a_{n,n} of the n-fold convolution expansion.
 
@@ -144,10 +129,52 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
 
 
-def _cdf_scalar(t: float, coeffs: tuple[float, ...]) -> float:
-    terms = [a * -math.expm1(-(2.0 ** k) * t)
-             for k, a in enumerate(coeffs, start=1)]
+def _cdf_terms(t: float, a) -> float:
+    """P(S <= t) for the coefficients a, clamped; see the module notes."""
+    terms = []
+    u = t
+    for k, ak in enumerate(a):
+        u += u
+        if u >= 40.0:   # exp(-u) < 2^-57: -expm1(-u) is exactly 1.0
+            terms.extend(a[k:])
+            break
+        terms.append(ak * -math.expm1(-u))
     return min(max(math.fsum(terms), 0.0), 1.0)
+
+
+def _sf_terms(c: float, a) -> float:
+    """P(S > c) for the coefficients a, clamped; see the module notes."""
+    terms = []
+    u = c
+    for ak in a:
+        u += u
+        e = math.exp(-u)
+        if e == 0.0:
+            break
+        terms.append(ak * e)
+    return min(max(math.fsum(terms), 0.0), 1.0)
+
+
+def _checked(t, name: str = "t") -> float:
+    t = float(t)
+    if not t >= 0.0:    # also rejects NaN
+        raise ValueError(f"{name} must be >= 0, got {t!r}")
+    return t
+
+
+def _cdf_array(t, a) -> np.ndarray:
+    tv = np.asarray(t, dtype=float)
+    if np.any(tv < 0):
+        raise ValueError("t must be >= 0")
+    out = np.zeros_like(tv)
+    for k, ak in enumerate(a, start=1):
+        out += ak * -np.expm1(-(2.0 ** k) * tv)
+    return np.clip(out, 0.0, 1.0)
+
+
+def _pow2(e: float) -> float:
+    """2**e, or inf where that overflows."""
+    return 2.0 ** e if e < 1024 else math.inf
 
 
 def s_infinity_cdf(t, mixture: SignedExpMixture | None = None):
@@ -155,85 +182,58 @@ def s_infinity_cdf(t, mixture: SignedExpMixture | None = None):
 
     Termwise expm1 keeps the alternating sum accurate near t = 0, where the
     true value decays superexponentially: P(S <= 2^(-j)) <= 2^(-j(j-1)/2).
-    Accepts scalars or arrays.
+    Accepts scalars or arrays (arrays: terms with |a_k| >= COEFF_EPS, no fsum).
     """
     mix = mixture or _default_mixture()
-    if np.ndim(t) == 0:
-        t = float(t)
-        if t < 0 or math.isnan(t):
-            raise ValueError(f"t must be >= 0, got {t!r}")
-        return _cdf_scalar(t, mix.coeffs)
-    tv = np.asarray(t, dtype=float)
-    if np.any(tv < 0):
-        raise ValueError("t must be >= 0")
-    out = np.zeros_like(tv)
-    for k, a in enumerate(mix.effective().coeffs, start=1):
-        out += a * -np.expm1(-(2.0 ** k) * tv)
-    return np.clip(out, 0.0, 1.0)
+    if isinstance(t, (float, int)) or np.ndim(t) == 0:  # np.float64 is a float
+        return _cdf_terms(_checked(t), mix.coeffs)
+    return _cdf_array(t, mix.effective().coeffs)
 
 
 def s_infinity_sf(x: float, mixture: SignedExpMixture | None = None) -> float:
     """Upper tail P(S > x) = sum_k a_k exp(-2^k x), stable for large x."""
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x!r}")
-    mix = mixture or _default_mixture()
-    terms = [a * math.exp(-(2.0 ** k) * x)
-             for k, a in enumerate(mix.coeffs, start=1)]
-    return min(max(math.fsum(terms), 0.0), 1.0)
+    return _sf_terms(_checked(x, "x"), (mixture or _default_mixture()).coeffs)
 
 
 def exp_convolution_cdf(n: int, t):
     """CDF of Exp(2) + Exp(4) + ... + Exp(2^n) via the signed expansion."""
-    a = partial_fraction_coefficients(n)
-    if np.ndim(t) == 0:
-        if t < 0:
-            raise ValueError(f"t must be >= 0, got {t!r}")
-        terms = [a[k - 1] * -math.expm1(-(2.0 ** k) * float(t))
-                 for k in range(1, n + 1)]
-        return min(max(math.fsum(terms), 0.0), 1.0)
-    tv = np.asarray(t, dtype=float)
-    if np.any(tv < 0):
-        raise ValueError("t must be >= 0")
-    out = np.zeros_like(tv)
-    for k in range(1, n + 1):
-        out += a[k - 1] * -np.expm1(-(2.0 ** k) * tv)
-    return np.clip(out, 0.0, 1.0)
+    a = partial_fraction_coefficients(n).tolist()
+    if isinstance(t, (float, int)) or np.ndim(t) == 0:
+        return _cdf_terms(_checked(t), a)
+    return _cdf_array(t, a)
 
 
 def q_cdf(eta: float, x, mixture: SignedExpMixture | None = None) -> float:
-    """P(Q_eta <= x) = sum_k a_k exp(-2^(k + eta - 1 - x)) for integer x.
+    """P(Q_eta <= x) = sum_k a_k exp(-2^k c), c = 2^(eta - 1 - x), integer x.
 
     Real x is answered at floor(x); the law is integer-supported. Below the
     median the direct series has no cancellation; above it the value is
-    formed as 1 minus the stably evaluated tail, which keeps the CDF
-    monotone in floating point all the way into the flat-at-1 region.
+    formed as 1 minus the stably evaluated tail P(S <= c), which keeps the
+    CDF monotone in floating point all the way into the flat-at-1 region.
     """
     _check_eta(eta)
-    mix = mixture or _default_mixture()
-    x = math.floor(x)
-    terms = []
-    for k, a in enumerate(mix.coeffs, start=1):
-        w = k + eta - 1.0 - x
-        if w < _EXP_CUTOFF:
-            terms.append(a * math.exp(-(2.0 ** w)))
-    direct = min(max(math.fsum(terms), 0.0), 1.0)
+    a = (mixture or _default_mixture()).coeffs
+    c = _pow2(eta - (math.floor(x) + 1))
+    direct = _sf_terms(c, a)
     if direct <= 0.5:
         return direct
-    return 1.0 - q_tail(eta, x + 1, mixture)
+    return 1.0 - _cdf_terms(c, a)
 
 
 def q_pmf(eta: float, j, mixture: SignedExpMixture | None = None) -> float:
-    """P(Q_eta = j), as the difference of adjacent CDF or tail values.
+    """P(Q_eta = j) = P(S > c) - P(S > 2c), c = 2^(eta - 1 - j).
 
-    Deep in the right tail both CDF values sit at 1 - tiny and their float
-    difference is noise, so the difference is taken between the stably
-    evaluated tails instead; both forms are floored at 0.
+    Past the median both terms sit at 1 - tiny and their float difference is
+    noise, so the stable tails P(S <= 2c) - P(S <= c) are used instead; both
+    forms are floored at 0.
     """
-    j = math.floor(j)
-    left_cdf = q_cdf(eta, j - 1, mixture)
-    if left_cdf > 0.5:
-        return max(q_tail(eta, j, mixture) - q_tail(eta, j + 1, mixture), 0.0)
-    return max(q_cdf(eta, j, mixture) - left_cdf, 0.0)
+    _check_eta(eta)
+    a = (mixture or _default_mixture()).coeffs
+    c = _pow2(eta - (math.floor(j) + 1))
+    left = _sf_terms(c + c, a)
+    if left <= 0.5:
+        return max(_sf_terms(c, a) - left, 0.0)
+    return max(_cdf_terms(c + c, a) - _cdf_terms(c, a), 0.0)
 
 
 def q_tail(eta: float, j, mixture: SignedExpMixture | None = None) -> float:
@@ -243,10 +243,8 @@ def q_tail(eta: float, j, mixture: SignedExpMixture | None = None) -> float:
     accuracy in the far right tail, which decays like exp(-j^2 log2 / 2).
     """
     _check_eta(eta)
-    j = math.floor(j)
-    e = eta - j
-    t = 2.0 ** e if e < 1024 else math.inf
-    return s_infinity_cdf(t, mixture)
+    a = (mixture or _default_mixture()).coeffs
+    return _cdf_terms(_pow2(eta - math.floor(j)), a)
 
 
 def sample_s_infinity(rng: np.random.Generator, k_trunc: int = 64,

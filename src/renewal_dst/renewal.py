@@ -74,8 +74,12 @@ def depth_distribution_exact(n: int) -> IntPmf:
     n mod B single steps and then by n // B products with that matrix:
     about 2 sqrt(n) array operations. All of them combine nonnegative
     numbers, so each mass keeps its relative accuracy however small it is.
-    States above ceil(log2(n+1)) + 60 are clipped; the clipped mass (below
-    1e-300 for any reachable n) is reported in the result's ``truncation``.
+    States above ceil(log2(n+1)) + 60 are clipped, and edge masses at or
+    below 1e-300 are trimmed. The result's ``truncation`` is the trimmed mass
+    plus |1 - sum| of the stored masses: the clipped mass (below 1e-300 for
+    any reachable n) and the rounding drift in either direction (sums run
+    above 1 by up to about 8e-13 at 2^20..2^22), so the slack that
+    ``tv_vs_limit`` adds counts the drift.
     """
     n = operator.index(n)
     if n < 0:
@@ -92,8 +96,9 @@ def depth_distribution_exact(n: int) -> IntPmf:
     _chain_steps(p, n % block)
     for _ in range(n // block):
         p = p @ transition
-    truncation = max(0.0, 1.0 - float(p.sum()))
-    return IntPmf(0, p, truncation).trim(1e-300)
+    law = IntPmf(0, p).trim(1e-300)
+    return IntPmf(law.offset, law.masses,
+                  law.truncation + abs(1.0 - law.total()))
 
 
 def partial_sum_cdf_exact(j: int, t: int,

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from renewal_dst import (
     empirical_cdf_jumps,
     euler_b,
-    limit_law,
     exp_convolution_cdf,
     ks_discrete_vs_continuous,
     mixture_coefficients,
@@ -187,10 +187,176 @@ def test_sample_q_scalar():
     assert isinstance(v, int)
 
 
-def test_limit_law_wrapper():
-    law = limit_law(0.25)
-    assert law.cdf(3) == q_cdf(0.25, 3)
-    assert law.pmf(0) == q_pmf(0.25, 0)
-    assert law.tail(2) == q_tail(0.25, 2)
+# ---- scalar series against reference loops and mpmath ----------------------
+
+# The termwise loops the scalar functions used before the two series kernels:
+# every term formed, 2^k t as (2.0**k) * t, no early exit.
+
+def _ref_clamp(v):
+    return min(max(v, 0.0), 1.0)
+
+
+def _ref_cdf(t, a):
+    return _ref_clamp(math.fsum(ak * -math.expm1(-(2.0 ** k) * t)
+                                for k, ak in enumerate(a, start=1)))
+
+
+def _ref_sf(x, a):
+    return _ref_clamp(math.fsum(ak * math.exp(-(2.0 ** k) * x)
+                                for k, ak in enumerate(a, start=1)))
+
+
+def _ref_q_tail(eta, j, a):
+    e = eta - j
+    return _ref_cdf(2.0 ** e if e < 1024 else math.inf, a)
+
+
+def _ref_q_cdf(eta, x, a):
+    terms = []
+    for k, ak in enumerate(a, start=1):
+        w = k + eta - 1.0 - x
+        if w < 60.0:
+            terms.append(ak * math.exp(-(2.0 ** w)))
+    direct = _ref_clamp(math.fsum(terms))
+    if direct <= 0.5:
+        return direct
+    return 1.0 - _ref_q_tail(eta, x + 1, a)
+
+
+def _ref_q_pmf(eta, j, a):
+    left = _ref_q_cdf(eta, j - 1, a)
+    if left > 0.5:
+        return max(_ref_q_tail(eta, j, a) - _ref_q_tail(eta, j + 1, a), 0.0)
+    return max(_ref_q_cdf(eta, j, a) - left, 0.0)
+
+
+T_GRID = [2.0 ** (e / 8) for e in range(-80, 65)]          # 2^-10 .. 2^8
+ETA_GRID = [i / 16 for i in range(17)] + [1e-20, 0.3, 1 - 2.0 ** -53]
+J_GRID = range(-10, 15)
+
+
+def test_saturation_exit_is_exact():
+    # _cdf_terms appends a_k unchanged once 2^k t >= 40
+    for u in (40.0, 40.5, 64.0, 745.0, 1e300, math.inf):
+        assert -math.expm1(-u) == 1.0
+
+
+@pytest.mark.parametrize("order", [1, 5, 32, 64])
+def test_scalar_s_infinity_bit_identical_to_termwise_loop(order):
+    mix = mixture_coefficients(order)
+    for t in T_GRID + [0.0, 5e-324, 1e-300, 1e300, math.inf]:
+        assert s_infinity_cdf(t, mix) == _ref_cdf(t, mix.coeffs), t
+        assert s_infinity_sf(t, mix) == _ref_sf(t, mix.coeffs), t
+
+
+def test_exp_convolution_scalar_bit_identical_to_termwise_loop():
+    for n in (1, 2, 3, 9, 32):
+        a = partial_fraction_coefficients(n)
+        for t in T_GRID:
+            assert exp_convolution_cdf(n, t) == _ref_cdf(t, a), (n, t)
+
+
+def test_q_tail_bit_identical_to_termwise_loop():
+    a = mixture_coefficients().coeffs
+    for eta in ETA_GRID:
+        for j in J_GRID:
+            assert q_tail(eta, j) == _ref_q_tail(eta, j, a), (eta, j)
+
+
+def test_q_cdf_and_pmf_match_termwise_loop():
+    a = mixture_coefficients().coeffs
+    checked = 0
+    for eta in ETA_GRID:
+        for j in J_GRID:
+            for got, ref in ((q_cdf(eta, j), _ref_q_cdf(eta, j, a)),
+                             (q_pmf(eta, j), _ref_q_pmf(eta, j, a))):
+                if ref >= 1e-6:
+                    assert got == pytest.approx(ref, rel=1e-10, abs=0), (
+                        eta, j)
+                    checked += 1
+    assert checked > len(ETA_GRID) * len(J_GRID)
+
+
+@lru_cache(maxsize=None)
+def _mp_law(t):
+    """(P(S <= t), P(S > t)) for an mpf t, from 40 mixture terms at 80
+    digits, far more than the cancellation near t = 0 can consume."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        b = mp.mpf(1)
+        for j in range(1, 300):
+            b /= 1 - mp.ldexp(1, -j)
+        a = [b]
+        for k in range(1, 40):
+            a.append(a[-1] / (1 - mp.ldexp(1, k)))
+        sf = mp.fsum(ak * mp.exp(-mp.ldexp(t, k))
+                     for k, ak in enumerate(a, start=1))
+        return 1 - sf, sf
+
+
+def test_scalar_series_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+
+    def close(got, ref, floor):
+        # floor: 1e-6 where the value reads the left tail of S, whose
+        # cancelling float series loses relative accuracy (a known defect);
+        # otherwise the normal-float range
+        if ref >= floor:
+            assert got == pytest.approx(float(ref), rel=1e-9, abs=0)
+            return 1
+        return 0
+
+    checked = 0
+    for t in T_GRID:
+        cdf, sf = _mp_law(mp.mpf(t))
+        checked += close(s_infinity_cdf(t), cdf, 1e-6)
+        checked += close(s_infinity_sf(t), sf, 1e-290)
+    for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
+        with mp.workdps(80):
+            c = {j: mp.mpf(2) ** (mp.mpf(eta) - 1 - j)
+                 for j in range(J_GRID.start - 1, J_GRID.stop)}
+        for j in J_GRID:
+            cdf_j, sf_j = _mp_law(c[j])
+            cdf_left, sf_left = _mp_law(c[j - 1])
+            checked += close(q_cdf(eta, j), sf_j, 1e-290)
+            checked += close(q_tail(eta, j), cdf_left, 1e-6)
+            checked += close(q_pmf(eta, j), sf_j - sf_left, 1e-6)
+    assert checked > 300
+
+
+def test_q_extreme_arguments():
+    for eta in (0.0, 0.4, 1.0):
+        assert q_cdf(eta, -10 ** 6) == 0.0
+        assert q_cdf(eta, 10 ** 6) == 1.0
+        assert q_tail(eta, -10 ** 6) == 1.0
+        assert q_tail(eta, 10 ** 6) == 0.0
+        assert q_pmf(eta, -10 ** 6) == 0.0
+        assert q_pmf(eta, 10 ** 6) == 0.0
+
+
+def test_scalar_inputs_numpy_scalars_and_0d_arrays():
+    for t in (np.float64(0.75), np.float32(0.75), np.array(0.75)):
+        v = s_infinity_cdf(t)
+        assert type(v) is float and v == s_infinity_cdf(0.75)
+        w = s_infinity_sf(t)
+        assert type(w) is float and w == s_infinity_sf(0.75)
+        u = exp_convolution_cdf(3, t)
+        assert type(u) is float and u == exp_convolution_cdf(3, 0.75)
+    assert (s_infinity_cdf(np.int64(2)) == s_infinity_cdf(2)
+            == s_infinity_cdf(2.0))
+    assert q_cdf(np.float64(0.3), np.int64(2)) == q_cdf(0.3, 2)
+    assert q_pmf(np.float64(0.3), np.float64(2.5)) == q_pmf(0.3, 2)
+    assert q_tail(np.float64(0.3), np.int32(2)) == q_tail(0.3, 2)
+    assert s_infinity_cdf(1e300) == s_infinity_cdf(math.inf) == 1.0
+    assert s_infinity_sf(math.inf) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1, -math.inf, np.float64(-1.0),
+                                 np.array(math.nan)])
+def test_scalar_series_reject_negative_and_nan(bad):
     with pytest.raises(ValueError):
-        limit_law(2.0)
+        s_infinity_cdf(bad)
+    with pytest.raises(ValueError):
+        s_infinity_sf(bad)
+    with pytest.raises(ValueError):
+        exp_convolution_cdf(3, bad)

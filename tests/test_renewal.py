@@ -145,6 +145,14 @@ def test_depth_distribution_clips_unrepresentable_left_tail():
     assert law.total() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("e", [10, 18, 20])
+def test_depth_distribution_truncation_counts_rounding_drift(e):
+    # at 2^20 the stored masses sum to 1 + 6.7e-13: drift above 1 counts too
+    law = depth_distribution_exact(2 ** e)
+    assert law.truncation >= abs(law.total() - 1.0)
+    assert law.truncation < 1e-12
+
+
 def test_depth_distribution_monotone_in_n():
     laws = [depth_distribution_exact(n) for n in range(0, 40)]
     for prev, cur in zip(laws, laws[1:]):
