@@ -34,7 +34,6 @@ from .lifetimes import (
     sample_lifetime,
 )
 from .limit_law import (
-    SignedExpMixture,
     euler_b,
     exp_convolution_cdf,
     mixture_coefficients,
@@ -61,7 +60,6 @@ from .metrics import (
 from .pmf import IntPmf
 from .renewal import (
     RenewalConfig,
-    UnsupportedFamilyError,
     centered_count_distribution,
     depth_distribution_exact,
     ks_scaled_sum_exact,
@@ -88,8 +86,6 @@ __all__ = [
     "RateRow",
     "RenewalConfig",
     "ScaledBase",
-    "SignedExpMixture",
-    "UnsupportedFamilyError",
     "bits_from_unit_interval",
     "build",
     "centered_count_distribution",

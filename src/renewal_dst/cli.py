@@ -125,20 +125,17 @@ def _emit(meta: dict, columns, rows, fmt: str, out, extra: dict | None = None):
             obj.update(extra)
         text = json.dumps(obj, indent=2) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise UsageError(f"cannot write output: {err}")
     else:
         sys.stdout.write(text)
 
 
-def _check_eta(eta: float) -> float:
-    if not 0.0 <= eta <= 1.0:
-        raise UsageError(f"--eta must lie in [0, 1], got {eta!r}")
-    return eta
-
-
 def cmd_limit_law(args) -> int:
-    eta = _check_eta(args.eta)
+    eta = args.eta
     xs = _parse_grid(args.n_grid or _GRID_DEFAULTS["limit-law"])
     meta = {"command": "limit-law", "version": __version__,
             "seed": args.seed, "eta": _cell(eta),

@@ -15,8 +15,11 @@ with coefficients up to |b| ~ 3.46 cancel catastrophically near 0, so every
 CDF-like quantity is evaluated termwise through expm1 and summed exactly with
 math.fsum; tails are never formed as 1 - cdf.
 
-Every scalar value is one of two private series over a coefficient
-sequence a: _cdf_terms(t, a) = fsum a_k * -expm1(-2^k t) = P(S <= t) and
+The law has one coefficient sequence, the 32 numbers a_1..a_32 that
+mixture_coefficients() builds once and returns as a cached tuple; a_32 is
+about -6e-149, far past binary64 precision. Every scalar value is one of two
+private series over it (or over the n-fold partial fractions):
+_cdf_terms(t, a) = fsum a_k * -expm1(-2^k t) = P(S <= t) and
 _sf_terms(c, a) = fsum a_k * exp(-2^k c) = P(S > c). Both double u = 2^k t
 once per term; doubling only raises the binary exponent, so u equals
 (2.0**k) * t and math.ldexp(t, k) bit for bit, and overflows to inf where
@@ -24,6 +27,11 @@ ldexp would raise. Each stops once its remaining terms are known:
 _cdf_terms at u >= 40, where -expm1(-u) is exactly 1.0, appending the
 remaining a_k as they are; _sf_terms at the first exp(-u) that underflows
 to 0.0. Neither exit changes the fsum.
+
+The array branch of s_infinity_cdf sums plainly in numpy, without fsum or
+exits, over the 11 leading terms with |a_k| >= COEFF_EPS: together the rest
+change no value by more than 2e-19, and summing them would about double the
+cost of each call.
 
 The discretized family is Q_eta = L(floor(-log2 S + eta)) for eta in [0, 1]:
 
@@ -38,14 +46,11 @@ the same c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 COEFF_EPS = 1e-18     # series truncation threshold for coefficients
-MAX_TERMS = 64        # hard cap; |a_k| underflows long before this
-DEFAULT_TERMS = 32    # default mixture order, already past float64 precision
 
 
 @lru_cache(maxsize=1)
@@ -63,47 +68,18 @@ def euler_b() -> float:
     return 1.0 / denom
 
 
-@dataclass(frozen=True)
-class SignedExpMixture:
-    """Signed coefficients a_1..a_K against rates 2^1..2^K.
-
-    Not a probability mixture: signs strictly alternate starting positive,
-    |a_{k+1}| / |a_k| = 1/(2^k - 1), and the coefficients sum to 1.
-    """
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("mixture needs at least one coefficient")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
-
-    def effective(self, eps: float = COEFF_EPS) -> "SignedExpMixture":
-        """Truncate to the leading terms with |a_k| >= eps (at least one)."""
-        keep = len(self.coeffs)
-        for i, a in enumerate(self.coeffs):
-            if abs(a) < eps:
-                keep = max(i, 1)
-                break
-        return SignedExpMixture(self.coeffs[:keep])
-
-
-def mixture_coefficients(order: int = DEFAULT_TERMS) -> SignedExpMixture:
-    """Build a_1..a_order by the recurrence a_1 = b, a_{k+1} = a_k / (1 - 2^k)."""
-    if not 1 <= order <= MAX_TERMS:
-        raise ValueError(f"order must be in [1, {MAX_TERMS}], got {order}")
-    a = [euler_b()]
-    for k in range(1, order):
-        a.append(a[-1] / (1.0 - 2.0 ** k))
-    return SignedExpMixture(tuple(a))
-
-
 @lru_cache(maxsize=1)
-def _default_mixture() -> SignedExpMixture:
-    return mixture_coefficients(DEFAULT_TERMS)
+def mixture_coefficients() -> tuple[float, ...]:
+    """a_1..a_32 of L(S) = sum_k a_k Exp(2^k), built once and cached.
+
+    a_1 = b and a_{k+1} = a_k / (1 - 2^k). Not a probability mixture: signs
+    strictly alternate starting positive, |a_{k+1}| / |a_k| = 1/(2^k - 1),
+    and the coefficients sum to 1.
+    """
+    a = [euler_b()]
+    for k in range(1, 32):
+        a.append(a[-1] / (1.0 - 2.0 ** k))
+    return tuple(a)
 
 
 def partial_fraction_coefficients(n: int) -> np.ndarray:
@@ -177,22 +153,22 @@ def _pow2(e: float) -> float:
     return 2.0 ** e if e < 1024 else math.inf
 
 
-def s_infinity_cdf(t, mixture: SignedExpMixture | None = None):
+def s_infinity_cdf(t):
     """P(S <= t) = sum_k a_k (1 - exp(-2^k t)), clamped to [0, 1].
 
     Termwise expm1 keeps the alternating sum accurate near t = 0, where the
     true value decays superexponentially: P(S <= 2^(-j)) <= 2^(-j(j-1)/2).
     Accepts scalars or arrays (arrays: terms with |a_k| >= COEFF_EPS, no fsum).
     """
-    mix = mixture or _default_mixture()
+    a = mixture_coefficients()
     if isinstance(t, (float, int)) or np.ndim(t) == 0:  # np.float64 is a float
-        return _cdf_terms(_checked(t), mix.coeffs)
-    return _cdf_array(t, mix.effective().coeffs)
+        return _cdf_terms(_checked(t), a)
+    return _cdf_array(t, [ak for ak in a if abs(ak) >= COEFF_EPS])
 
 
-def s_infinity_sf(x: float, mixture: SignedExpMixture | None = None) -> float:
+def s_infinity_sf(x: float) -> float:
     """Upper tail P(S > x) = sum_k a_k exp(-2^k x), stable for large x."""
-    return _sf_terms(_checked(x, "x"), (mixture or _default_mixture()).coeffs)
+    return _sf_terms(_checked(x, "x"), mixture_coefficients())
 
 
 def exp_convolution_cdf(n: int, t):
@@ -203,48 +179,68 @@ def exp_convolution_cdf(n: int, t):
     return _cdf_array(t, a)
 
 
-def q_cdf(eta: float, x, mixture: SignedExpMixture | None = None) -> float:
+def _limit(x, name: str, low: float, high: float) -> float:
+    """The value at x = -inf (low) or +inf (high), for a floor that failed."""
+    if x != x:
+        raise ValueError(f"{name} must not be NaN")
+    return high if x > 0 else low
+
+
+def q_cdf(eta: float, x) -> float:
     """P(Q_eta <= x) = sum_k a_k exp(-2^k c), c = 2^(eta - 1 - x), integer x.
 
-    Real x is answered at floor(x); the law is integer-supported. Below the
-    median the direct series has no cancellation; above it the value is
-    formed as 1 minus the stably evaluated tail P(S <= c), which keeps the
-    CDF monotone in floating point all the way into the flat-at-1 region.
+    Real x is answered at floor(x); the law is integer-supported, and
+    x = -inf / +inf give 0 / 1. Below the median the direct series has no
+    cancellation; above it the value is formed as 1 minus the stably
+    evaluated tail P(S <= c), which keeps the CDF monotone in floating point
+    all the way into the flat-at-1 region.
     """
     _check_eta(eta)
-    a = (mixture or _default_mixture()).coeffs
-    c = _pow2(eta - (math.floor(x) + 1))
+    try:
+        e = eta - (math.floor(x) + 1)
+    except (OverflowError, ValueError):     # x is infinite or NaN
+        return _limit(x, "x", 0.0, 1.0)
+    a = mixture_coefficients()
+    c = _pow2(e)
     direct = _sf_terms(c, a)
     if direct <= 0.5:
         return direct
     return 1.0 - _cdf_terms(c, a)
 
 
-def q_pmf(eta: float, j, mixture: SignedExpMixture | None = None) -> float:
-    """P(Q_eta = j) = P(S > c) - P(S > 2c), c = 2^(eta - 1 - j).
+def q_pmf(eta: float, j) -> float:
+    """P(Q_eta = j) = P(S > c) - P(S > 2c), c = 2^(eta - 1 - j); 0 at +-inf.
 
     Past the median both terms sit at 1 - tiny and their float difference is
     noise, so the stable tails P(S <= 2c) - P(S <= c) are used instead; both
     forms are floored at 0.
     """
     _check_eta(eta)
-    a = (mixture or _default_mixture()).coeffs
-    c = _pow2(eta - (math.floor(j) + 1))
+    try:
+        e = eta - (math.floor(j) + 1)
+    except (OverflowError, ValueError):     # j is infinite or NaN
+        return _limit(j, "j", 0.0, 0.0)
+    a = mixture_coefficients()
+    c = _pow2(e)
     left = _sf_terms(c + c, a)
     if left <= 0.5:
         return max(_sf_terms(c, a) - left, 0.0)
     return max(_cdf_terms(c + c, a) - _cdf_terms(c, a), 0.0)
 
 
-def q_tail(eta: float, j, mixture: SignedExpMixture | None = None) -> float:
+def q_tail(eta: float, j) -> float:
     """P(Q_eta >= j), evaluated as P(S <= 2^(eta - j)) in complement form.
 
     Going through the expm1 series rather than 1 - cdf keeps relative
     accuracy in the far right tail, which decays like exp(-j^2 log2 / 2).
+    j = -inf / +inf give 1 / 0.
     """
     _check_eta(eta)
-    a = (mixture or _default_mixture()).coeffs
-    return _cdf_terms(_pow2(eta - math.floor(j)), a)
+    try:
+        e = eta - math.floor(j)
+    except (OverflowError, ValueError):     # j is infinite or NaN
+        return _limit(j, "j", 1.0, 0.0)
+    return _cdf_terms(_pow2(e), mixture_coefficients())
 
 
 def sample_s_infinity(rng: np.random.Generator, k_trunc: int = 64,

@@ -12,8 +12,6 @@ slack, so every asserted inequality is sound rather than merely plausible.
 
 from __future__ import annotations
 
-import io
-import json
 import time
 from dataclasses import dataclass
 
@@ -59,36 +57,11 @@ class DistanceReport:
             if not 0.0 <= r.value <= 1.0:
                 raise ValueError(f"distance out of [0, 1] at n={r.n}")
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(REPORT_COLUMNS) + "\n")
-        for r in self.rows:
-            buf.write(",".join(_num(v) for v in
-                               (r.n, r.eta, r.kind, r.value,
-                                r.trunc_bound, r.ms)) + "\n")
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        rows = [{c: getattr(r, f) for c, f in
-                 zip(REPORT_COLUMNS, ("n", "eta", "kind", "value",
-                                      "trunc_bound", "ms"))}
-                for r in self.rows]
-        return json.dumps({"rows": rows}, indent=2)
-
     def zero_ms(self) -> "DistanceReport":
         """Copy with wall times zeroed, for byte-reproducible emission."""
         return DistanceReport(tuple(
             RateRow(r.n, r.eta, r.kind, r.value, r.trunc_bound, 0.0)
             for r in self.rows))
-
-
-def _num(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)) or (isinstance(v, float)
-                                            and v.is_integer()):
-        return str(int(v))
-    return format(v, ".17g")
 
 
 def tv_distance(p: IntPmf, q: IntPmf) -> float:

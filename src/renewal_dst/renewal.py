@@ -39,16 +39,6 @@ _KS_BATCH = 1 << 16        # jump points per KS batch; memory is O(batch)
 _KS_LADDER = 256           # consecutive powers per row of a batch's product
 
 
-class UnsupportedFamilyError(ValueError):
-    """Exact engines exist only for the DST family."""
-
-
-def _require_dst(family: LifetimeFamily) -> None:
-    if not isinstance(family, GeometricDst):
-        raise UnsupportedFamilyError(
-            "exact computation is only available for GeometricDst")
-
-
 def _chain_steps(p: np.ndarray, steps: int) -> np.ndarray:
     """Advance level distributions (last axis) by single chain steps, in place.
 
@@ -101,10 +91,8 @@ def depth_distribution_exact(n: int) -> IntPmf:
                   law.truncation + abs(1.0 - law.total()))
 
 
-def partial_sum_cdf_exact(j: int, t: int,
-                          family: LifetimeFamily = GeometricDst()) -> float:
-    """P(S_j <= t), exactly, via P(S_j <= t) = P(X_t >= j)."""
-    _require_dst(family)
+def partial_sum_cdf_exact(j: int, t: int) -> float:
+    """P(S_j <= t) for the DST family, exactly: P(S_j <= t) = P(X_t >= j)."""
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     if t < 0:
@@ -258,7 +246,7 @@ def ks_scaled_sum_exact(n: int, cap_multiplier: int = 8) -> tuple[float, float]:
     if cap_multiplier < 2:
         raise ValueError(f"cap_multiplier must be >= 2, got {cap_multiplier}")
     sum_coeffs, sum_logs = _partial_sum_terms(n)
-    mix = np.array(mixture_coefficients().coeffs)
+    mix = np.array(mixture_coefficients())
     mix_logs = -np.ldexp(1.0, np.arange(1, mix.size + 1) - n)  # -2^(k-n)
     j_max = cap_multiplier << n
     ks = 0.0

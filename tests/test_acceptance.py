@@ -48,7 +48,7 @@ def test_criterion_1_corpus_reproduction():
 
 def test_criterion_2_coefficient_identities():
     t0 = time.perf_counter()
-    a = mixture_coefficients(32).coeffs
+    a = mixture_coefficients()
     assert abs(math.fsum(a) - 1.0) <= 1e-13
     assert a[1] == -a[0]
     assert abs(a[2] - a[0] / 3.0) <= 1e-15

@@ -47,9 +47,20 @@ def test_limit_law_json_schema(tmp_path):
     assert r0["cdf"] == q_cdf(0.0, r0["x"])
 
 
-def test_limit_law_bad_eta(tmp_path):
-    code, _ = run(tmp_path, "limit-law", "--eta", "1.5")
+@pytest.mark.parametrize("eta", ["1.5", "nan"])
+def test_limit_law_bad_eta(tmp_path, capsys, eta):
+    code, _ = run(tmp_path, "limit-law", "--eta", eta)
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    code = main(["limit-law", "--out", str(tmp_path / "missing" / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output")
+    assert err.count("\n") == 1
 
 
 def test_depth_dist_table_and_trailer(tmp_path):
@@ -163,8 +174,18 @@ def test_converge_tv_small_grid(tmp_path):
 
 
 def test_converge_ks_small_grid(tmp_path):
-    code, _ = run(tmp_path, "converge", "--kind", "ks", "--n-grid", "4:10:1")
+    argv = ("converge", "--kind", "ks", "--n-grid", "4:10:1")
+    code, data = run(tmp_path, *argv, "--format", "csv")
     assert code == 0
+    lines = data.decode().strip().split("\n")
+    assert lines[1] == "n,eta,kind,value,trunc_bound,ms"
+    assert [line.split(",")[0] for line in lines[2:]] == [
+        str(n) for n in range(4, 11)]
+    code, data = run(tmp_path, *argv, "--format", "json")
+    assert code == 0
+    obj = json.loads(data)
+    assert [r["n"] for r in obj["rows"]] == list(range(4, 11))
+    assert all(r["ms"] == 0.0 for r in obj["rows"])
 
 
 def test_converge_grid_errors(tmp_path):

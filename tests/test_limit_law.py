@@ -21,6 +21,7 @@ from renewal_dst import (
     sample_q,
     sample_s_infinity,
 )
+from renewal_dst.limit_law import _cdf_terms, _sf_terms
 from renewal_dst.rng import stream_rng
 
 
@@ -33,9 +34,9 @@ def test_euler_b_value():
 
 
 def test_mixture_coefficients():
-    mix = mixture_coefficients(32)
-    a = mix.coeffs
+    a = mixture_coefficients()
     b = euler_b()
+    assert len(a) == 32 and mixture_coefficients() is a
     assert a[0] == b
     assert a[1] == -b
     assert a[2] == pytest.approx(b / 3, rel=1e-15)
@@ -44,14 +45,6 @@ def test_mixture_coefficients():
         assert abs(a[k]) / abs(a[k - 1]) == pytest.approx(
             1.0 / (2.0 ** k - 1), rel=1e-12)
     assert math.fsum(a) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_mixture_order_bounds():
-    with pytest.raises(ValueError):
-        mixture_coefficients(0)
-    with pytest.raises(ValueError):
-        mixture_coefficients(65)
-    assert mixture_coefficients(1).coeffs == (euler_b(),)
 
 
 def test_partial_fraction_coefficients():
@@ -241,12 +234,17 @@ def test_saturation_exit_is_exact():
         assert -math.expm1(-u) == 1.0
 
 
-@pytest.mark.parametrize("order", [1, 5, 32, 64])
+@pytest.mark.parametrize("order", [1, 5, 32])
 def test_scalar_s_infinity_bit_identical_to_termwise_loop(order):
-    mix = mixture_coefficients(order)
+    # the kernels on prefixes of the one coefficient tuple; the full tuple
+    # is what s_infinity_cdf and s_infinity_sf use
+    a = mixture_coefficients()[:order]
     for t in T_GRID + [0.0, 5e-324, 1e-300, 1e300, math.inf]:
-        assert s_infinity_cdf(t, mix) == _ref_cdf(t, mix.coeffs), t
-        assert s_infinity_sf(t, mix) == _ref_sf(t, mix.coeffs), t
+        assert _cdf_terms(t, a) == _ref_cdf(t, a), t
+        assert _sf_terms(t, a) == _ref_sf(t, a), t
+        if order == 32:
+            assert s_infinity_cdf(t) == _ref_cdf(t, a), t
+            assert s_infinity_sf(t) == _ref_sf(t, a), t
 
 
 def test_exp_convolution_scalar_bit_identical_to_termwise_loop():
@@ -257,14 +255,14 @@ def test_exp_convolution_scalar_bit_identical_to_termwise_loop():
 
 
 def test_q_tail_bit_identical_to_termwise_loop():
-    a = mixture_coefficients().coeffs
+    a = mixture_coefficients()
     for eta in ETA_GRID:
         for j in J_GRID:
             assert q_tail(eta, j) == _ref_q_tail(eta, j, a), (eta, j)
 
 
 def test_q_cdf_and_pmf_match_termwise_loop():
-    a = mixture_coefficients().coeffs
+    a = mixture_coefficients()
     checked = 0
     for eta in ETA_GRID:
         for j in J_GRID:
@@ -326,12 +324,14 @@ def test_scalar_series_against_mpmath():
 
 def test_q_extreme_arguments():
     for eta in (0.0, 0.4, 1.0):
-        assert q_cdf(eta, -10 ** 6) == 0.0
-        assert q_cdf(eta, 10 ** 6) == 1.0
-        assert q_tail(eta, -10 ** 6) == 1.0
-        assert q_tail(eta, 10 ** 6) == 0.0
-        assert q_pmf(eta, -10 ** 6) == 0.0
-        assert q_pmf(eta, 10 ** 6) == 0.0
+        for low, high in ((-10 ** 6, 10 ** 6), (-math.inf, math.inf),
+                          (np.float64(-math.inf), np.float64(math.inf))):
+            assert q_cdf(eta, low) == 0.0
+            assert q_cdf(eta, high) == 1.0
+            assert q_tail(eta, low) == 1.0
+            assert q_tail(eta, high) == 0.0
+            assert q_pmf(eta, low) == 0.0
+            assert q_pmf(eta, high) == 0.0
 
 
 def test_scalar_inputs_numpy_scalars_and_0d_arrays():
@@ -360,3 +360,13 @@ def test_scalar_series_reject_negative_and_nan(bad):
         s_infinity_sf(bad)
     with pytest.raises(ValueError):
         exp_convolution_cdf(3, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, np.float64(math.nan)])
+def test_q_series_reject_nan_naming_the_argument(bad):
+    with pytest.raises(ValueError, match="^x "):
+        q_cdf(0.5, bad)
+    with pytest.raises(ValueError, match="^j "):
+        q_pmf(0.5, bad)
+    with pytest.raises(ValueError, match="^j "):
+        q_tail(0.5, bad)

@@ -175,18 +175,6 @@ def test_check_flags_violations():
     assert problems and "not strictly decreasing" in problems[0]
 
 
-def test_report_serialization_round_trip():
-    rep = rate_report([4, 5], "ks_scaled").zero_ms()
-    csv_text = rep.to_csv()
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "n,eta,kind,value,trunc_bound,ms"
-    assert len(lines) == 3
-    import json
-    obj = json.loads(rep.to_json())
-    assert [r["n"] for r in obj["rows"]] == [4, 5]
-    assert obj["rows"][0]["ms"] == 0.0
-
-
 def test_int_pmf_validation_and_helpers():
     with pytest.raises(ValueError):
         IntPmf(0, np.array([0.5, -0.1, 0.6]))

@@ -13,7 +13,6 @@ from renewal_dst import (
     IntPmf,
     RenewalConfig,
     ScaledBase,
-    UnsupportedFamilyError,
     centered_count_distribution,
     depth_distribution_exact,
     empirical_cdf_jumps,
@@ -164,12 +163,6 @@ def test_partial_sum_cdf_exact_values():
     assert partial_sum_cdf_exact(0, 17) == 1.0
     assert partial_sum_cdf_exact(1, 0) == 0.0
     assert partial_sum_cdf_exact(2, 2) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_partial_sum_cdf_rejects_other_families():
-    fam = ScaledBase(GrowthRate(3.0))
-    with pytest.raises(UnsupportedFamilyError):
-        partial_sum_cdf_exact(2, 2, fam)
 
 
 def test_partial_sum_cdf_grid_matches_dp_identity():
