@@ -22,15 +22,11 @@ from .dst import (
     simulate_insertion_depth,
 )
 from .lifetimes import (
-    CoupledPair,
     GeometricDst,
     GrowthRate,
     LifetimeFamily,
     ScaledBase,
-    coupling_alpha,
     geometric_pmf,
-    lifetime_mean,
-    sample_coupled_pair,
     sample_lifetime,
 )
 from .limit_law import (
@@ -59,11 +55,9 @@ from .metrics import (
 )
 from .pmf import IntPmf
 from .renewal import (
-    RenewalConfig,
     centered_count_distribution,
     depth_distribution_exact,
     ks_scaled_sum_exact,
-    partial_sum_cdf_exact,
     sample_scaled_limit,
     scaled_sum_sample,
     simulate_count,
@@ -73,7 +67,6 @@ from .rng import DEFAULT_SEED, stream_rng
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoupledPair",
     "DEFAULT_SEED",
     "DistanceReport",
     "Dst",
@@ -84,13 +77,11 @@ __all__ = [
     "IntPmf",
     "LifetimeFamily",
     "RateRow",
-    "RenewalConfig",
     "ScaledBase",
     "bits_from_unit_interval",
     "build",
     "centered_count_distribution",
     "check_rate_report",
-    "coupling_alpha",
     "depth_distribution_exact",
     "empirical_cdf_jumps",
     "euler_b",
@@ -99,12 +90,10 @@ __all__ = [
     "knuth_corpus",
     "ks_discrete_vs_continuous",
     "ks_scaled_sum_exact",
-    "lifetime_mean",
     "load_corpus",
     "mixture_coefficients",
     "parse_corpus",
     "partial_fraction_coefficients",
-    "partial_sum_cdf_exact",
     "pmf_gap_bound_check",
     "q_cdf",
     "q_pmf",
@@ -112,7 +101,6 @@ __all__ = [
     "rate_report",
     "s_infinity_cdf",
     "s_infinity_sf",
-    "sample_coupled_pair",
     "sample_lifetime",
     "sample_q",
     "sample_s_infinity",

@@ -43,7 +43,6 @@ from .metrics import (
 from .pmf import IntPmf
 from .renewal import (
     MAX_EXACT_KS_N,
-    RenewalConfig,
     centered_count_distribution,
     floor_log2,
     frac_log2,
@@ -216,9 +215,8 @@ def cmd_simulate(args) -> int:
               else ScaledBase(GrowthRate(args.alpha)))
     rows = []
     for i, t in enumerate(grid):
-        counts = simulate_count(
-            RenewalConfig(family, float(t), args.samples, args.seed,
-                          stream=2 * i))
+        counts = simulate_count(family, float(t), args.samples,
+                                stream_rng(args.seed, 2 * i))
         if dyadic:
             k, eta = floor_log2(t), frac_log2(t)
         else:

@@ -83,44 +83,42 @@ class Dst:
     def __len__(self) -> int:
         return self._size
 
-    def insert(self, label, bits: str) -> InsertReport:
-        """Place a key at the first empty node along its bit path.
+    def _descend(self, label, bits: str) -> tuple[_Node | None, InsertReport]:
+        """Parent of the first empty node on the bit path (None for an empty
+        tree) and the report of a key landing there.
 
-        Raises InsufficientBitsError (tree unchanged) if every prefix of
-        ``bits`` leads to an occupied node.
+        Raises InsufficientBitsError if every prefix of ``bits`` leads to an
+        occupied node.
         """
         _check_bits(bits)
         if self.root is None:
-            self.root = _Node(label)
-            self._size += 1
-            return InsertReport(label, 0, "", None, "root")
+            return None, InsertReport(label, 0, "", None, "root")
         node = self.root
         for i, c in enumerate(bits):
             child = node.left if c == "0" else node.right
             if child is None:
-                if c == "0":
-                    node.left = _Node(label)
-                else:
-                    node.right = _Node(label)
-                self._size += 1
-                return InsertReport(label, i + 1, bits[: i + 1], node.label,
-                                    "left" if c == "0" else "right")
+                side = "left" if c == "0" else "right"
+                return node, InsertReport(label, i + 1, bits[: i + 1],
+                                          node.label, side)
             node = child
         raise InsufficientBitsError(label, len(bits))
 
+    def insert(self, label, bits: str) -> InsertReport:
+        """Place a key at the first empty node along its bit path.
+
+        Raises InsufficientBitsError (tree unchanged) if there is none.
+        """
+        parent, report = self._descend(label, bits)
+        if parent is None:
+            self.root = _Node(label)
+        else:
+            setattr(parent, report.side, _Node(label))  # "left" or "right"
+        self._size += 1
+        return report
+
     def probe(self, bits: str, label=None) -> InsertReport:
         """Report where a key with these bits would land, without inserting."""
-        _check_bits(bits)
-        if self.root is None:
-            return InsertReport(label, 0, "", None, "root")
-        node = self.root
-        for i, c in enumerate(bits):
-            child = node.left if c == "0" else node.right
-            if child is None:
-                return InsertReport(label, i + 1, bits[: i + 1], node.label,
-                                    "left" if c == "0" else "right")
-            node = child
-        raise InsufficientBitsError(label, len(bits))
+        return self._descend(label, bits)[1]
 
 
 def build(corpus) -> tuple[Dst, list[InsertReport]]:

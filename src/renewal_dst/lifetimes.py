@@ -11,11 +11,6 @@ Two families ship:
   configurable mean; the scaled limit Y_inf then equals that base law. The
   base must be atom-free for the discretized limit family downstream to be
   well defined; this is a documented precondition, not a runtime check.
-
-Also here: the coupling that realizes the geometric lifetimes as floors of
-scaled unit exponentials, Y~_k = floor(alpha_k Z_k) + 1 with
-alpha_k = 1 / (-log(1 - 2^(1-k))), which ties the k-th lifetime to the k-th
-term of the limit series and underlies the uniform KS rate machinery.
 """
 
 from __future__ import annotations
@@ -24,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-_MAX_EXACT_K = 60  # 2^(k-1) kept well inside exact float64 integer range
 
 
 @dataclass(frozen=True)
@@ -63,21 +56,6 @@ class ScaledBase:
 LifetimeFamily = GeometricDst | ScaledBase
 
 
-@dataclass(frozen=True)
-class CoupledPair:
-    """One draw (or an aligned batch) of the geometric/exponential coupling.
-
-    ``discrete`` is floor(alpha_k z) + 1 and ``continuous`` is 2^(k-1) z for
-    the same unit-exponential draw z, so the discrete member has the k-th
-    geometric lifetime law while the continuous member is the k-th term of
-    the scaled limit series.
-    """
-
-    discrete: float | np.ndarray
-    continuous: float | np.ndarray
-    k: int
-
-
 def geometric_pmf(k: int, j: int) -> float:
     """P(Y_k = j) = (1 - 2^(1-k))^(j-1) * 2^(1-k); for k = 1, the unit mass at 1."""
     if k < 1:
@@ -88,18 +66,6 @@ def geometric_pmf(k: int, j: int) -> float:
         return 1.0 if j == 1 else 0.0
     p = 2.0 ** (1 - k)
     return (1.0 - p) ** (j - 1) * p
-
-
-def lifetime_mean(family: LifetimeFamily, k: int) -> float:
-    """E Y_k: 2^(k-1) for the DST family, alpha^k * base mean otherwise."""
-    if k < 1:
-        raise ValueError(f"lifetime index must be >= 1, got {k}")
-    if isinstance(family, GeometricDst):
-        if k > _MAX_EXACT_K:
-            raise ValueError(
-                f"exact mean limited to k <= {_MAX_EXACT_K}, got {k}")
-        return 2.0 ** (k - 1)
-    return family.rate.alpha ** k * family.base_mean
 
 
 def sample_lifetime(family: LifetimeFamily, k: int, rng: np.random.Generator,
@@ -121,25 +87,3 @@ def sample_lifetime(family: LifetimeFamily, k: int, rng: np.random.Generator,
     scale = family.rate.alpha ** k * family.base_mean
     return scale * rng.standard_exponential(size)
 
-
-def coupling_alpha(k: int) -> float:
-    """Scale alpha_k of the coupling: 0 for k = 1, else 1/(-log(1 - 2^(1-k))).
-
-    Satisfies 2^(k-1) - 1 <= alpha_k <= 2^(k-1) for k >= 2, hence
-    sup_k |alpha_k - 2^(k-1)| = 1 (attained at k = 1).
-    """
-    if k < 1:
-        raise ValueError(f"lifetime index must be >= 1, got {k}")
-    if k == 1:
-        return 0.0
-    return 1.0 / -math.log1p(-(2.0 ** (1 - k)))
-
-
-def sample_coupled_pair(k: int, rng: np.random.Generator,
-                        size: int | None = None) -> CoupledPair:
-    """Draw z ~ Exp(1) and return (floor(alpha_k z) + 1, 2^(k-1) z, k)."""
-    if k < 1:
-        raise ValueError(f"lifetime index must be >= 1, got {k}")
-    z = rng.standard_exponential(size)
-    discrete = np.floor(coupling_alpha(k) * z) + 1.0
-    return CoupledPair(discrete=discrete, continuous=2.0 ** (k - 1) * z, k=k)

@@ -140,8 +140,8 @@ def _checked(t, name: str = "t") -> float:
 
 def _cdf_array(t, a) -> np.ndarray:
     tv = np.asarray(t, dtype=float)
-    if np.any(tv < 0):
-        raise ValueError("t must be >= 0")
+    if not np.all(tv >= 0):     # also rejects NaN
+        raise ValueError("t must be >= 0 and not NaN at every point")
     out = np.zeros_like(tv)
     for k, ak in enumerate(a, start=1):
         out += ak * -np.expm1(-(2.0 ** k) * tv)

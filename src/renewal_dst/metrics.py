@@ -75,20 +75,18 @@ def tv_distance(p: IntPmf, q: IntPmf) -> float:
     return 0.5 * float(np.abs(ap - aq).sum())
 
 
-def ks_discrete_vs_continuous(jumps, cdf) -> float:
+def ks_discrete_vs_continuous(points, after, cdf) -> float:
     """Exact KS distance between a step CDF and a continuous CDF.
 
-    ``jumps`` is a sorted sequence of (point, cdf-after-jump) pairs (or a
-    pair of parallel arrays). Both one-sided gaps are checked at every jump,
-    which attains the supremum for step-vs-continuous pairs.
+    The step CDF jumps at the strictly increasing ``points`` and equals
+    ``after`` just past each of them, as ``empirical_cdf_jumps`` returns;
+    ``cdf`` must accept an array. Both one-sided gaps are checked at every
+    jump, which attains the supremum for step-vs-continuous pairs.
     """
-    if isinstance(jumps, tuple) and len(jumps) == 2 and np.ndim(jumps[0]) == 1:
-        pts = np.asarray(jumps[0], dtype=float)
-        after = np.asarray(jumps[1], dtype=float)
-    else:
-        pairs = list(jumps)
-        pts = np.array([p for p, _ in pairs], dtype=float)
-        after = np.array([c for _, c in pairs], dtype=float)
+    pts = np.asarray(points, dtype=float)
+    after = np.asarray(after, dtype=float)
+    if pts.ndim != 1 or pts.shape != after.shape:
+        raise ValueError("points and after must be 1-D and of equal length")
     if pts.size == 0:
         raise ValueError("need at least one jump")
     if np.any(np.diff(pts) <= 0):
@@ -96,8 +94,6 @@ def ks_discrete_vs_continuous(jumps, cdf) -> float:
     if np.any(np.diff(after) < 0) or after[-1] > 1.0 + 1e-12:
         raise ValueError("cdf-after values must be nondecreasing and <= 1")
     vals = np.asarray(cdf(pts), dtype=float)
-    if vals.shape != pts.shape:
-        vals = np.array([float(cdf(x)) for x in pts])
     before = np.concatenate(([0.0], after[:-1]))
     return max(float(np.abs(after - vals).max()),
                float(np.abs(before - vals).max()))

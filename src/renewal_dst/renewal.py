@@ -4,7 +4,8 @@ The DST lifetime family admits an exact engine: the renewal count observed at
 integer times is a pure-birth Markov chain on levels, started at 0, moving up
 from level k with probability 2^(-k) per step. Forward dynamic programming
 over that chain yields the exact law of the count after n steps, and through
-the identity P(S_j <= t) = P(X_t >= j) the exact CDFs of the partial sums.
+the identity P(S_j <= t) = P(X_t >= j) the exact partial-sum CDFs:
+``depth_distribution_exact(t).tail_ge(j)``.
 The chain is advanced in blocks of B ~ sqrt(n) steps: the single-step
 recursion, run on every start level at once, gives the B-step transition
 matrix, so n steps cost about 2 sqrt(n) array operations instead of n. Every
@@ -23,14 +24,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .lifetimes import GeometricDst, LifetimeFamily, sample_lifetime
 from .limit_law import mixture_coefficients, s_infinity_sf, sample_s_infinity
 from .pmf import IntPmf
-from .rng import stream_rng
 
 MAX_EXACT_N = 2 ** 26      # time guard for the DP (~2 sqrt(n) block steps)
 MAX_EXACT_KS_N = 22        # time guard: the KS walks cap * 2^n jump points
@@ -91,17 +90,6 @@ def depth_distribution_exact(n: int) -> IntPmf:
                   law.truncation + abs(1.0 - law.total()))
 
 
-def partial_sum_cdf_exact(j: int, t: int) -> float:
-    """P(S_j <= t) for the DST family, exactly: P(S_j <= t) = P(X_t >= j)."""
-    if j < 0:
-        raise ValueError(f"j must be >= 0, got {j}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if j == 0:
-        return 1.0
-    return depth_distribution_exact(t).tail_ge(j)
-
-
 def floor_log2(n: int) -> int:
     """floor(log2 n) for positive integers, exact."""
     n = operator.index(n)
@@ -123,38 +111,25 @@ def centered_count_distribution(n: int) -> tuple[IntPmf, float]:
     return law.shift(-floor_log2(n)), frac_log2(n)
 
 
-@dataclass(frozen=True)
-class RenewalConfig:
-    """One Monte Carlo run: family, horizon, replicate count, stream address."""
-
-    family: LifetimeFamily
-    t: float
-    samples: int
-    seed: int
-    stream: int = 0
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if not self.t > 0:
-            raise ValueError(f"horizon must be positive, got {self.t!r}")
-
-
-def simulate_count(config: RenewalConfig) -> np.ndarray:
+def simulate_count(family: LifetimeFamily, t: float, samples: int,
+                   rng: np.random.Generator) -> np.ndarray:
     """Replicates of N_t = sup{n : S_n <= t}, one count per replicate.
 
     Lifetimes are drawn index by index across all replicates; a replicate's
     count is the number of partial sums that stayed within the horizon.
     Draws continue (and are discarded) for already-exceeded replicates so the
-    stream layout depends only on (seed, stream, samples).
+    stream layout depends only on the generator and ``samples``.
     """
-    rng = stream_rng(config.seed, config.stream)
-    sums = np.zeros(config.samples)
-    counts = np.zeros(config.samples, dtype=np.int64)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not t > 0:
+        raise ValueError(f"horizon must be positive, got {t!r}")
+    sums = np.zeros(samples)
+    counts = np.zeros(samples, dtype=np.int64)
     k = 1
     while True:
-        sums += sample_lifetime(config.family, k, rng, size=config.samples)
-        within = sums <= config.t
+        sums += sample_lifetime(family, k, rng, size=samples)
+        within = sums <= t
         if not within.any():
             return counts
         counts += within

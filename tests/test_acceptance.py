@@ -65,7 +65,7 @@ def test_criterion_3_mixture_vs_convolution():
     draws = (rng.exponential(1 / 2, 10 ** 6)
              + rng.exponential(1 / 4, 10 ** 6)
              + rng.exponential(1 / 8, 10 ** 6))
-    ks = ks_discrete_vs_continuous(empirical_cdf_jumps(draws),
+    ks = ks_discrete_vs_continuous(*empirical_cdf_jumps(draws),
                                    lambda x: exp_convolution_cdf(3, x))
     assert ks <= 0.002
     report(3, "signed mixture vs convolution sample", f"(KS={ks:.5f})")

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
 
+import renewal_dst
 from renewal_dst import q_cdf, tv_to_limit
 from renewal_dst.cli import main
 
@@ -212,3 +214,28 @@ def test_byte_identical_reruns(tmp_path, argv):
     _, first = run(tmp_path, *argv)
     _, second = run(tmp_path, *argv)
     assert first == second and first
+
+
+# SHA-256 of the CSV these commands write, recorded on x86-64 Linux with
+# numpy 2.4. They pin the draw layout of simulate_count and the placement
+# rule of Dst across refactors; the header's version field is in the bytes.
+@pytest.mark.parametrize("argv, digest", [
+    (("simulate", "--n-grid", "16:256:x4", "--samples", "3000"),
+     "016f85e9ee13ea3a3cef6d3f2c40dfa01690cefff509d0552f20a10f5e66a0ef"),
+    (("simulate", "--alpha", "2.7", "--n-grid", "16:64:x2",
+      "--samples", "2000"),
+     "ff462a7ead6749ba49afc8c4e1c6e43ec2b9f47cef43ca1509e77f197215994e"),
+    (("dst-demo", "--probe", "011100"),
+     "5c7373d7d7a42fd4907281b67eaf4cbf9c92ae319e5c9411880ccb92e2dc687e"),
+], ids=["simulate-dyadic", "simulate-alpha-2.7", "dst-demo-probe"])
+def test_output_matches_recorded_digest(tmp_path, argv, digest):
+    code, data = run(tmp_path, *argv)
+    assert code == 0
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_package_exports_resolve():
+    names = renewal_dst.__all__
+    assert len(names) == len(set(names))
+    missing = [n for n in names if not hasattr(renewal_dst, n)]
+    assert not missing, f"__all__ names with no binding: {missing}"

@@ -91,6 +91,24 @@ def test_prefix_property():
         assert rep.depth == len(rep.path)
 
 
+@settings(max_examples=60, deadline=None)
+@given(keys=st.lists(st.text(alphabet="01", min_size=1, max_size=6),
+                     max_size=12))
+def test_probe_reports_what_insert_then_does(keys):
+    tree, placed = Dst(), 0
+    for i, bits in enumerate(keys):
+        try:
+            probed = tree.probe(bits, label=i)
+        except InsufficientBitsError:
+            with pytest.raises(InsufficientBitsError):
+                tree.insert(i, bits)
+            continue
+        assert len(tree) == placed
+        assert tree.insert(i, bits) == probed
+        placed += 1
+    assert len(tree) == placed
+
+
 def test_bits_from_unit_interval():
     assert bits_from_unit_interval(0.5, 3) == "100"
     assert bits_from_unit_interval(math.sqrt(2) % 1, 4) == "0110"

@@ -2,18 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from renewal_dst import (
     GeometricDst,
     GrowthRate,
     IntPmf,
     ScaledBase,
-    coupling_alpha,
     geometric_pmf,
-    lifetime_mean,
-    sample_coupled_pair,
     sample_lifetime,
     tv_distance,
 )
@@ -55,20 +50,6 @@ def test_geometric_pmf_sums_to_one(k):
     assert total > 1 - 1e-12
 
 
-def test_lifetime_mean_dst():
-    assert lifetime_mean(DST, 1) == 1.0
-    assert lifetime_mean(DST, 4) == 8.0
-    for k in range(1, 61):
-        assert 2.0 ** -k * lifetime_mean(DST, k) == 0.5
-    with pytest.raises(ValueError):
-        lifetime_mean(DST, 61)
-
-
-def test_lifetime_mean_scaled_base():
-    fam = ScaledBase(GrowthRate(3.0), base_mean=0.25)
-    assert lifetime_mean(fam, 2) == pytest.approx(9 * 0.25)
-
-
 def test_sample_lifetime_k1_is_constant():
     rng = stream_rng(1, 0)
     assert sample_lifetime(DST, 1, rng) == 1.0
@@ -106,32 +87,3 @@ def test_scaled_base_sampling_mean():
     assert abs(draws.mean() - 8.0) <= 5 * se
     assert np.all(draws > 0)
 
-
-def test_coupling_alpha_values():
-    assert coupling_alpha(1) == 0.0
-    assert coupling_alpha(2) == pytest.approx(1 / math.log(2), rel=1e-15)
-    for k in range(1, 61):
-        assert abs(coupling_alpha(k) - 2.0 ** (k - 1)) <= 1.0
-    for k in range(2, 61):
-        assert 2.0 ** (k - 1) - 1 <= coupling_alpha(k) <= 2.0 ** (k - 1)
-
-
-def test_coupled_pair_k1_degenerate():
-    pair = sample_coupled_pair(1, stream_rng(0, 0), size=50)
-    assert np.all(pair.discrete == 1.0)
-
-
-def test_coupled_pair_discrete_law():
-    pair = sample_coupled_pair(3, stream_rng(20070201, 20), size=10 ** 6)
-    emp = IntPmf.from_samples(pair.discrete.astype(np.int64))
-    ref = geometric_reference(3, emp.support_max + 1)
-    assert tv_distance(emp, ref) <= 0.005
-
-
-@settings(max_examples=40, deadline=None)
-@given(k=st.integers(min_value=2, max_value=40),
-       seed=st.integers(min_value=0, max_value=2 ** 32))
-def test_coupled_pair_floor_identity(k, seed):
-    pair = sample_coupled_pair(k, stream_rng(seed, 0), size=64)
-    gap = pair.discrete - pair.continuous * (coupling_alpha(k) / 2.0 ** (k - 1))
-    assert np.all(gap > 0) and np.all(gap <= 1)

@@ -148,7 +148,7 @@ def test_sample_s_infinity_moments():
 
 def test_sample_s_infinity_matches_cdf():
     s = sample_s_infinity(stream_rng(20070201, 11), 64, size=10 ** 6)
-    ks = ks_discrete_vs_continuous(empirical_cdf_jumps(s), s_infinity_cdf)
+    ks = ks_discrete_vs_continuous(*empirical_cdf_jumps(s), s_infinity_cdf)
     assert ks <= 0.002
 
 
@@ -156,7 +156,7 @@ def test_exp_convolution_cdf_three_terms():
     rng = stream_rng(20070201, 10)
     draws = (rng.exponential(1 / 2, 10 ** 6) + rng.exponential(1 / 4, 10 ** 6)
              + rng.exponential(1 / 8, 10 ** 6))
-    ks = ks_discrete_vs_continuous(empirical_cdf_jumps(draws),
+    ks = ks_discrete_vs_continuous(*empirical_cdf_jumps(draws),
                                    lambda x: exp_convolution_cdf(3, x))
     assert ks <= 0.002
 
@@ -370,3 +370,13 @@ def test_q_series_reject_nan_naming_the_argument(bad):
         q_pmf(0.5, bad)
     with pytest.raises(ValueError, match="^j "):
         q_tail(0.5, bad)
+
+
+@pytest.mark.parametrize("bad", [np.array([0.5, math.nan]),
+                                 np.array([math.nan, 1.0]),
+                                 np.array([1.0, -0.25])])
+def test_array_series_reject_negative_and_nan(bad):
+    with pytest.raises(ValueError, match="^t "):
+        s_infinity_cdf(bad)
+    with pytest.raises(ValueError, match="^t "):
+        exp_convolution_cdf(3, bad)

@@ -63,7 +63,7 @@ def test_tv_distance_positive_part_set(p, q):
 
 def test_ks_single_jump_closed_form():
     f_half = s_infinity_cdf(0.5)
-    ks = ks_discrete_vs_continuous([(0.5, 1.0)], s_infinity_cdf)
+    ks = ks_discrete_vs_continuous([0.5], [1.0], s_infinity_cdf)
     assert ks == pytest.approx(max(f_half, 1 - f_half), abs=1e-15)
 
 
@@ -71,8 +71,7 @@ def test_ks_dense_dyadic_jumps_approximate_cdf():
     prev = None
     for density in (5, 8, 11):
         xs = np.arange(1, 2 ** density) / 2.0 ** density * 4.0
-        ks = ks_discrete_vs_continuous((xs, s_infinity_cdf(xs)),
-                                       s_infinity_cdf)
+        ks = ks_discrete_vs_continuous(xs, s_infinity_cdf(xs), s_infinity_cdf)
         if prev is not None:
             assert ks < prev
         prev = ks
@@ -82,8 +81,8 @@ def test_ks_dense_dyadic_jumps_approximate_cdf():
 def test_ks_scale_invariance():
     pts = np.array([0.25, 0.5, 1.0, 2.0])
     after = np.array([0.1, 0.4, 0.8, 1.0])
-    base = ks_discrete_vs_continuous((pts, after), s_infinity_cdf)
-    halved = ks_discrete_vs_continuous((pts / 2, after),
+    base = ks_discrete_vs_continuous(pts, after, s_infinity_cdf)
+    halved = ks_discrete_vs_continuous(pts / 2, after,
                                        lambda x: s_infinity_cdf(2 * x))
     assert halved == pytest.approx(base, abs=1e-15)
 
@@ -91,17 +90,31 @@ def test_ks_scale_invariance():
 def test_ks_log_transform_invariance():
     pts = np.array([0.25, 0.5, 1.0, 2.0])
     after = np.array([0.1, 0.4, 0.8, 1.0])
-    base = ks_discrete_vs_continuous((pts, after), s_infinity_cdf)
+    base = ks_discrete_vs_continuous(pts, after, s_infinity_cdf)
     logged = ks_discrete_vs_continuous(
-        (np.log(pts), after), lambda x: s_infinity_cdf(np.exp(x)))
+        np.log(pts), after, lambda x: s_infinity_cdf(np.exp(x)))
     assert logged == pytest.approx(base, abs=1e-12)
 
 
 def test_ks_rejects_unsorted_jumps():
     with pytest.raises(ValueError):
-        ks_discrete_vs_continuous([(1.0, 0.5), (0.5, 1.0)], s_infinity_cdf)
+        ks_discrete_vs_continuous([1.0, 0.5], [0.5, 1.0], s_infinity_cdf)
     with pytest.raises(ValueError):
-        ks_discrete_vs_continuous([], s_infinity_cdf)
+        ks_discrete_vs_continuous([], [], s_infinity_cdf)
+    with pytest.raises(ValueError):
+        ks_discrete_vs_continuous([0.5, 1.0], [1.0], s_infinity_cdf)
+
+
+def test_ks_takes_points_and_after_only():
+    # two jumps: 1 - F(0.75) is the largest gap, as the former list-of-pairs
+    # form computed it
+    ks = ks_discrete_vs_continuous([0.25, 0.75], [0.5, 1.0], s_infinity_cdf)
+    assert ks == pytest.approx(0.603103288840457, rel=1e-13)
+    assert ks == pytest.approx(1.0 - s_infinity_cdf(0.75), abs=1e-15)
+    # a tuple of (point, after) pairs is no longer a jump set: the call
+    # lacks its cdf, rather than being misread as (points, after)
+    with pytest.raises(TypeError):
+        ks_discrete_vs_continuous(((0.25, 0.5), (0.75, 1.0)), s_infinity_cdf)
 
 
 def test_empirical_cdf_jumps():

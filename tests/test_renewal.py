@@ -11,14 +11,12 @@ from renewal_dst import (
     GeometricDst,
     GrowthRate,
     IntPmf,
-    RenewalConfig,
     ScaledBase,
     centered_count_distribution,
     depth_distribution_exact,
     empirical_cdf_jumps,
     ks_discrete_vs_continuous,
     ks_scaled_sum_exact,
-    partial_sum_cdf_exact,
     pmf_gap_bound_check,
     s_infinity_cdf,
     sample_scaled_limit,
@@ -104,8 +102,6 @@ def test_exact_entry_points_accept_numpy_integers(cast):
     assert np.array_equal(centered.masses, ref.masses) and eta == 0.0
     assert floor_log2(cast(1024)) == 10
     assert tv_to_limit(cast(1024)) == tv_to_limit(1024)
-    assert (partial_sum_cdf_exact(9, cast(1024))
-            == partial_sum_cdf_exact(9, 1024))
     assert pmf_gap_bound_check(cast(64), 0) == pmf_gap_bound_check(64, 0)
 
 
@@ -114,7 +110,6 @@ def test_exact_entry_points_accept_numpy_integers(cast):
     centered_count_distribution,
     floor_log2,
     tv_to_limit,
-    lambda t: partial_sum_cdf_exact(9, t),
     lambda t: pmf_gap_bound_check(t, 0),
 ])
 def test_exact_entry_points_reject_non_integers(call):
@@ -159,10 +154,18 @@ def test_depth_distribution_monotone_in_n():
             assert cur.tail_ge(k) >= prev.tail_ge(k) - 1e-12
 
 
+def _closed_form_cdf(n, t):
+    """P(S_n <= t) for t >= n, from the KS kernel's partial fractions."""
+    return 1.0 - _power_sums(*_partial_sum_terms(n), t - n + 1, 1)[0]
+
+
 def test_partial_sum_cdf_exact_values():
-    assert partial_sum_cdf_exact(0, 17) == 1.0
-    assert partial_sum_cdf_exact(1, 0) == 0.0
-    assert partial_sum_cdf_exact(2, 2) == pytest.approx(0.5, abs=1e-15)
+    # P(S_j <= t) = P(X_t >= j), read off the exact depth law
+    assert depth_distribution_exact(17).tail_ge(0) == pytest.approx(
+        1.0, abs=1e-15)
+    assert depth_distribution_exact(0).tail_ge(1) == 0.0
+    assert depth_distribution_exact(2).tail_ge(2) == pytest.approx(
+        0.5, abs=1e-15)
 
 
 def test_partial_sum_cdf_grid_matches_dp_identity():
@@ -172,14 +175,15 @@ def test_partial_sum_cdf_grid_matches_dp_identity():
         cdf = 1.0 - _power_sums(*_partial_sum_terms(n), 1, 201 - n)
         for t in (n, n + 1, n + 3, 50, 200):
             assert cdf[t - n] == pytest.approx(
-                partial_sum_cdf_exact(n, t), abs=1e-12)
+                depth_distribution_exact(t).tail_ge(n), abs=1e-12)
 
 
 def test_renewal_count_identity():
     t = 64
     law = depth_distribution_exact(t)
+    # P(X_t = j) = P(S_j <= t) - P(S_{j+1} <= t), the right side in closed form
     for j in range(1, 12):
-        gap = partial_sum_cdf_exact(j, t) - partial_sum_cdf_exact(j + 1, t)
+        gap = _closed_form_cdf(j, t) - _closed_form_cdf(j + 1, t)
         assert law.prob(j) == pytest.approx(gap, abs=1e-12)
 
 
@@ -198,29 +202,29 @@ def test_centered_count_distribution():
 
 
 def test_simulate_count_degenerate_horizons():
-    low = simulate_count(RenewalConfig(DST, 0.5, 500, 1, stream=0))
+    low = simulate_count(DST, 0.5, 500, stream_rng(1, 0))
     assert np.all(low == 0)
-    mid = simulate_count(RenewalConfig(DST, 1.5, 500, 1, stream=1))
+    mid = simulate_count(DST, 1.5, 500, stream_rng(1, 1))
     assert np.all(mid == 1)
 
 
 def test_simulate_count_matches_exact_law():
-    counts = simulate_count(RenewalConfig(DST, 2.0 ** 10, 10 ** 5,
-                                          20070201, stream=15))
+    counts = simulate_count(DST, 2.0 ** 10, 10 ** 5, stream_rng(20070201, 15))
     emp = IntPmf.from_samples(counts)
     assert tv_distance(emp, depth_distribution_exact(2 ** 10)) <= 0.01
 
 
 def test_simulate_count_reproducible():
-    cfg = RenewalConfig(DST, 100.0, 2000, 7, stream=3)
-    assert np.array_equal(simulate_count(cfg), simulate_count(cfg))
+    first = simulate_count(DST, 100.0, 2000, stream_rng(7, 3))
+    assert np.array_equal(first, simulate_count(DST, 100.0, 2000,
+                                                stream_rng(7, 3)))
 
 
-def test_renewal_config_validation():
+def test_simulate_count_validation():
     with pytest.raises(ValueError):
-        RenewalConfig(DST, 10.0, 0, 1)
+        simulate_count(DST, 10.0, 0, stream_rng(1))
     with pytest.raises(ValueError):
-        RenewalConfig(DST, 0.0, 10, 1)
+        simulate_count(DST, 0.0, 10, stream_rng(1))
 
 
 def test_scaled_sum_degenerate():
@@ -236,7 +240,7 @@ def test_scaled_sum_mean_n16():
 
 def test_scaled_sum_converges_to_limit_cdf():
     v = scaled_sum_sample(DST, 16, 10 ** 6, stream_rng(20070201, 16))
-    ks = ks_discrete_vs_continuous(empirical_cdf_jumps(v), s_infinity_cdf)
+    ks = ks_discrete_vs_continuous(*empirical_cdf_jumps(v), s_infinity_cdf)
     assert ks <= 0.005
 
 
