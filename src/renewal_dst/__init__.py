@@ -43,8 +43,6 @@ from .limit_law import (
     sample_s_infinity,
 )
 from .metrics import (
-    DistanceReport,
-    RateRow,
     check_rate_report,
     empirical_cdf_jumps,
     ks_discrete_vs_continuous,
@@ -68,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_SEED",
-    "DistanceReport",
     "Dst",
     "GeometricDst",
     "GrowthRate",
@@ -76,7 +73,6 @@ __all__ = [
     "InsufficientBitsError",
     "IntPmf",
     "LifetimeFamily",
-    "RateRow",
     "ScaledBase",
     "bits_from_unit_interval",
     "build",

@@ -2,9 +2,8 @@
 
 Commands emit CSV or JSON tables (plot data, not plots). Output is a pure
 function of flags and seed: the default seed is fixed and printed in every
-header, floats are written with 17 significant digits, and per-row wall
-times in rate reports are zeroed on emission, so identical invocations are
-byte-identical.
+header, and floats are written with 17 significant digits, so identical
+invocations are byte-identical.
 
 Exit codes: 0 success / assertions hold, 1 assertion failure, 2 usage,
 3 data error.
@@ -31,11 +30,10 @@ from .lifetimes import GeometricDst, GrowthRate, ScaledBase
 from .limit_law import q_cdf, q_pmf, q_tail
 from .metrics import (
     REPORT_COLUMNS,
-    DistanceReport,
-    RateRow,
     check_rate_report,
     limit_pmf_window,
     rate_report,
+    rate_rows,
     tv_distance,
     tv_vs_limit,
     MAX_TV_N,
@@ -213,8 +211,8 @@ def cmd_simulate(args) -> int:
     dyadic = args.alpha == 2.0
     family = (GeometricDst() if dyadic
               else ScaledBase(GrowthRate(args.alpha)))
-    rows = []
-    for i, t in enumerate(grid):
+
+    def row(i, t):
         counts = simulate_count(family, float(t), args.samples,
                                 stream_rng(args.seed, 2 * i))
         if dyadic:
@@ -232,15 +230,14 @@ def cmd_simulate(args) -> int:
             ref = IntPmf.from_samples(np.floor(
                 -np.log(limits) / math.log(args.alpha) + eta).astype(np.int64))
             value, trunc = tv_distance(emp, ref), 0.0
-        rows.append(RateRow(t, eta, "sim_tv", value, trunc, 0.0))
+        return t, eta, "sim_tv", value, trunc
+
+    rows = rate_rows(grid, row)
     meta = {"command": "simulate", "version": __version__,
             "seed": args.seed, "alpha": _cell(args.alpha),
             "samples": args.samples,
             "grid": args.n_grid or _GRID_DEFAULTS["simulate"]}
-    report = DistanceReport(tuple(rows))
-    _emit(meta, REPORT_COLUMNS,
-          [(r.n, r.eta, r.kind, r.value, r.trunc_bound, r.ms)
-           for r in report.rows], args.format, args.out)
+    _emit(meta, REPORT_COLUMNS, rows, args.format, args.out)
     return 0
 
 
@@ -255,14 +252,12 @@ def cmd_converge(args) -> int:
         raise UsageError(f"ks grid limited to n <= {MAX_EXACT_KS_N}")
     if grid[0] < 1:
         raise UsageError("grid must start at n >= 1")
-    report = rate_report(grid, kind).zero_ms()
+    rows = rate_report(grid, kind)
     meta = {"command": "converge", "version": __version__,
             "seed": args.seed, "kind": args.kind,
             "grid": args.n_grid or default}
-    _emit(meta, REPORT_COLUMNS,
-          [(r.n, r.eta, r.kind, r.value, r.trunc_bound, r.ms)
-           for r in report.rows], args.format, args.out)
-    problems = check_rate_report(report)
+    _emit(meta, REPORT_COLUMNS, rows, args.format, args.out)
+    problems = check_rate_report(rows)
     for p in problems:
         print(f"rate check failed: {p}", file=sys.stderr)
     return 1 if problems else 0

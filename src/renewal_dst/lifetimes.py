@@ -23,13 +23,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class GrowthRate:
-    """Exponential growth rate of a lifetime family; strictly above 1."""
+    """Exponential growth rate of a lifetime family; finite and above 1."""
 
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 1.0:
-            raise ValueError(f"growth rate must exceed 1, got {self.alpha!r}")
+        if not 1.0 < self.alpha < math.inf:
+            raise ValueError(
+                f"growth rate must lie in (1, inf), got {self.alpha!r}")
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,6 @@ slack, so every asserted inequality is sound rather than merely plausible.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
 from .limit_law import q_cdf, q_pmf, q_tail
@@ -30,38 +27,25 @@ from .renewal import (
 MAX_TV_N = 2 ** 22
 _TAIL_EPS = 1e-14
 
-REPORT_COLUMNS = ("n", "eta", "kind", "value", "trunc_bound", "ms")
+REPORT_COLUMNS = ("n", "eta", "kind", "value", "trunc_bound")
 
 
-@dataclass(frozen=True)
-class RateRow:
-    n: float
-    eta: float
-    kind: str
-    value: float
-    trunc_bound: float
-    ms: float
+def rate_rows(grid, row) -> list[tuple]:
+    """Rows ``row(i, n)`` for the i-th point n of a strictly increasing grid.
 
-
-@dataclass(frozen=True)
-class DistanceReport:
-    """Rows of distance measurements, strictly increasing in n."""
-
-    rows: tuple[RateRow, ...]
-
-    def __post_init__(self):
-        ns = [r.n for r in self.rows]
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("report rows must be strictly increasing in n")
-        for r in self.rows:
-            if not 0.0 <= r.value <= 1.0:
-                raise ValueError(f"distance out of [0, 1] at n={r.n}")
-
-    def zero_ms(self) -> "DistanceReport":
-        """Copy with wall times zeroed, for byte-reproducible emission."""
-        return DistanceReport(tuple(
-            RateRow(r.n, r.eta, r.kind, r.value, r.trunc_bound, 0.0)
-            for r in self.rows))
+    Each row is a tuple in REPORT_COLUMNS order. The grid is checked before
+    any row is computed, and each row's value must lie in [0, 1]; either
+    failure raises ValueError.
+    """
+    grid = [int(n) for n in grid]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("report rows must be strictly increasing in n")
+    rows = []
+    for i, n in enumerate(grid):
+        rows.append(row(i, n))
+        if not 0.0 <= rows[-1][3] <= 1.0:
+            raise ValueError(f"distance out of [0, 1] at n={n}")
+    return rows
 
 
 def tv_distance(p: IntPmf, q: IntPmf) -> float:
@@ -166,56 +150,51 @@ def pmf_gap_bound_check(t: int, j: int) -> tuple[float, float]:
 KINDS = ("tv_limit", "ks_scaled")
 
 
-def rate_report(n_grid, kind: str) -> DistanceReport:
-    """One distance row per grid point; grid must be strictly increasing."""
+def rate_report(n_grid, kind: str) -> list[tuple]:
+    """Rows (n, eta, kind, value, trunc_bound), one per point of n_grid."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    grid = [int(n) for n in n_grid]
-    rows = []
-    for n in grid:
-        t0 = time.perf_counter()
+
+    def row(_, n):
         if kind == "tv_limit":
             law, eta = centered_count_distribution(n)
-            value, slack = tv_vs_limit(law, eta)
-            trunc = slack
-        else:
-            value, trunc = ks_scaled_sum_exact(n)
-            eta = 0.0
-        ms = (time.perf_counter() - t0) * 1e3
-        rows.append(RateRow(n, eta, kind, value, trunc, ms))
-    return DistanceReport(tuple(rows))
+            return (n, eta, kind, *tv_vs_limit(law, eta))
+        return (n, 0.0, kind, *ks_scaled_sum_exact(n))
+
+    return rate_rows(n_grid, row)
 
 
-def check_rate_report(report: DistanceReport) -> list[str]:
-    """Monotone-proxy assertions for a rate report; empty list means pass.
+def check_rate_report(rows) -> list[str]:
+    """Monotone-proxy assertions for rate_report rows; empty list means pass.
 
     tv_limit: values strictly decreasing, and value * n^0.9 decreasing from
     n = 256 on. ks_scaled: values strictly decreasing, and value * 2^n / n
     never above its value at the first grid point.
     """
     problems = []
-    rows = report.rows
     if not rows:
         return problems
-    kind = rows[0].kind
-    for a, b in zip(rows, rows[1:]):
-        if not b.value < a.value:
+    kind = rows[0][2]
+    pairs = [(n, value) for n, _, _, value, _ in rows]
+    for (_, va), (nb, vb) in zip(pairs, pairs[1:]):
+        if not vb < va:
             problems.append(
-                f"value not strictly decreasing at n={b.n:g} "
-                f"({b.value:.6g} >= {a.value:.6g})")
+                f"value not strictly decreasing at n={nb:g} "
+                f"({vb:.6g} >= {va:.6g})")
     if kind == "tv_limit":
-        scaled = [(r.n, r.value * r.n ** 0.9) for r in rows if r.n >= 256]
+        scaled = [(n, v * n ** 0.9) for n, v in pairs if n >= 256]
         for (na, va), (nb, vb) in zip(scaled, scaled[1:]):
             if not vb < va:
                 problems.append(
                     f"value * n^0.9 not decreasing at n={nb:g} "
                     f"({vb:.6g} >= {va:.6g})")
-    elif kind == "ks_scaled" and rows:
-        ref = rows[0].value * 2.0 ** rows[0].n / rows[0].n
-        for r in rows[1:]:
-            sc = r.value * 2.0 ** r.n / r.n
+    elif kind == "ks_scaled":
+        n0, v0 = pairs[0]
+        ref = v0 * 2.0 ** n0 / n0
+        for n, v in pairs[1:]:
+            sc = v * 2.0 ** n / n
             if sc > ref:
                 problems.append(
-                    f"value * 2^n / n exceeds first-row level at n={r.n:g} "
+                    f"value * 2^n / n exceeds first-row level at n={n:g} "
                     f"({sc:.6g} > {ref:.6g})")
     return problems

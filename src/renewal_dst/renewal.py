@@ -27,8 +27,8 @@ import operator
 
 import numpy as np
 
-from .lifetimes import GeometricDst, LifetimeFamily, sample_lifetime
-from .limit_law import mixture_coefficients, s_infinity_sf, sample_s_infinity
+from .lifetimes import LifetimeFamily, ScaledBase, sample_lifetime
+from .limit_law import mixture_coefficients, s_infinity_sf
 from .pmf import IntPmf
 
 MAX_EXACT_N = 2 ** 26      # time guard for the DP (~2 sqrt(n) block steps)
@@ -147,21 +147,16 @@ def scaled_sum_sample(family: LifetimeFamily, n: int, samples: int,
     return family.rate.alpha ** -n * total
 
 
-def sample_scaled_limit(family: LifetimeFamily, rng: np.random.Generator,
-                        size: int | None = None,
-                        k_trunc: int | None = None):
+def sample_scaled_limit(family: ScaledBase, rng: np.random.Generator,
+                        size: int | None = None):
     """Draw the limit of alpha^(-n) S_n: sum_{k>=0} alpha^(-k) W_k.
 
-    For the DST family this is the standard series of halved exponentials;
-    for a scaled-base family the W_k are draws from the base law. k_trunc
-    defaults to enough terms for a remainder mean below 1e-12 per unit of
-    base mean.
+    The W_k are draws from the family's base law, taken to enough terms for
+    a remainder mean below 1e-12 per unit of base mean. For the DST family
+    the limit is ``limit_law.sample_s_infinity``.
     """
-    if isinstance(family, GeometricDst):
-        return sample_s_infinity(rng, k_trunc or 64, size)
     alpha = family.rate.alpha
-    if k_trunc is None:
-        k_trunc = max(4, math.ceil(12 * math.log(10) / math.log(alpha)))
+    k_trunc = max(4, math.ceil(12 * math.log(10) / math.log(alpha)))
     out = np.zeros(size) if size is not None else 0.0
     for k in range(k_trunc + 1):
         draw = family.base_mean * rng.standard_exponential(size)

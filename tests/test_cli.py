@@ -5,8 +5,11 @@ import math
 import pytest
 
 import renewal_dst
+import renewal_dst.cli
+import renewal_dst.metrics
 from renewal_dst import q_cdf, tv_to_limit
 from renewal_dst.cli import main
+from renewal_dst.metrics import REPORT_COLUMNS
 
 
 def run(tmp_path, *argv):
@@ -161,6 +164,7 @@ def test_simulate_general_alpha(tmp_path):
 def test_simulate_usage_errors(tmp_path):
     assert run(tmp_path, "simulate", "--samples", "0")[0] == 2
     assert run(tmp_path, "simulate", "--alpha", "1.0")[0] == 2
+    assert run(tmp_path, "simulate", "--alpha", "inf")[0] == 2
     assert run(tmp_path, "simulate", "--n-grid", "64:16:x4")[0] == 2
 
 
@@ -169,10 +173,11 @@ def test_converge_tv_small_grid(tmp_path):
                      "--n-grid", "16:4096:x4")
     assert code == 0
     lines = data.decode().strip().split("\n")
-    assert lines[1] == "n,eta,kind,value,trunc_bound,ms"
+    assert lines[1] == "n,eta,kind,value,trunc_bound"
     vals = [float(line.split(",")[3]) for line in lines[2:]]
     assert all(b < a for a, b in zip(vals, vals[1:]))
-    assert all(line.split(",")[5] == "0" for line in lines[2:])
+    assert all(len(line.split(",")) == len(REPORT_COLUMNS)
+               for line in lines[2:])
 
 
 def test_converge_ks_small_grid(tmp_path):
@@ -180,14 +185,27 @@ def test_converge_ks_small_grid(tmp_path):
     code, data = run(tmp_path, *argv, "--format", "csv")
     assert code == 0
     lines = data.decode().strip().split("\n")
-    assert lines[1] == "n,eta,kind,value,trunc_bound,ms"
+    assert lines[1] == "n,eta,kind,value,trunc_bound"
     assert [line.split(",")[0] for line in lines[2:]] == [
         str(n) for n in range(4, 11)]
     code, data = run(tmp_path, *argv, "--format", "json")
     assert code == 0
     obj = json.loads(data)
     assert [r["n"] for r in obj["rows"]] == list(range(4, 11))
-    assert all(r["ms"] == 0.0 for r in obj["rows"])
+    assert all(tuple(r) == REPORT_COLUMNS for r in obj["rows"])
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (renewal_dst.cli, "tv_vs_limit",
+     ("simulate", "--n-grid", "16:64:x4", "--samples", "100")),
+    (renewal_dst.metrics, "ks_scaled_sum_exact",
+     ("converge", "--kind", "ks", "--n-grid", "4:6:1")),
+], ids=["simulate", "converge"])
+def test_rate_row_value_outside_unit_interval_exits_2(
+        tmp_path, monkeypatch, capsys, module, name, argv):
+    monkeypatch.setattr(module, name, lambda *args: (1.5, 0.0))
+    assert run(tmp_path, *argv)[0] == 2
+    assert "out of [0, 1]" in capsys.readouterr().err
 
 
 def test_converge_grid_errors(tmp_path):
@@ -221,10 +239,10 @@ def test_byte_identical_reruns(tmp_path, argv):
 # rule of Dst across refactors; the header's version field is in the bytes.
 @pytest.mark.parametrize("argv, digest", [
     (("simulate", "--n-grid", "16:256:x4", "--samples", "3000"),
-     "016f85e9ee13ea3a3cef6d3f2c40dfa01690cefff509d0552f20a10f5e66a0ef"),
+     "cf25cc812890d306c1621842a9a1240f3eeeb605cff2dadc4813b8e243c65680"),
     (("simulate", "--alpha", "2.7", "--n-grid", "16:64:x2",
       "--samples", "2000"),
-     "ff462a7ead6749ba49afc8c4e1c6e43ec2b9f47cef43ca1509e77f197215994e"),
+     "ac1a8cc3e2d8c6f118e090c6f27ea60a3bf6a783bcc3186cad8be71f3d51bba4"),
     (("dst-demo", "--probe", "011100"),
      "5c7373d7d7a42fd4907281b67eaf4cbf9c92ae319e5c9411880ccb92e2dc687e"),
 ], ids=["simulate-dyadic", "simulate-alpha-2.7", "dst-demo-probe"])

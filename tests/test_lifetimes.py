@@ -27,6 +27,8 @@ def test_growth_rate_requires_alpha_above_one():
         GrowthRate(1.0)
     with pytest.raises(ValueError):
         GrowthRate(0.5)
+    with pytest.raises(ValueError):
+        GrowthRate(math.inf)
     assert GrowthRate(1.5).alpha == 1.5
 
 

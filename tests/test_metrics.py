@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import renewal_dst.metrics
 from renewal_dst import (
-    DistanceReport,
     IntPmf,
-    RateRow,
     check_rate_report,
     empirical_cdf_jumps,
     ks_discrete_vs_continuous,
@@ -155,19 +154,19 @@ def test_pmf_gap_bound_domain():
 
 
 def test_rate_report_rows_and_checks():
-    rep = rate_report([4, 6, 8], "ks_scaled")
-    assert [r.n for r in rep.rows] == [4, 6, 8]
-    assert all(r.kind == "ks_scaled" for r in rep.rows)
-    assert check_rate_report(rep) == []
-    rep_tv = rate_report([16, 64], "tv_limit")
-    assert [r.eta for r in rep_tv.rows] == [0.0, 0.0]
-    assert check_rate_report(rep_tv) == []
+    rows = rate_report([4, 6, 8], "ks_scaled")
+    assert [r[0] for r in rows] == [4, 6, 8]
+    assert all(len(r) == 5 and r[2] == "ks_scaled" for r in rows)
+    assert check_rate_report(rows) == []
+    rows_tv = rate_report([16, 64], "tv_limit")
+    assert [r[1] for r in rows_tv] == [0.0, 0.0]
+    assert check_rate_report(rows_tv) == []
 
 
 def test_rate_report_empty_grid():
-    rep = rate_report([], "tv_limit")
-    assert rep.rows == ()
-    assert check_rate_report(rep) == []
+    rows = rate_report([], "tv_limit")
+    assert rows == []
+    assert check_rate_report(rows) == []
 
 
 def test_rate_report_kind_validation():
@@ -175,16 +174,25 @@ def test_rate_report_kind_validation():
         rate_report([4], "nope")
 
 
-def test_report_requires_increasing_n():
-    row = RateRow(4, 0.0, "ks_scaled", 0.1, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        DistanceReport((row, row))
+def test_report_requires_increasing_n(monkeypatch):
+    def unreachable(n):
+        raise AssertionError("distance computed before the grid was checked")
+
+    monkeypatch.setattr(renewal_dst.metrics, "ks_scaled_sum_exact", unreachable)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        rate_report([4, 4], "ks_scaled")
+
+
+def test_report_rejects_value_outside_unit_interval(monkeypatch):
+    monkeypatch.setattr(renewal_dst.metrics, "ks_scaled_sum_exact",
+                        lambda n: (1.5, 0.0))
+    with pytest.raises(ValueError, match=r"out of \[0, 1\] at n=4"):
+        rate_report([4, 5], "ks_scaled")
 
 
 def test_check_flags_violations():
-    rows = (RateRow(4, 0.0, "ks_scaled", 0.1, 0.0, 0.0),
-            RateRow(5, 0.0, "ks_scaled", 0.2, 0.0, 0.0))
-    problems = check_rate_report(DistanceReport(rows))
+    rows = [(4, 0.0, "ks_scaled", 0.1, 0.0), (5, 0.0, "ks_scaled", 0.2, 0.0)]
+    problems = check_rate_report(rows)
     assert problems and "not strictly decreasing" in problems[0]
 
 
