@@ -248,27 +248,61 @@ def sample_s_infinity(rng: np.random.Generator, k_trunc: int = 64,
     """Draw S ~ sum_{k=1}^{k_trunc} 2^(-k) Z_k, Z_k i.i.d. Exp(1).
 
     The discarded remainder has mean 2^(-k_trunc), far below sampling noise
-    at the default truncation.
+    at the default truncation. size=None draws one value through the array
+    path and returns it as a float.
     """
     if k_trunc < 1:
         raise ValueError(f"k_trunc must be >= 1, got {k_trunc}")
-    if size is None:
-        return math.fsum(2.0 ** -k * rng.standard_exponential()
-                         for k in range(1, k_trunc + 1))
-    out = np.zeros(size)
+    out = np.zeros(1 if size is None else size)
     for k in range(1, k_trunc + 1):
-        out += 2.0 ** -k * rng.standard_exponential(size)
-    return out
+        out += 2.0 ** -k * rng.standard_exponential(out.shape)
+    return float(out[0]) if size is None else out
 
 
-def sample_q(eta: float, rng: np.random.Generator, size: int | None = None,
-             k_trunc: int = 64):
-    """Draw floor(-log2 S + eta); eta = 1 goes through the translate identity."""
+_HEAD_TERMS = 14        # terms every draw of sample_q sums
+_SERIES_TERMS = 64      # terms a draw near a floor boundary sums
+_GAP = 40.0 * 2.0 ** -_HEAD_TERMS   # the rest exceeds it w.p. <= P(S > 40)
+
+
+def _floor_q(eta: float, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """floor(eta - log2 s) written into out, which may be s itself."""
+    np.log2(s, out=out)
+    np.subtract(eta, out, out=out)
+    return np.floor(out, out=out)
+
+
+def sample_q(eta: float, rng: np.random.Generator, size: int | None = None):
+    """Draw floor(-log2 S + eta) for S summed over its first 64 terms.
+
+    Head: every draw sums the first 14 terms, s = sample_s_infinity(rng, 14,
+    size). Gap: the remaining terms sum to R = sum_{k=15}^{64} 2^(-k) Z_k
+    <= 2^(-14) S' with S' distributed as S, so R < 40 * 2^(-14) except with
+    probability P(S > 40) = s_infinity_sf(40) ~ 6.2e-35 per draw. Where
+    floor(eta - log2 s) equals floor(eta - log2(s + 40 * 2^(-14))), no such
+    R moves the floor and the draw is final. Completion: the other draws,
+    about 0.5% of them, lie near a boundary 2^(eta - m); they draw their
+    terms 15..64 in one (50, m) block, add them in order and take the floor
+    again. The law is the 64-term law up to that 6.2e-35 per draw, but the
+    completed draws use other stream values than a plain 64-term sum, so
+    seeded outputs differ from such a sum at some of them. size=None returns
+    an int; eta = 1 goes through the translate identity.
+    """
     _check_eta(eta)
     if eta == 1.0:
-        return sample_q(0.0, rng, size, k_trunc) + 1
-    s = sample_s_infinity(rng, k_trunc, size)
-    v = np.floor(-np.log2(s) + eta)
-    if size is None:
-        return int(v)
-    return v.astype(np.int64)
+        return sample_q(0.0, rng, size) + 1
+    s = sample_s_infinity(rng, _HEAD_TERMS, 1 if size is None else size)
+    v = _floor_q(eta, s, np.empty_like(s))
+    moved = s + _GAP
+    _floor_q(eta, moved, moved)
+    moved -= v              # nonzero where the rest could move the floor
+    near = np.flatnonzero(moved)
+    del moved
+    if near.size:
+        tail = s.reshape(-1)[near]
+        rest = rng.standard_exponential(
+            (_SERIES_TERMS - _HEAD_TERMS, near.size))
+        for k, z in enumerate(rest, start=_HEAD_TERMS + 1):
+            tail += 2.0 ** -k * z
+        v.reshape(-1)[near] = _floor_q(eta, tail, tail)
+    del s                   # keeps the int64 copy within a peak of 3 arrays
+    return int(v[0]) if size is None else v.astype(np.int64)

@@ -178,6 +178,50 @@ def test_sample_q_eta_shift_under_shared_stream():
 def test_sample_q_scalar():
     v = sample_q(0.5, stream_rng(7, 7))
     assert isinstance(v, int)
+    assert v == sample_q(0.5, stream_rng(7, 7), size=1)[0]
+    s = sample_s_infinity(stream_rng(7, 7))
+    assert isinstance(s, float)
+    assert s == sample_s_infinity(stream_rng(7, 7), 64, size=1)[0]
+
+
+@pytest.mark.parametrize("size", [(3, 4), 0, (2, 0), (500, 400)])
+def test_sample_q_shapes_match_flat_draws(size):
+    q = sample_q(0.5, stream_rng(9, 3), size=size)
+    assert q.dtype == np.int64 and q.shape == np.zeros(size).shape
+    flat = sample_q(0.5, stream_rng(9, 3), size=q.size)
+    assert np.array_equal(q.reshape(-1), flat)
+
+
+def _sample_q_64_terms(eta, rng, size):
+    """Reference sampler: each draw sums all 64 terms, then takes the floor."""
+    out = np.zeros(size)
+    for k in range(1, 65):
+        out += 2.0 ** -k * rng.standard_exponential(size)
+    return np.floor(-np.log2(out) + eta).astype(np.int64)
+
+
+@pytest.mark.parametrize("seed, stream, eta", [
+    (20070201, 12, 0.0), (20070201, 13, 0.5), (11, 3, 0.999), (5, 7, 0.25)])
+def test_sample_q_differs_from_64_term_sum_only_near_boundaries(
+        seed, stream, eta):
+    size = 10 ** 6
+    new = sample_q(eta, stream_rng(seed, stream), size=size)
+    ref = _sample_q_64_terms(eta, stream_rng(seed, stream), size)
+    s = sample_s_infinity(stream_rng(seed, stream), 14, size=size)
+    head = np.floor(eta - np.log2(s))
+    near = head != np.floor(eta - np.log2(s + 40 * 2.0 ** -14))
+    assert np.count_nonzero(near) <= size // 100
+    assert np.all(near[new != ref])
+    assert np.all(near[new != head])
+    # the completed terms move as many draws off the head floor as ref's do
+    moved = np.count_nonzero(new != head)
+    ref_moved = np.count_nonzero(ref != head)
+    assert moved > 0
+    assert abs(moved - ref_moved) <= 4 * math.sqrt(moved + ref_moved)
+
+
+def test_sample_q_gap_bound():
+    assert s_infinity_sf(40.0) < 1e-30
 
 
 # ---- scalar series against reference loops and mpmath ----------------------
