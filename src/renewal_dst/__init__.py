@@ -23,8 +23,6 @@ from .dst import (
 )
 from .lifetimes import (
     GeometricDst,
-    GrowthRate,
-    LifetimeFamily,
     ScaledBase,
     geometric_pmf,
     sample_lifetime,
@@ -68,11 +66,9 @@ __all__ = [
     "DEFAULT_SEED",
     "Dst",
     "GeometricDst",
-    "GrowthRate",
     "InsertReport",
     "InsufficientBitsError",
     "IntPmf",
-    "LifetimeFamily",
     "ScaledBase",
     "bits_from_unit_interval",
     "build",

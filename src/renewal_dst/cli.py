@@ -26,7 +26,7 @@ from .dst import (
     knuth_corpus,
     load_corpus,
 )
-from .lifetimes import GeometricDst, GrowthRate, ScaledBase
+from .lifetimes import GeometricDst, ScaledBase
 from .limit_law import q_cdf, q_pmf, q_tail
 from .metrics import (
     REPORT_COLUMNS,
@@ -203,14 +203,11 @@ def cmd_dst_demo(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if not args.alpha > 1.0:
-        raise UsageError(f"--alpha must exceed 1, got {args.alpha!r}")
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     grid = _parse_grid(args.n_grid or _GRID_DEFAULTS["simulate"])
     dyadic = args.alpha == 2.0
-    family = (GeometricDst() if dyadic
-              else ScaledBase(GrowthRate(args.alpha)))
+    family = GeometricDst() if dyadic else ScaledBase(args.alpha)
 
     def row(i, t):
         counts = simulate_count(family, float(t), args.samples,

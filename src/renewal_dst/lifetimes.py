@@ -7,10 +7,10 @@ Two families ship:
   Y_1 is the constant 1 and 2^(-k) Y_k converges to an Exp(2) law (mean 1/2).
   Growth rate alpha = 2, always.
 * ``ScaledBase`` -- the generic construction Y_k = alpha^k * W_k with the W_k
-  drawn from a fixed base law. The shipped base is exponential with a
-  configurable mean; the scaled limit Y_inf then equals that base law. The
-  base must be atom-free for the discretized limit family downstream to be
-  well defined; this is a documented precondition, not a runtime check.
+  exponential of mean 1/2, the law of the DST family's scaled limit; the
+  scaled limit Y_inf then equals that base law. A base of mean m gives the
+  counts of mean 1/2 watched at time t/(2m), so another mean only shifts
+  eta by log_alpha(2m), and alpha is the family's one parameter.
 """
 
 from __future__ import annotations
@@ -22,39 +22,22 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class GrowthRate:
-    """Exponential growth rate of a lifetime family; finite and above 1."""
+class GeometricDst:
+    """Digital-search-tree lifetime family; alpha is pinned to 2."""
+
+    alpha = 2.0
+
+
+@dataclass(frozen=True)
+class ScaledBase:
+    """Lifetimes alpha^k * W_k with W_k exponential of mean 1/2."""
 
     alpha: float
 
     def __post_init__(self):
         if not 1.0 < self.alpha < math.inf:
             raise ValueError(
-                f"growth rate must lie in (1, inf), got {self.alpha!r}")
-
-
-@dataclass(frozen=True)
-class GeometricDst:
-    """Digital-search-tree lifetime family; alpha is pinned to 2."""
-
-    @property
-    def rate(self) -> GrowthRate:
-        return GrowthRate(2.0)
-
-
-@dataclass(frozen=True)
-class ScaledBase:
-    """Lifetimes alpha^k * W_k with W_k exponential of mean ``base_mean``."""
-
-    rate: GrowthRate
-    base_mean: float = 0.5
-
-    def __post_init__(self):
-        if not self.base_mean > 0.0:
-            raise ValueError("base_mean must be positive")
-
-
-LifetimeFamily = GeometricDst | ScaledBase
+                f"alpha must lie in (1, inf), got {self.alpha!r}")
 
 
 def geometric_pmf(k: int, j: int) -> float:
@@ -69,8 +52,8 @@ def geometric_pmf(k: int, j: int) -> float:
     return (1.0 - p) ** (j - 1) * p
 
 
-def sample_lifetime(family: LifetimeFamily, k: int, rng: np.random.Generator,
-                    size: int | None = None):
+def sample_lifetime(family: GeometricDst | ScaledBase, k: int,
+                    rng: np.random.Generator, size: int | None = None):
     """Draw from the k-th lifetime law.
 
     Geometric draws use CDF inversion, j = ceil(log(1-u) / log(1-p)), one
@@ -85,6 +68,5 @@ def sample_lifetime(family: LifetimeFamily, k: int, rng: np.random.Generator,
         u = rng.random(size)
         j = np.ceil(np.log1p(-u) / math.log1p(-(2.0 ** (1 - k))))
         return np.maximum(j, 1.0)
-    scale = family.rate.alpha ** k * family.base_mean
-    return scale * rng.standard_exponential(size)
+    return family.alpha ** k * 0.5 * rng.standard_exponential(size)
 

@@ -27,7 +27,7 @@ import operator
 
 import numpy as np
 
-from .lifetimes import LifetimeFamily, ScaledBase, sample_lifetime
+from .lifetimes import GeometricDst, ScaledBase, sample_lifetime
 from .limit_law import mixture_coefficients, s_infinity_sf
 from .pmf import IntPmf
 
@@ -75,8 +75,6 @@ def depth_distribution_exact(n: int) -> IntPmf:
         raise ValueError(f"step count must be >= 0, got {n}")
     if n > MAX_EXACT_N:
         raise ValueError(f"exact DP limited to n <= {MAX_EXACT_N}, got {n}")
-    if n == 0:
-        return IntPmf(0, np.ones(1))
     width = min(n, n.bit_length() + _STATE_SLACK)
     block = 1 << (n.bit_length() // 2)
     transition = _chain_steps(np.eye(width + 1), block)
@@ -111,8 +109,8 @@ def centered_count_distribution(n: int) -> tuple[IntPmf, float]:
     return law.shift(-floor_log2(n)), frac_log2(n)
 
 
-def simulate_count(family: LifetimeFamily, t: float, samples: int,
-                   rng: np.random.Generator) -> np.ndarray:
+def simulate_count(family: GeometricDst | ScaledBase, t: float,
+                   samples: int, rng: np.random.Generator) -> np.ndarray:
     """Replicates of N_t = sup{n : S_n <= t}, one count per replicate.
 
     Lifetimes are drawn index by index across all replicates; a replicate's
@@ -136,32 +134,32 @@ def simulate_count(family: LifetimeFamily, t: float, samples: int,
         k += 1
 
 
-def scaled_sum_sample(family: LifetimeFamily, n: int, samples: int,
-                      rng: np.random.Generator) -> np.ndarray:
+def scaled_sum_sample(family: GeometricDst | ScaledBase, n: int,
+                      samples: int, rng: np.random.Generator) -> np.ndarray:
     """Draws of alpha^(-n) S_n with S_n = Y_1 + ... + Y_n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     total = np.zeros(samples)
     for k in range(1, n + 1):
         total += sample_lifetime(family, k, rng, size=samples)
-    return family.rate.alpha ** -n * total
+    return family.alpha ** -n * total
 
 
 def sample_scaled_limit(family: ScaledBase, rng: np.random.Generator,
                         size: int | None = None):
     """Draw the limit of alpha^(-n) S_n: sum_{k>=0} alpha^(-k) W_k.
 
-    The W_k are draws from the family's base law, taken to enough terms for
-    a remainder mean below 1e-12 per unit of base mean. For the DST family
-    the limit is ``limit_law.sample_s_infinity``.
+    The W_k are exponential of mean 1/2, summed to enough terms that the
+    remainder's mean, relative to the base mean, is below 1e-12. Scalar and
+    array draws take the same path and the same stream; at alpha = 2 the
+    draws equal ``limit_law.sample_s_infinity(rng, 41, size)``.
     """
-    alpha = family.rate.alpha
+    alpha = family.alpha
     k_trunc = max(4, math.ceil(12 * math.log(10) / math.log(alpha)))
-    out = np.zeros(size) if size is not None else 0.0
+    out = np.zeros(1 if size is None else size)
     for k in range(k_trunc + 1):
-        draw = family.base_mean * rng.standard_exponential(size)
-        out = out + alpha ** -k * draw
-    return out
+        out += alpha ** -k * (0.5 * rng.standard_exponential(out.shape))
+    return float(out[0]) if size is None else out
 
 
 def _partial_sum_terms(n: int) -> tuple[np.ndarray, np.ndarray]:

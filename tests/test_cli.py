@@ -168,6 +168,15 @@ def test_simulate_usage_errors(tmp_path):
     assert run(tmp_path, "simulate", "--n-grid", "64:16:x4")[0] == 2
 
 
+@pytest.mark.parametrize("alpha", ["1.0", "nan"])
+def test_simulate_bad_alpha_one_error_line(tmp_path, capsys, alpha):
+    code, _ = run(tmp_path, "simulate", "--alpha", alpha)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "alpha" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_converge_tv_small_grid(tmp_path):
     code, data = run(tmp_path, "converge", "--kind", "tv",
                      "--n-grid", "16:4096:x4")

@@ -5,7 +5,6 @@ import pytest
 
 from renewal_dst import (
     GeometricDst,
-    GrowthRate,
     IntPmf,
     ScaledBase,
     geometric_pmf,
@@ -22,14 +21,15 @@ def geometric_reference(k, j_max):
     return IntPmf(1, masses, truncation=max(0.0, 1.0 - masses.sum()))
 
 
-def test_growth_rate_requires_alpha_above_one():
-    with pytest.raises(ValueError):
-        GrowthRate(1.0)
-    with pytest.raises(ValueError):
-        GrowthRate(0.5)
-    with pytest.raises(ValueError):
-        GrowthRate(math.inf)
-    assert GrowthRate(1.5).alpha == 1.5
+@pytest.mark.parametrize("alpha", [1.0, 0.5, math.inf, math.nan])
+def test_scaled_base_rejects_alpha_outside_one_to_inf(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        ScaledBase(alpha)
+
+
+def test_family_alpha():
+    assert ScaledBase(1.5).alpha == 1.5
+    assert GeometricDst().alpha == 2.0
 
 
 def test_geometric_pmf_values():
@@ -82,7 +82,7 @@ def test_sampling_is_bit_reproducible():
 
 
 def test_scaled_base_sampling_mean():
-    fam = ScaledBase(GrowthRate(2.0), base_mean=0.5)
+    fam = ScaledBase(2.0)
     rng = stream_rng(20070201, 26)
     draws = sample_lifetime(fam, 4, rng, size=200000)
     se = draws.std() / math.sqrt(draws.size)

@@ -137,8 +137,13 @@ def test_q_mean_shifts_by_one_with_eta():
     assert m1 - m0 == pytest.approx(1.0, abs=1e-10)
 
 
-def test_sample_s_infinity_moments():
-    s = sample_s_infinity(stream_rng(20070201, 11), 64, size=10 ** 6)
+@pytest.fixture(scope="module")
+def s_infinity_draws():
+    return sample_s_infinity(stream_rng(20070201, 11), 64, size=10 ** 6)
+
+
+def test_sample_s_infinity_moments(s_infinity_draws):
+    s = s_infinity_draws
     n = s.size
     mean_se = s.std() / math.sqrt(n)
     assert abs(s.mean() - 1.0) <= 4 * mean_se
@@ -146,8 +151,8 @@ def test_sample_s_infinity_moments():
     assert abs(s.var() - 1.0 / 3.0) <= 4 * var_se
 
 
-def test_sample_s_infinity_matches_cdf():
-    s = sample_s_infinity(stream_rng(20070201, 11), 64, size=10 ** 6)
+def test_sample_s_infinity_matches_cdf(s_infinity_draws):
+    s = s_infinity_draws
     ks = ks_discrete_vs_continuous(*empirical_cdf_jumps(s), s_infinity_cdf)
     assert ks <= 0.002
 

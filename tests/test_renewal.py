@@ -9,7 +9,6 @@ import pytest
 import renewal_dst
 from renewal_dst import (
     GeometricDst,
-    GrowthRate,
     IntPmf,
     ScaledBase,
     centered_count_distribution,
@@ -245,9 +244,9 @@ def test_scaled_sum_converges_to_limit_cdf():
 
 
 def test_sample_scaled_limit_general_alpha_mean():
-    fam = ScaledBase(GrowthRate(3.0), base_mean=0.5)
+    fam = ScaledBase(3.0)
     draws = sample_scaled_limit(fam, stream_rng(11, 2), size=200000)
-    target = 0.5 * 3.0 / 2.0  # base_mean * alpha/(alpha-1)
+    target = 0.5 * 3.0 / 2.0  # base mean 1/2 times alpha/(alpha-1)
     se = draws.std() / math.sqrt(draws.size)
     assert abs(draws.mean() - target) <= 5 * se
 
