@@ -5,12 +5,14 @@ first empty node on the path; the tree never compares key values, only bits.
 A probe walks the same path without mutating, which is how the depth process
 along a fixed direction is read off one built tree.
 
-``Dst`` is the node-by-node reference. ``simulate_insertion_depth`` builds
-many random trees without it: in a DST the node for an l-bit prefix holds the
-earliest-inserted key with that prefix that no shallower node took, so after
-sorting each replicate's keys by value the trees grow level by level, every
-level a few array operations over a chunk of replicates. Chunks hold at most
-2^16 keys, so the simulator's memory does not grow with the replicate count.
+``Dst`` is the node-by-node reference. ``simulate_insertion_depth`` builds no
+tree; it reads the depth off the keys on the probe's path by a record scan.
+With nodes 0..d-1 of that path filled, the next key sharing at least d
+leading bits with the probe takes node d, and any other key leaves the path
+above it; so over the keys in insertion order, ``depth += shared >= depth``
+ends at the probe's depth. A key runs out of bits only below an earlier key
+with the same first ``bit_budget`` bits, so one sort of the key prefixes
+screens each replicate, and only flagged ones scan again, for those keys.
 """
 
 from __future__ import annotations
@@ -183,65 +185,51 @@ def load_corpus(path) -> list[tuple[str, str]]:
         return parse_corpus(fh.read())
 
 
-def _prefix_differs(a: np.ndarray, b: np.ndarray, level: int) -> np.ndarray:
-    """Whether the rows of ``a`` and ``b``, keys as uint64 words most
-    significant first, differ within their first ``level`` bits."""
-    out = np.zeros(len(a), dtype=bool)
-    for w in range(min(a.shape[1], -(-level // 64))):
-        x = a[:, w] ^ b[:, w]
-        tail = 64 * (w + 1) - level  # bits of word w below the prefix
-        if tail > 0:
-            x = x >> np.uint64(tail)
-        out |= x != 0
-    return out
+# Leading zero bits of every 16-bit value, 16 for zero.
+_LEADING_ZEROS_16 = (16 - np.frexp(np.arange(2.0 ** 16))[1]).astype(np.uint8)
 
 
-def _chunk_depths(keys: np.ndarray, bit_budget: int,
-                  probe_limit: int) -> np.ndarray:
-    """Depth of the last key in each replicate of a chunk, or -1 where a
-    key runs out of bits first.
+def _shared_bits(x: np.ndarray) -> np.ndarray:
+    """Leading zero bits of ``x``, uint64 words along the last axis, most
+    significant first: for two keys' XOR, their common-prefix length. Bits
+    are read 16 at a time, past the first 16 only where all so far were 0."""
+    flat = x.reshape(-1, x.shape[-1])
+    out = _LEADING_ZEROS_16[(flat[:, 0] >> np.uint64(48)).view(np.int64)]
+    out = out.astype(np.int64)
+    rows = np.flatnonzero(out == 16)
+    for digit in range(1, 4 * flat.shape[1]):
+        word, k = divmod(digit, 4)
+        bits = flat[rows, word] >> np.uint64(48 - 16 * k) & np.uint64(0xFFFF)
+        out[rows] += _LEADING_ZEROS_16[bits.view(np.int64)]
+        rows = rows[out[rows] == 16 * (digit + 1)]
+    return out.reshape(x.shape[:-1])
 
-    ``keys`` is (c, n+1, words): each replicate's keys in insertion order,
-    the probe last. The first n keys may take nodes down to level
-    ``bit_budget``; the probe may descend to level ``probe_limit``.
 
-    The node for an l-bit prefix holds the earliest-inserted key among those
-    with that prefix that no shallower node took. With each replicate's keys
-    sorted by value, those keys form one contiguous run, so every level is a
-    handful of array operations: find the runs, place each run's key of
-    least insertion index, drop the placed keys. The probe, inserted last,
-    is placed at the first level where no other key in play shares its
-    prefix.
-    """
-    c, n_all, words = keys.shape
-    probe = n_all - 1
-    order = np.lexsort(keys[..., ::-1].transpose(2, 0, 1), axis=-1)
-    key = np.take_along_axis(keys, order[..., None], axis=1).reshape(
-        c * n_all, words)
-    idx = order.ravel()
-    rep = np.repeat(np.arange(c), n_all)
-    depth = np.full(c, -1, dtype=np.int64)
-    dropped = np.zeros(c, dtype=bool)
-    level = 0
-    while rep.size:
-        start = np.empty(rep.size, dtype=bool)
-        start[0] = True
-        start[1:] = rep[1:] != rep[:-1]
-        start[1:] |= _prefix_differs(key[1:], key[:-1], level)
-        runs = np.flatnonzero(start)
-        first = np.minimum.reduceat(idx, runs)
-        placed = idx == np.repeat(first, np.diff(runs, append=rep.size))
-        depth[rep[placed & (idx == probe)]] = level
-        keep = ~placed
-        if level >= min(bit_budget, probe_limit):
-            stuck = keep & np.where(idx == probe, level >= probe_limit,
-                                    level >= bit_budget)
-            dropped[rep[stuck]] = True
-            keep &= ~dropped[rep]
-        rep, idx, key = rep[keep], idx[keep], key[keep]
-        level += 1
-    depth[dropped] = -1
+def _record_scan(depth: np.ndarray, shared_rows) -> np.ndarray:
+    """Add to ``depth`` the path nodes the keys fill, key by key in insertion
+    order: ``shared_rows`` holds the bits each key shares with each target,
+    -1 where the key does not come before it (see the module docstring)."""
+    for shared in shared_rows:
+        depth += shared >= depth
     return depth
+
+
+def _exhausts_budget(keys: np.ndarray, shift: np.uint64,
+                     bit_budget: int) -> np.ndarray:
+    """Whether some key of each replicate, (c, n, words) in insertion order,
+    lands deeper than ``bit_budget``. Only a key whose prefix
+    ``keys[..., 0] >> shift`` repeats an earlier key's can, so each of those
+    is scanned against the keys before it."""
+    prefix = keys[..., 0] >> shift
+    order = np.argsort(prefix, axis=1, kind="stable")
+    ranked = np.take_along_axis(prefix, order, axis=1)
+    rep, pos = np.nonzero(ranked[:, 1:] == ranked[:, :-1])
+    key = order[rep, pos + 1]
+    bits = keys[rep, key]
+    rows = (np.where(key > i, _shared_bits(keys[rep, i] ^ bits), -1)
+            for i in range(keys.shape[1]))
+    deep = _record_scan(np.zeros(len(key), dtype=np.int64), rows) > bit_budget
+    return np.bincount(rep[deep], minlength=len(keys)) > 0
 
 
 def simulate_insertion_depth(n: int, replicates: int, bit_budget: int = 64,
@@ -249,18 +237,19 @@ def simulate_insertion_depth(n: int, replicates: int, bit_budget: int = 64,
                              probe_bits: str | None = None) -> IntPmf:
     """Empirical law of the insertion depth of key n+1 under uniform keys.
 
-    Each replicate builds a fresh tree from n random keys (each key is
-    ``bit_budget`` independent fair coins) and records the depth at which one
-    more key would be inserted. With ``probe_bits`` the extra key is a fixed
-    direction probed without inserting; the law is the same either way.
-    Replicates where any key exhausts its bit budget are dropped and counted
-    in the returned pmf's ``truncation``.
+    Each replicate draws n random keys (each key is ``bit_budget``
+    independent fair coins) and records the depth at which one more key
+    would be inserted into their tree. With ``probe_bits`` the extra key is
+    a fixed direction probed without inserting; the law is the same either
+    way. Replicates where any key exhausts its bit budget are dropped and
+    counted in the returned pmf's ``truncation``.
 
-    Replicates run in chunks of at most ``_SIM_BATCH`` keys, so memory is
-    O(chunk) whatever ``replicates`` is. Within a chunk the trees are built
-    level by level for all replicates at once (see ``_chunk_depths``); the
-    keys are drawn replicate-major as (chunk, keys, words) uint64 arrays, so
-    the Philox stream is consumed exactly as one replicate at a time would.
+    No tree is built: the depth is the record scan of the module docstring,
+    O(n) per replicate, and a sort of key prefixes screens for replicates
+    that may drop (``_exhausts_budget`` settles those). Chunks of at most
+    ``_SIM_BATCH`` keys keep memory O(chunk) whatever ``replicates`` is; keys
+    are drawn replicate-major as (chunk, keys, words) uint64 arrays, so the
+    Philox stream is consumed exactly as one replicate at a time would.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -278,26 +267,34 @@ def simulate_insertion_depth(n: int, replicates: int, bit_budget: int = 64,
     words = (bit_budget + 63) // 64
     n_keys = n if probe_bits is not None else n + 1
     if probe_bits is not None:
-        # Probe bits past the keys' 64 * words are never read: every other
-        # key has left the probe's run by level bit_budget <= 64 * words.
-        padded = probe_bits[:64 * words].ljust(64 * words, "0")
-        fixed = np.array([int(padded[64 * w:64 * (w + 1)], 2)
-                          for w in range(words)], dtype=np.uint64)
+        # A kept replicate reads at most the probe's first bit_budget bits: a
+        # key sharing more would pass the probe's node at that depth and run
+        # out of bits.
+        padded = int(probe_bits[:64 * words].ljust(64 * words, "0"), 2)
+        probe = np.frombuffer(padded.to_bytes(8 * words, "big"), ">u8")
         probe_limit = len(probe_bits)
     else:
         probe_limit = bit_budget
+    # Screening on the first word flags more replicates than drop, not fewer.
+    screen_shift = np.uint64(64 - min(bit_budget, 64))
 
     chunk = max(1, _SIM_BATCH // max(n_keys, 1))
     depths = []
     for done in range(0, replicates, chunk):
-        keys = rng.integers(0, 2 ** 64,
-                            size=(min(chunk, replicates - done), n_keys,
-                                  words),
-                            dtype=np.uint64)
-        if probe_bits is not None:
-            keys = np.concatenate(
-                [keys, np.broadcast_to(fixed, (len(keys), 1, words))], axis=1)
-        depths.append(_chunk_depths(keys, bit_budget, probe_limit))
+        size = (min(chunk, replicates - done), n_keys, words)
+        keys = rng.integers(0, 2 ** 64, size=size, dtype=np.uint64)
+        if probe_bits is None:
+            probe = keys[:, n:]
+        path = np.ascontiguousarray(_shared_bits(keys[:, :n] ^ probe).T)
+        depth = _record_scan(np.zeros(len(keys), dtype=np.int64), path)
+        drop = depth > probe_limit
+        prefix = np.sort(keys[:, :n, 0] >> screen_shift, axis=1)
+        flagged = np.flatnonzero((prefix[:, 1:] == prefix[:, :-1]).any(1))
+        if flagged.size:
+            drop[flagged] |= _exhausts_budget(keys[flagged, :n],
+                                              screen_shift, bit_budget)
+        depth[drop] = -1
+        depths.append(depth)
     depths = np.concatenate(depths)
     kept = depths[depths >= 0]
     if kept.size == 0:

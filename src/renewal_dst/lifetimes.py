@@ -20,6 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The most terms sample_scaled_limit may sum per draw. It bounds alpha below:
+# at alpha = 1.0001 the series would need 276,325 terms, minutes per row.
+MAX_LIMIT_TERMS = 1000
+
 
 @dataclass(frozen=True)
 class GeometricDst:
@@ -35,9 +39,18 @@ class ScaledBase:
     alpha: float
 
     def __post_init__(self):
-        if not 1.0 < self.alpha < math.inf:
+        if not (1.0 < self.alpha < math.inf
+                and self.limit_terms <= MAX_LIMIT_TERMS):
             raise ValueError(
-                f"alpha must lie in (1, inf), got {self.alpha!r}")
+                f"alpha must lie in (1, inf) and need at most "
+                f"{MAX_LIMIT_TERMS} series terms (alpha >= about 1.028), "
+                f"got {self.alpha!r}")
+
+    @property
+    def limit_terms(self) -> int:
+        """Terms past the first that ``sample_scaled_limit`` sums: enough
+        that the remainder's mean is below 1e-12 of the base mean."""
+        return max(4, math.ceil(12 * math.log(10) / math.log(self.alpha)))
 
 
 def geometric_pmf(k: int, j: int) -> float:

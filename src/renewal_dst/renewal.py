@@ -154,11 +154,9 @@ def sample_scaled_limit(family: ScaledBase, rng: np.random.Generator,
     array draws take the same path and the same stream; at alpha = 2 the
     draws equal ``limit_law.sample_s_infinity(rng, 41, size)``.
     """
-    alpha = family.alpha
-    k_trunc = max(4, math.ceil(12 * math.log(10) / math.log(alpha)))
     out = np.zeros(1 if size is None else size)
-    for k in range(k_trunc + 1):
-        out += alpha ** -k * (0.5 * rng.standard_exponential(out.shape))
+    for k in range(family.limit_terms + 1):
+        out += family.alpha ** -k * (0.5 * rng.standard_exponential(out.shape))
     return float(out[0]) if size is None else out
 
 

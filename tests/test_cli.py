@@ -168,7 +168,8 @@ def test_simulate_usage_errors(tmp_path):
     assert run(tmp_path, "simulate", "--n-grid", "64:16:x4")[0] == 2
 
 
-@pytest.mark.parametrize("alpha", ["1.0", "nan"])
+# 1.0001 would need 276,325 series terms per draw: refused before any draw
+@pytest.mark.parametrize("alpha", ["1.0", "nan", "1.0001"])
 def test_simulate_bad_alpha_one_error_line(tmp_path, capsys, alpha):
     code, _ = run(tmp_path, "simulate", "--alpha", alpha)
     assert code == 2

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renewal_dst import (
@@ -284,3 +284,79 @@ def test_deep_trees_match_dst_oracle(monkeypatch, budget, probe):
         _assert_matches_oracle(
             n, 30, budget,
             lambda: _MaskedRng(stream_rng(budget, n), mask), probe)
+
+
+class _ScriptedRng:
+    """A generator whose integer draws replay given keys, row by row, in
+    whatever (..., words) shape is asked for."""
+
+    def __init__(self, rows):
+        self._rows = rows
+        self._next = 0
+
+    def integers(self, low, high, size, dtype):
+        count = math.prod(size[:-1])
+        out = self._rows[self._next:self._next + count]
+        self._next += count
+        return out.reshape(size)
+
+
+@st.composite
+def _shared_prefix_replicates(draw):
+    """Replicates of keys that start with a few prefixes of one path, so
+    trees chain down and exhaust small budgets; budgets past 64 span two
+    words."""
+    n = draw(st.integers(0, 40))
+    budget = draw(st.integers(1, 6) | st.integers(1, 70)
+                  | st.integers(62, 70))
+    words = (budget + 63) // 64
+    # prefixes of one path, so keys line up along it, each a little deeper
+    path = draw(st.text("01", min_size=budget + 2, max_size=budget + 2))
+    stems = [path[:k] for k in draw(st.lists(st.integers(0, budget + 2),
+                                             min_size=1, max_size=4))]
+    probe = draw(st.none() | st.sampled_from(stems).map(lambda s: s + "1")
+                 | st.text("01", min_size=1, max_size=70))
+    n_keys = n if probe is not None else n + 1
+    replicates = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(replicates * n_keys):
+        stem = draw(st.sampled_from(stems))[:64 * words]
+        tail = draw(st.integers(0, 2 ** (64 * words - len(stem)) - 1))
+        key = (int(stem, 2) if stem else 0) << (64 * words - len(stem)) | tail
+        rows.append([key >> (64 * (words - 1 - w)) & (2 ** 64 - 1)
+                     for w in range(words)])
+    rows = np.array(rows, dtype=np.uint64).reshape(-1, words)
+    return n, budget, probe, replicates, rows
+
+
+# Only the last of the keys starting 00 runs out of bits: the depth-2 node
+# on its path fills just before it arrives.
+_LAST_KEY_DROPS = (4, 2, "1", 1, np.array(
+    [[int(k.ljust(64, "0"), 2)] for k in ("00", "01", "001", "0001")],
+    dtype=np.uint64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_shared_prefix_replicates(), batch=st.sampled_from([None, 5]))
+@example(case=_LAST_KEY_DROPS, batch=None)
+def test_record_scan_matches_dst_per_replicate(case, batch):
+    n, budget, probe, replicates, rows = case
+    per_rep = len(rows) // replicates
+    with pytest.MonkeyPatch.context() as mp:
+        if batch is not None:
+            mp.setattr("renewal_dst.dst._SIM_BATCH", batch)
+        # each replicate alone: its depth, or its drop
+        for r in range(replicates):
+            mine = rows[r * per_rep:(r + 1) * per_rep]
+            want = _oracle_depths(n, 1, budget, _ScriptedRng(mine), probe)[0]
+            if want < 0:
+                with pytest.raises(InsufficientBitsError):
+                    simulate_insertion_depth(n, 1, budget,
+                                             _ScriptedRng(mine), probe)
+            else:
+                emp = simulate_insertion_depth(n, 1, budget,
+                                               _ScriptedRng(mine), probe)
+                assert dict(emp.items()) == {want: 1.0}
+        # and all of them in one call
+        _assert_matches_oracle(n, replicates, budget,
+                               lambda: _ScriptedRng(rows), probe)

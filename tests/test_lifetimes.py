@@ -27,6 +27,13 @@ def test_scaled_base_rejects_alpha_outside_one_to_inf(alpha):
         ScaledBase(alpha)
 
 
+def test_scaled_base_rejects_alpha_needing_over_1000_terms():
+    for alpha in (1.0001, 1.028):
+        with pytest.raises(ValueError, match="alpha"):
+            ScaledBase(alpha)
+    assert ScaledBase(1.0281).limit_terms <= 1000
+
+
 def test_family_alpha():
     assert ScaledBase(1.5).alpha == 1.5
     assert GeometricDst().alpha == 2.0

@@ -22,6 +22,7 @@ from renewal_dst import (
     sample_s_infinity,
 )
 from renewal_dst.limit_law import _cdf_terms, _sf_terms
+from renewal_dst.metrics import limit_pmf_window
 from renewal_dst.rng import stream_rng
 
 
@@ -135,6 +136,27 @@ def test_q_mean_shifts_by_one_with_eta():
     m0 = math.fsum(j * q_pmf(0.0, j) for j in range(-30, 60))
     m1 = math.fsum(j * q_pmf(1.0, j) for j in range(-30, 60))
     assert m1 - m0 == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.125, 0.25, 0.5, 0.75, 0.9])
+def test_q_mean_matches_mellin_fourier_form(eta):
+    # At s = chi_m = 2 pi i m / ln 2 every 2^(k s) is 1, so
+    # E[S^(-chi_m)] = Gamma(1 - chi_m) with no series, and the Fourier
+    # series of floor() gives E[Q_eta] = eta + gamma/ln 2 + 1/2 - alpha_EB
+    # + sum_m Im(e^(2 pi i m eta) Gamma(1 - chi_m)) / (pi m), where
+    # alpha_EB = sum_k 1/(2^k - 1) is the Erdos-Borwein constant.
+    mp = pytest.importorskip("mpmath")
+    lo, masses, _ = limit_pmf_window(eta, -40, 60)
+    mean = math.fsum((lo + i) * m for i, m in enumerate(masses))
+    with mp.workdps(40):
+        ln2 = mp.log(2)
+        alpha_eb = mp.nsum(lambda k: 1 / (2 ** k - 1), [1, mp.inf])
+        wobble = mp.fsum(
+            mp.im(mp.expjpi(2 * m * mp.mpf(eta))
+                  * mp.gamma(1 - 2j * mp.pi * m / ln2)) / (mp.pi * m)
+            for m in range(1, 6))
+        want = mp.mpf(eta) + mp.euler / ln2 + 0.5 - alpha_eb + wobble
+    assert mean == pytest.approx(float(want), rel=0, abs=1e-14)
 
 
 @pytest.fixture(scope="module")
