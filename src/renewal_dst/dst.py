@@ -29,9 +29,10 @@ from .rng import stream_rng
 _KNUTH_BITS = ("0110", "1011", "0011", "0010", "0100",
                "0111", "0011", "1011", "0001", "0100")
 
-# Keys per chunk of replicates in simulate_insertion_depth; bounds its
-# memory whatever the replicate count.
+# Keys per chunk of replicates in simulate_insertion_depth, and keys that
+# _exhausts_budget compares with every scanned key per numpy pass.
 _SIM_BATCH = 2 ** 16
+_SCAN_BLOCK = 32
 
 
 class InsufficientBitsError(ValueError):
@@ -217,19 +218,29 @@ def _record_scan(depth: np.ndarray, shared_rows) -> np.ndarray:
 def _exhausts_budget(keys: np.ndarray, shift: np.uint64,
                      bit_budget: int) -> np.ndarray:
     """Whether some key of each replicate, (c, n, words) in insertion order,
-    lands deeper than ``bit_budget``. Only a key whose prefix
-    ``keys[..., 0] >> shift`` repeats an earlier key's can, so each of those
-    is scanned against the keys before it."""
+    lands deeper than b = ``bit_budget``. Only a key whose prefix
+    ``keys[..., 0] >> shift`` repeats an earlier key's can. For b <= 64 only
+    the last of each run of equal prefixes is scanned: a key of the run
+    drops exactly when the nodes at depths 0..b on their shared b-bit path
+    are all filled before it comes, and nodes stay filled, so the last drops
+    whenever an earlier one does. Past 64 bits equal first words need not
+    mean equal b-bit prefixes, so every repeated key is scanned."""
     prefix = keys[..., 0] >> shift
     order = np.argsort(prefix, axis=1, kind="stable")
     ranked = np.take_along_axis(prefix, order, axis=1)
-    rep, pos = np.nonzero(ranked[:, 1:] == ranked[:, :-1])
+    repeat = ranked[:, 1:] == ranked[:, :-1]
+    if bit_budget <= 64:
+        repeat[:, :-1] &= ~repeat[:, 1:]    # the last key of each run
+    rep, pos = np.nonzero(repeat)
     key = order[rep, pos + 1]
     bits = keys[rep, key]
-    rows = (np.where(key > i, _shared_bits(keys[rep, i] ^ bits), -1)
-            for i in range(keys.shape[1]))
-    deep = _record_scan(np.zeros(len(key), dtype=np.int64), rows) > bit_budget
-    return np.bincount(rep[deep], minlength=len(keys)) > 0
+    depth = np.zeros(len(key), dtype=np.int64)
+    for i in range(0, keys.shape[1], _SCAN_BLOCK):
+        cols = np.arange(i, min(i + _SCAN_BLOCK, keys.shape[1]))[:, None]
+        shared = _shared_bits(keys[rep, cols] ^ bits)
+        shared[cols >= key] = -1
+        _record_scan(depth, shared)
+    return np.bincount(rep[depth > bit_budget], minlength=len(keys)) > 0
 
 
 def simulate_insertion_depth(n: int, replicates: int, bit_budget: int = 64,
@@ -261,6 +272,8 @@ def simulate_insertion_depth(n: int, replicates: int, bit_budget: int = 64,
         _check_bits(probe_bits)
         if not probe_bits:
             raise ValueError("probe_bits must be nonempty")
+    if n >= 2 ** (bit_budget + 1):  # n > the nodes of depth <= bit_budget
+        raise InsufficientBitsError("probe", bit_budget)
     if rng is None:
         rng = stream_rng()
 

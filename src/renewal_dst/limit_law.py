@@ -259,50 +259,36 @@ def sample_s_infinity(rng: np.random.Generator, k_trunc: int = 64,
     return float(out[0]) if size is None else out
 
 
-_HEAD_TERMS = 14        # terms every draw of sample_q sums
-_SERIES_TERMS = 64      # terms a draw near a floor boundary sums
-_GAP = 40.0 * 2.0 ** -_HEAD_TERMS   # the rest exceeds it w.p. <= P(S > 40)
+# sample_q's table spans j = _Q_LO.._Q_HI - 1: at every eta, P(Q_eta < _Q_LO)
+# <= q_cdf(0, -6) ~ 5.6e-28 and P(Q_eta > _Q_HI) <= q_tail(1, 11) ~ 2.9e-23.
+_Q_LO, _Q_HI = -5, 10
 
 
-def _floor_q(eta: float, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """floor(eta - log2 s) written into out, which may be s itself."""
-    np.log2(s, out=out)
-    np.subtract(eta, out, out=out)
-    return np.floor(out, out=out)
+def _q_table(eta: float) -> np.ndarray:
+    """C_j = q_cdf(eta, j) for j = _Q_LO.._Q_HI - 1, checked nondecreasing."""
+    table = np.array([q_cdf(eta, j) for j in range(_Q_LO, _Q_HI)])
+    if np.any(table[1:] < table[:-1]):
+        raise RuntimeError(f"q_cdf({eta!r}, .) is not monotone")
+    return table
 
 
 def sample_q(eta: float, rng: np.random.Generator, size: int | None = None):
-    """Draw floor(-log2 S + eta) for S summed over its first 64 terms.
+    """Draw Q_eta = floor(-log2 S + eta) by inverting its CDF.
 
-    Head: every draw sums the first 14 terms, s = sample_s_infinity(rng, 14,
-    size). Gap: the remaining terms sum to R = sum_{k=15}^{64} 2^(-k) Z_k
-    <= 2^(-14) S' with S' distributed as S, so R < 40 * 2^(-14) except with
-    probability P(S > 40) = s_infinity_sf(40) ~ 6.2e-35 per draw. Where
-    floor(eta - log2 s) equals floor(eta - log2(s + 40 * 2^(-14))), no such
-    R moves the floor and the draw is final. Completion: the other draws,
-    about 0.5% of them, lie near a boundary 2^(eta - m); they draw their
-    terms 15..64 in one (50, m) block, add them in order and take the floor
-    again. The law is the 64-term law up to that 6.2e-35 per draw, but the
-    completed draws use other stream values than a plain 64-term sum, so
-    seeded outputs differ from such a sum at some of them. size=None returns
-    an int; eta = 1 goes through the translate identity.
+    One uniform per draw, v = 1 - rng.random() in {k 2^-53 : 1 <= k <= 2^53},
+    returns the j with C_{j-1} < v <= C_j in the table C of _q_table. So
+    atom j has probability 2^-53 times the count of grid points in
+    (C_{j-1}, C_j]: within 2^-53 of C_j - C_{j-1}, which carries q_cdf's
+    error (at most 8.9e-16 abs against mpmath over eta = 0, 0.01, ..., 1),
+    and the window's ends take the mass beyond it, under 2^-64. Atoms with
+    C_j < 2^-53 are never drawn; from 1/2 up, where the C_j lie on the grid,
+    each atom has exactly C_j - C_{j-1}. size=None returns an int; eta = 1
+    is the eta = 0 draw plus one (the translate identity).
     """
     _check_eta(eta)
     if eta == 1.0:
         return sample_q(0.0, rng, size) + 1
-    s = sample_s_infinity(rng, _HEAD_TERMS, 1 if size is None else size)
-    v = _floor_q(eta, s, np.empty_like(s))
-    moved = s + _GAP
-    _floor_q(eta, moved, moved)
-    moved -= v              # nonzero where the rest could move the floor
-    near = np.flatnonzero(moved)
-    del moved
-    if near.size:
-        tail = s.reshape(-1)[near]
-        rest = rng.standard_exponential(
-            (_SERIES_TERMS - _HEAD_TERMS, near.size))
-        for k, z in enumerate(rest, start=_HEAD_TERMS + 1):
-            tail += 2.0 ** -k * z
-        v.reshape(-1)[near] = _floor_q(eta, tail, tail)
-    del s                   # keeps the int64 copy within a peak of 3 arrays
-    return int(v[0]) if size is None else v.astype(np.int64)
+    v = 1.0 - rng.random(1 if size is None else size)
+    q = np.searchsorted(_q_table(eta), v, side="left")
+    q += _Q_LO
+    return int(q[0]) if size is None else q.astype(np.int64, copy=False)

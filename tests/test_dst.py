@@ -161,9 +161,12 @@ def test_simulated_depth_reports_budget_exhaustion():
     emp = simulate_insertion_depth(5, 500, 3, stream_rng(1, 1))
     assert 0 < emp.truncation < 1
     assert emp.total() == pytest.approx(1 - emp.truncation, abs=1e-12)
-    # 20 keys can never fit under a 3-bit budget: every replicate drops
+    # 20 keys can never fit under a 3-bit budget: every replicate drops,
+    # which is known before any key is drawn
+    rng = stream_rng(1, 2)
     with pytest.raises(InsufficientBitsError):
-        simulate_insertion_depth(20, 50, 3, stream_rng(1, 2))
+        simulate_insertion_depth(20, 50, 3, rng)
+    assert rng.random() == stream_rng(1, 2).random()
 
 
 def test_simulated_depth_reproducible():
@@ -345,6 +348,7 @@ def test_record_scan_matches_dst_per_replicate(case, batch):
     with pytest.MonkeyPatch.context() as mp:
         if batch is not None:
             mp.setattr("renewal_dst.dst._SIM_BATCH", batch)
+            mp.setattr("renewal_dst.dst._SCAN_BLOCK", 3)
         # each replicate alone: its depth, or its drop
         for r in range(replicates):
             mine = rows[r * per_rep:(r + 1) * per_rep]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renewal_dst import (
+    IntPmf,
     empirical_cdf_jumps,
     euler_b,
     exp_convolution_cdf,
@@ -21,8 +22,8 @@ from renewal_dst import (
     sample_q,
     sample_s_infinity,
 )
-from renewal_dst.limit_law import _cdf_terms, _sf_terms
-from renewal_dst.metrics import limit_pmf_window
+from renewal_dst.limit_law import _Q_HI, _Q_LO, _cdf_terms, _q_table, _sf_terms
+from renewal_dst.metrics import limit_pmf_window, tv_vs_limit
 from renewal_dst.rng import stream_rng
 
 
@@ -219,36 +220,47 @@ def test_sample_q_shapes_match_flat_draws(size):
     assert np.array_equal(q.reshape(-1), flat)
 
 
-def _sample_q_64_terms(eta, rng, size):
-    """Reference sampler: each draw sums all 64 terms, then takes the floor."""
-    out = np.zeros(size)
-    for k in range(1, 65):
-        out += 2.0 ** -k * rng.standard_exponential(size)
-    return np.floor(-np.log2(out) + eta).astype(np.int64)
+def _mp_q_cdf(eta, j):
+    """P(Q_eta <= j) = P(S > 2^(eta - 1 - j)) from the mpmath law."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        return _mp_law(mp.mpf(2) ** (mp.mpf(eta) - 1 - j))[1]
 
 
 @pytest.mark.parametrize("seed, stream, eta", [
     (20070201, 12, 0.0), (20070201, 13, 0.5), (11, 3, 0.999), (5, 7, 0.25)])
-def test_sample_q_differs_from_64_term_sum_only_near_boundaries(
-        seed, stream, eta):
+def test_sample_q_inverts_the_mpmath_cdf(seed, stream, eta):
+    cdf = {j: _mp_q_cdf(eta, j) for j in range(_Q_LO - 2, _Q_HI + 2)}
+    table = _q_table(eta)
+    assert len(table) == _Q_HI - _Q_LO
+    for j, c in zip(range(_Q_LO, _Q_HI), table):
+        assert abs(c - float(cdf[j])) <= 4.5e-16, (eta, j)
     size = 10 ** 6
-    new = sample_q(eta, stream_rng(seed, stream), size=size)
-    ref = _sample_q_64_terms(eta, stream_rng(seed, stream), size)
-    s = sample_s_infinity(stream_rng(seed, stream), 14, size=size)
-    head = np.floor(eta - np.log2(s))
-    near = head != np.floor(eta - np.log2(s + 40 * 2.0 ** -14))
-    assert np.count_nonzero(near) <= size // 100
-    assert np.all(near[new != ref])
-    assert np.all(near[new != head])
-    # the completed terms move as many draws off the head floor as ref's do
-    moved = np.count_nonzero(new != head)
-    ref_moved = np.count_nonzero(ref != head)
-    assert moved > 0
-    assert abs(moved - ref_moved) <= 4 * math.sqrt(moved + ref_moved)
+    values, counts = np.unique(sample_q(eta, stream_rng(seed, stream), size),
+                               return_counts=True)
+    got = dict(zip(values.tolist(), counts.tolist()))
+    assert set(got) <= set(range(_Q_LO - 1, _Q_HI + 2))
+    for j in range(_Q_LO - 1, _Q_HI + 2):
+        p = float(cdf[j] - cdf[j - 1])
+        se = math.sqrt(p * (1 - p) / size)
+        assert abs(got.get(j, 0) / size - p) <= 4 * se, (eta, j)
 
 
-def test_sample_q_gap_bound():
-    assert s_infinity_sf(40.0) < 1e-30
+def test_sample_q_window_tails_below_2_to_minus_64():
+    # q_cdf falls as eta grows, so eta = 0 holds the heaviest left tail and
+    # eta = 1 the heaviest right one; the window is the narrowest that fits.
+    mp = pytest.importorskip("mpmath")
+    tiny = mp.ldexp(1, -64)
+    assert _mp_q_cdf(0.0, _Q_LO - 1) < tiny <= _mp_q_cdf(0.0, _Q_LO)
+    assert 1 - _mp_q_cdf(1.0, _Q_HI) < tiny <= 1 - _mp_q_cdf(1.0, _Q_HI - 1)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+def test_s_infinity_draws_floor_to_q_eta(s_infinity_draws, eta):
+    # An independent sampled check of the Q_eta series: sample_q reads q_cdf.
+    qs = np.floor(eta - np.log2(s_infinity_draws)).astype(np.int64)
+    tv, _ = tv_vs_limit(IntPmf.from_samples(qs), eta)
+    assert tv <= 0.003, tv
 
 
 # ---- scalar series against reference loops and mpmath ----------------------

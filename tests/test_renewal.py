@@ -251,6 +251,22 @@ def test_sample_scaled_limit_general_alpha_mean():
     assert abs(draws.mean() - target) <= 5 * se
 
 
+@pytest.mark.parametrize("alpha, stream", [(3.0, 30), (5.0, 31)])
+def test_sample_scaled_limit_fourier_coefficient(alpha, stream):
+    # S = sum_k alpha^-k W_k has rates 2 alpha^k, and at chi = 2 pi i / ln
+    # alpha every (2 alpha^k)^chi is 2^chi, so E[S^-chi] = Gamma(1 - chi)
+    # 2^chi exactly. Its modulus is 7.5e-4 at alpha 3 (under one standard
+    # error here) and 1.1e-2 at alpha 5 (about ten).
+    mp = pytest.importorskip("mpmath")
+    s = sample_scaled_limit(ScaledBase(alpha), stream_rng(20070201, stream),
+                            size=10 ** 6)
+    chi = 2j * math.pi / math.log(alpha)
+    x = np.exp(-chi * np.log(s))
+    se = math.sqrt(np.mean(np.abs(x - x.mean()) ** 2) / x.size)
+    want = complex(mp.gamma(1 - chi) * mp.power(2, chi))
+    assert abs(x.mean() - want) <= 5 * se, (x.mean(), want)
+
+
 def test_ks_scaled_sum_degenerate_n1():
     ks, trunc = ks_scaled_sum_exact(1)
     f_half = s_infinity_cdf(0.5)
