@@ -13,9 +13,13 @@ operation multiplies and adds nonnegative numbers, so tiny tail masses keep
 their relative accuracy.
 The exact KS distance between 2^(-n) S_n and its limit uses closed forms
 instead: partial fractions write P(S_n > j) as a sum of geometric terms
-B_i q_i^(j-n+1) with exactly computed coefficients, the limit tail is the
-signed exponential mixture, and both are evaluated over consecutive jump
-points in fixed-size batches, one matrix product each.
+B_i q_i^(j-n+1) with exactly computed coefficients, and the limit tail is
+the signed exponential mixture. The largest gap over the jump points is
+found by a certified block search: blocks of jump points are split level
+by level, and a block is dropped once a bound on its gaps (the end values
+plus a second-derivative term, or the two tails' monotonicity), widened by
+twice an a priori float error bound r, falls to the incumbent maximum. It
+evaluates on the order of 2^(n/2) jump points instead of all 8 2^n.
 Everything else (general growth rates, sanity cross-checks) is seeded Monte
 Carlo.
 """
@@ -32,10 +36,10 @@ from .limit_law import mixture_coefficients, s_infinity_sf
 from .pmf import IntPmf
 
 MAX_EXACT_N = 2 ** 26      # time guard for the DP (~2 sqrt(n) block steps)
-MAX_EXACT_KS_N = 22        # time guard: the KS walks cap * 2^n jump points
+MAX_EXACT_KS_N = 22        # KS range: here the cap-8 tail (3.9e-7) passes KS
 _STATE_SLACK = 60          # levels above ceil(log2(n+1)) carry mass < 1e-300
-_KS_BATCH = 1 << 16        # jump points per KS batch; memory is O(batch)
-_KS_LADDER = 256           # consecutive powers per row of a batch's product
+_KS_SPLIT = 4              # sub-blocks per block at each KS search level
+_KS_CHUNK = 1 << 14        # exps per KS evaluation array; memory is O(chunk)
 
 
 def _chain_steps(p: np.ndarray, steps: int) -> np.ndarray:
@@ -161,12 +165,13 @@ def sample_scaled_limit(family: ScaledBase, rng: np.random.Generator,
 
 
 def _partial_sum_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B_i, log q_i), i = 2..n, with P(S_n > j) = sum_i B_i q_i^(j-n+1).
+    """(B_i, p_i), i = 2..n, with P(S_n > j) = sum_i B_i q_i^(j-n+1).
 
     S_n - n is a sum of independent Geom(p_i) - 1 with p_i = 2^(1-i) and
     q_i = 1 - p_i; partial fractions give B_i = prod_{l != i} p_l q_i /
     (p_l - p_i). Every difference of powers of two is exact, so the B_i do
-    not cancel: sum |B_i| < 8.3 and max |B_i| < 3.5 for every n.
+    not cancel: sum |B_i| < 8.3 and max |B_i| < 3.5 for every n. Each B_i
+    is n - 2 rounded quotients multiplied together: 2n - 4 roundings.
     """
     p = 2.0 ** (1 - np.arange(2, n + 1))
     q = 1.0 - p
@@ -174,23 +179,94 @@ def _partial_sum_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
     np.fill_diagonal(diff, 1.0)
     ratio = p * q[:, None] / diff
     np.fill_diagonal(ratio, 1.0)
-    return ratio.prod(axis=1), np.log1p(-p)
+    return ratio.prod(axis=1), p
 
 
-def _power_sums(coeffs: np.ndarray, logs: np.ndarray, start: int,
-                count: int) -> np.ndarray:
-    """sum_r coeffs[r] exp(logs[r] e) for e = start .. start + count - 1.
+def _gap_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(rates, shifts, weights, r) of the KS gap evaluator at n.
 
-    One matrix product: row m of ``starts`` holds the terms at
-    e = start + W m, the ladder holds exp(logs t) for t < W, so
-    (starts @ ladder.T)[m, t] is the sum at e = start + W m + t. Each term
-    keeps its relative accuracy; terms that underflow are 0.
+    Term i is exp((j - n) rates_i + shifts_i): q_i^(j-n) for the n - 1
+    partial-sum terms, then exp(-2^(k-n) j) for the 32 mixture terms. The
+    columns of ``weights`` (a_k; B_i q_i; B_i; |B_i| ln^2 q_i and
+    |a_k| 4^(k-n)) turn the terms into L(j), T(j), T(j - 1) and the
+    curvature bound M2(j) of ``ks_scaled_sum_exact``.
+
+    r bounds the float error of one gap |L - T| and of the block bound built
+    from such values. With eps = 2^-52 (a rounding is at most eps/2 of its
+    result), S_B = sum |B_i|, S_a = sum |a_k| and K = n + 31 terms, every
+    exp at most 1, the error of L(j) or T(j) has four sources:
+    - the rounding of the coefficients: B_i q_i carries 2n - 3 roundings,
+      at most n eps relative; a_k carries the 59 of b (whose truncated
+      factors are below eps/64) and k - 1 <= 31 quotients, below 46 eps;
+    - the exponent products: a partial-sum exponent x = (j - n) ln q_i is
+      rounded twice after log1p's 1 ulp, so exp(x) moves by at most
+      1.5 eps |x| e^(-|x|) <= 0.6 eps; the mixture exponents -2^(k-n) j are
+      exact, as powers of two times integers below 2^53;
+    - exp itself: two exps per term (at the block start and at the step),
+      each allowed 4 ulp (NumPy's is within 1), and two products: 9 eps;
+    - the summation of K terms in one matrix product: K/2 eps of sum |term|.
+    That gives S_B (n + 10 + K/2) eps + S_a (55 + K/2) eps; the subtraction
+    L - T adds eps/2. A block bound that can prune is at most 1, so its own
+    arithmetic (the sum M2, rounded like a value, times an exact width
+    factor, and the additions) adds at most (n + 60 + K/2) eps. r is the sum
+    of these, rounded up.
     """
-    rows = -(-count // _KS_LADDER)
-    starts = coeffs * np.exp(
-        np.multiply.outer(start + _KS_LADDER * np.arange(rows), logs))
-    ladder = np.exp(np.multiply.outer(np.arange(_KS_LADDER), logs))
-    return (starts @ ladder.T).ravel()[:count]
+    coeffs, p = _partial_sum_terms(n)
+    mix = np.array(mixture_coefficients())
+    sum_rates = np.log1p(-p)
+    mix_rates = -np.ldexp(1.0, np.arange(1, mix.size + 1) - n)  # -2^(k-n)
+    rates = np.concatenate((sum_rates, mix_rates))
+    shifts = np.concatenate((np.zeros(n - 1), n * mix_rates))
+    no_sum, no_mix = np.zeros(n - 1), np.zeros(mix.size)
+    weights = np.stack([np.concatenate(col) for col in (
+        (no_sum, mix),
+        (coeffs * (1.0 - p), no_mix),
+        (coeffs, no_mix),
+        (np.abs(coeffs), np.abs(mix)),
+    )], axis=1)
+    weights[:, 3] *= rates * rates
+    half_k = (n + 31) / 2
+    r = np.finfo(float).eps * (
+        np.abs(coeffs).sum() * (n + 10 + half_k)
+        + np.abs(mix).sum() * (55 + half_k) + n + 61 + half_k)
+    return rates, shifts, weights, float(r)
+
+
+def _gap_values(n: int, terms, starts: np.ndarray,
+                steps: np.ndarray) -> np.ndarray:
+    """[L(j), T(j), T(j - 1), M2(j)] at j = starts[m] + steps[t], (m, t, 4).
+
+    One exp per term at each start and one per term at each step; the
+    values are one matrix product of the two.
+    """
+    rates, shifts, weights, _ = terms
+    heads = np.exp(np.multiply.outer(starts - n, rates) + shifts)
+    rungs = (np.exp(np.multiply.outer(rates, steps))[:, :, None]
+             * weights[:, None, :])
+    return (heads @ rungs.reshape(rates.size, -1)).reshape(
+        starts.size, steps.size, 4)
+
+
+def _gap(values: np.ndarray) -> np.ndarray:
+    """max(|G+|, |G-|) = max(|L - T|, |L - T(. - 1)|) of ``_gap_values``."""
+    limit = values[..., 0]
+    return np.maximum(np.abs(limit - values[..., 1]),
+                      np.abs(limit - values[..., 2]))
+
+
+def _block_bound(lo: np.ndarray, hi: np.ndarray, width) -> np.ndarray:
+    """U >= max |G+(j)|, |G-(j)| over the integers j of [u, u + width].
+
+    ``lo`` and ``hi`` are ``_gap_values`` at u and v = u + width.
+    U = min(U_curv, U_mono). U_curv: a function whose second derivative is
+    at most M on [u, v] exceeds the larger end value by at most
+    M (v - u)^2 / 8, and M2(u) bounds both |G''| on the block because each
+    of its terms falls as j grows. U_mono: both tails fall, so on the block
+    G+ and G- are at most L(u) - T(v) and -G+, -G- at most T(u - 1) - L(v).
+    """
+    curv = np.maximum(_gap(lo), _gap(hi)) + width * width / 8 * lo[..., 3]
+    mono = np.maximum(lo[..., 0] - hi[..., 1], lo[..., 2] - hi[..., 0])
+    return np.minimum(curv, mono)
 
 
 def ks_scaled_sum_exact(n: int, cap_multiplier: int = 8) -> tuple[float, float]:
@@ -198,33 +274,56 @@ def ks_scaled_sum_exact(n: int, cap_multiplier: int = 8) -> tuple[float, float]:
 
     The scaled sum is a step CDF with jumps at j 2^(-n); against the
     continuous limit CDF the supremum is attained at jump points, checking
-    both one-sided gaps. Both laws are closed forms in j:
-    P(S_n > j) = sum_i B_i q_i^(j-n+1) (partial fractions of the geometric
-    lifetimes) and P(S > j 2^(-n)) = sum_k a_k exp(-2^(k-n) j) (the limit
-    mixture), so the gaps are differences of tails and no pmf is built.
-    The jump points j = n .. cap_multiplier * 2^n are walked in fixed-size
-    batches, each evaluated as one matrix product. Returns
+    both one-sided gaps G+(j) = L(j) - T(j) and G-(j) = L(j) - T(j - 1).
+    Both laws are closed forms in j: T(j) = P(S_n > j) =
+    sum_i B_i q_i^(j-n+1) (partial fractions of the geometric lifetimes,
+    T(n - 1) = 1) and L(j) = P(S > j 2^(-n)) = sum_k a_k exp(-2^(k-n) j)
+    (the limit mixture), so no pmf is built.
+
+    The maximum over j = n .. cap_multiplier * 2^n is found by a certified
+    block search instead of a scan. Blocks of 2^(ceil(n/2)+1) jump points
+    are split into quarters, level by level, down to single points; every
+    split point is evaluated and raises the incumbent maximum. A block
+    [u, v] is dropped once its bound U (``_block_bound``: the larger end
+    gap plus (v - u)^2 / 8 times a termwise second-derivative bound, or
+    the monotone bound from L(u), T(v), T(u - 1), L(v)) satisfies
+    U + 2r <= incumbent, where r (``_gap_terms``) bounds the float error of
+    one gap value a priori. A dropped block therefore holds no jump point
+    whose float gap beats the incumbent, and the result is the maximum of
+    the float gaps over every jump point, as a scan would find it, from a
+    small multiple of 2^(n/2) evaluated points (1.2e5 at n = 22) instead of
+    cap_multiplier * 2^n. Returns
     (ks, truncation_bound) where the bound covers all mass either law
     carries beyond cap_multiplier * 2^n.
     """
+    n = operator.index(n)
+    cap_multiplier = operator.index(cap_multiplier)
     if not 1 <= n <= MAX_EXACT_KS_N:
         raise ValueError(f"n must be in [1, {MAX_EXACT_KS_N}], got {n}")
     if cap_multiplier < 2:
         raise ValueError(f"cap_multiplier must be >= 2, got {cap_multiplier}")
-    sum_coeffs, sum_logs = _partial_sum_terms(n)
-    mix = np.array(mixture_coefficients())
-    mix_logs = -np.ldexp(1.0, np.arange(1, mix.size + 1) - n)  # -2^(k-n)
+    terms = _gap_terms(n)
+    rates, *_, r = terms
     j_max = cap_multiplier << n
-    ks = 0.0
-    before = 1.0                    # P(S_n > n - 1)
-    for j0 in range(n, j_max + 1, _KS_BATCH):
-        count = min(_KS_BATCH, j_max + 1 - j0)
-        sum_tail = _power_sums(sum_coeffs, sum_logs, j0 - n + 1, count)
-        limit_tail = _power_sums(mix, mix_logs, j0, count)
-        prev = np.concatenate(([before], sum_tail[:-1]))  # P(S_n > j - 1)
-        ks = max(ks,
-                 float(np.abs(limit_tail - sum_tail).max()),
-                 float(np.abs(limit_tail - prev).max()))
-        before = float(sum_tail[-1])
-    truncation = max(before, s_infinity_sf(float(cap_multiplier)))
+    edges = _gap_values(n, terms, np.array([n, j_max]), np.array([0]))[:, 0]
+    ks = float(abs(edges[0, 0] - 1.0))  # G-(n) against T(n - 1) = 1 exactly
+    per_chunk = _KS_CHUNK // rates.size
+    width = 2 << (n + 1) // 2
+    starts = np.arange(n, j_max, width)
+    while width > 1 and starts.size:  # until no live block is left
+        sub = max(width // _KS_SPLIT, 1)
+        steps = np.arange(0, width + 1, sub)
+        kept, bounds = [], []
+        for at in range(0, starts.size, per_chunk):
+            chunk = starts[at:at + per_chunk]
+            values = _gap_values(n, terms, chunk, steps)
+            points = chunk[:, None] + steps
+            ks = max(ks, float(_gap(values)[points <= j_max].max()))
+            bound = _block_bound(values[:, :-1], values[:, 1:], sub)
+            live = (bound + 2 * r > ks) & (points[:, :-1] < j_max)
+            kept.append(points[:, :-1][live])
+            bounds.append(bound[live])
+        starts = np.concatenate(kept)[np.concatenate(bounds) + 2 * r > ks]
+        width = sub
+    truncation = max(float(edges[1, 1]), s_infinity_sf(float(cap_multiplier)))
     return ks, truncation

@@ -2,9 +2,12 @@ import math
 import os
 import subprocess
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renewal_dst
 from renewal_dst import (
@@ -16,8 +19,10 @@ from renewal_dst import (
     empirical_cdf_jumps,
     ks_discrete_vs_continuous,
     ks_scaled_sum_exact,
+    mixture_coefficients,
     pmf_gap_bound_check,
     s_infinity_cdf,
+    s_infinity_sf,
     sample_scaled_limit,
     scaled_sum_sample,
     simulate_count,
@@ -25,7 +30,13 @@ from renewal_dst import (
     tv_to_limit,
 )
 from renewal_dst.metrics import MAX_TV_N
-from renewal_dst.renewal import _partial_sum_terms, _power_sums, floor_log2
+from renewal_dst.renewal import (
+    _block_bound,
+    _gap_terms,
+    _gap_values,
+    _partial_sum_terms,
+    floor_log2,
+)
 from renewal_dst.rng import stream_rng
 
 DST = GeometricDst()
@@ -154,8 +165,10 @@ def test_depth_distribution_monotone_in_n():
 
 
 def _closed_form_cdf(n, t):
-    """P(S_n <= t) for t >= n, from the KS kernel's partial fractions."""
-    return 1.0 - _power_sums(*_partial_sum_terms(n), t - n + 1, 1)[0]
+    """P(S_n <= t) = 1 - sum_i B_i q_i^(t-n+1) for t >= n, term by term."""
+    coeffs, p = _partial_sum_terms(n)
+    return 1.0 - math.fsum(b * (1.0 - pi) ** (t - n + 1)
+                           for b, pi in zip(coeffs, p))
 
 
 def test_partial_sum_cdf_exact_values():
@@ -171,9 +184,8 @@ def test_partial_sum_cdf_grid_matches_dp_identity():
     # the KS kernel's closed form P(S_n <= t) = 1 - sum_i B_i q_i^(t-n+1),
     # on the grid t = n..200, against the chain identity
     for n in (2, 3, 5, 8):
-        cdf = 1.0 - _power_sums(*_partial_sum_terms(n), 1, 201 - n)
         for t in (n, n + 1, n + 3, 50, 200):
-            assert cdf[t - n] == pytest.approx(
+            assert _closed_form_cdf(n, t) == pytest.approx(
                 depth_distribution_exact(t).tail_ge(n), abs=1e-12)
 
 
@@ -281,6 +293,12 @@ def test_ks_scaled_sum_domain():
         ks_scaled_sum_exact(23)
     with pytest.raises(ValueError):
         ks_scaled_sum_exact(4, cap_multiplier=1)
+    # non-integers are refused up front, as by depth_distribution_exact,
+    # not by numpy's ldexp or by << partway through
+    for args, kwargs in (((19.0,), {}), ((4,), {"cap_multiplier": 8.0}),
+                         ((np.float64(4),), {})):
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            ks_scaled_sum_exact(*args, **kwargs)
 
 
 def test_ks_scaled_sum_truncation_reported():
@@ -320,11 +338,150 @@ def test_ks_scaled_sum_matches_mpmath_full_grid(n):
 
 
 def test_ks_scaled_sum_top_of_range():
-    # 8 2^22 jump points span hundreds of batches
+    # 8 2^22 jump points: the search runs its most levels and chunks here
     ks22, trunc22 = ks_scaled_sum_exact(22)
     ks21, trunc21 = ks_scaled_sum_exact(21)
     assert 0 < ks22 < ks21
     assert trunc22 < 1e-6 and trunc21 < 1e-6
+
+
+def _power_sums(coeffs, logs, start, count, ladder=256):
+    """sum_r coeffs[r] exp(logs[r] e) for e = start .. start + count - 1.
+
+    Row m of ``starts`` holds the terms at e = start + ladder m, so
+    (starts @ steps.T)[m, t] is the sum at e = start + ladder m + t.
+    """
+    rows = -(-count // ladder)
+    starts = coeffs * np.exp(
+        np.multiply.outer(start + ladder * np.arange(rows), logs))
+    steps = np.exp(np.multiply.outer(np.arange(ladder), logs))
+    return (starts @ steps.T).ravel()[:count]
+
+
+def _scan_batches(n, cap, batch=1 << 16):
+    """(L(j), T(j), T(j - 1)) at every jump point j = n..cap 2^n, in batches.
+
+    The exhaustive scan the block search replaced: T(j) = P(S_n > j) and
+    L(j) = P(S > j 2^-n) as one matrix product per batch, T(n - 1) = 1.
+    """
+    coeffs, p = _partial_sum_terms(n)
+    logs = np.log1p(-p)
+    mix = np.array(mixture_coefficients())
+    mix_logs = -np.ldexp(1.0, np.arange(1, mix.size + 1) - n)
+    j_max = cap << n
+    before = 1.0
+    for j0 in range(n, j_max + 1, batch):
+        count = min(batch, j_max + 1 - j0)
+        sum_tail = _power_sums(coeffs, logs, j0 - n + 1, count)
+        limit_tail = _power_sums(mix, mix_logs, j0, count)
+        yield limit_tail, sum_tail, np.concatenate(([before], sum_tail[:-1]))
+        before = float(sum_tail[-1])
+
+
+def _scan_ks(n, cap):
+    """(ks, trunc) of the exhaustive scan over j = n..cap 2^n."""
+    ks = 0.0
+    for limit_tail, sum_tail, prev in _scan_batches(n, cap):
+        ks = max(ks, float(np.abs(limit_tail - sum_tail).max()),
+                 float(np.abs(limit_tail - prev).max()))
+    return ks, max(float(sum_tail[-1]), s_infinity_sf(float(cap)))
+
+
+@lru_cache(maxsize=None)
+def _scanned_gaps(n, cap):
+    """max(|G+(j)|, |G-(j)|) for j = n..cap 2^n from the scan (n <= 14)."""
+    return np.concatenate([
+        np.maximum(np.abs(limit_tail - sum_tail), np.abs(limit_tail - prev))
+        for limit_tail, sum_tail, prev in _scan_batches(n, cap)])
+
+
+@pytest.mark.parametrize("cap", [2, 3, 8])
+def test_ks_search_matches_scan(cap):
+    # the search returns the scan's maximum of the float gaps at every n:
+    # both evaluators round, so they agree to 1e-15 abs; trunc is the scan's
+    for n in range(1, 19):
+        want, want_trunc = _scan_ks(n, cap)
+        got, got_trunc = ks_scaled_sum_exact(n, cap_multiplier=cap)
+        assert got == pytest.approx(want, rel=0, abs=1e-15), n
+        assert got_trunc == want_trunc, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 14), cap=st.sampled_from([2, 8]), data=st.data())
+def test_block_bound_covers_scanned_gaps(n, cap, data):
+    # the certificate itself: U + r bounds every scanned gap of the block
+    j_max = cap << n
+    u = data.draw(st.integers(n, j_max - 1), label="u")
+    v = data.draw(st.integers(u + 1, min(j_max, u + (4 << n // 2))),
+                  label="v")
+    terms = _gap_terms(n)
+    ends = _gap_values(n, terms, np.array([u]), np.array([0, v - u]))[0]
+    bound = _block_bound(ends[0], ends[1], v - u)
+    assert bound + terms[3] >= _scanned_gaps(n, cap)[u - n:v - n + 1].max()
+
+
+@pytest.mark.parametrize("width", [2, 8, 64, 1024])
+def test_block_bound_curvature_term_is_sharp(width):
+    # G(x) = M (x - u)(v - x) / 2 has |G''| = M, zero ends and the maximum
+    # M width^2 / 8 at the middle jump point: no smaller factor is sound.
+    # Falling tails realise it: T = 1 - (x - u) / width and L = T + G.
+    m2 = 3.0 * 2.0 ** -20
+    lo = np.array([1.0, 1.0, 1.0, m2])      # L = T = T(. - 1): zero gaps
+    hi = np.array([0.0, 0.0, 0.0, 0.0])     # monotone bound 1, not binding
+    assert _block_bound(lo, hi, width) >= m2 * width * width / 8
+
+
+@lru_cache(maxsize=None)
+def _mp_gap_terms(n):
+    """30-digit B_i, q_i and mixture a_k (the limit's b from 119 factors)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        p = {i: mp.ldexp(1, 1 - i) for i in range(2, n + 1)}
+        b = [mp.fprod(p[l] * (1 - p[i]) / (p[l] - p[i]) for l in p if l != i)
+             for i in p]
+        mix = [1 / mp.fprod(1 - mp.ldexp(1, -j) for j in range(1, 120))]
+        for k in range(1, 40):
+            mix.append(mix[-1] / (1 - mp.ldexp(1, k)))
+    return b, [1 - p[i] for i in p], mix
+
+
+@pytest.mark.parametrize("n", [6, 12, 18, 22])
+def test_gap_rounding_bound_against_mpmath(n):
+    # |float gap - 30-digit gap| <= r at sampled jump points, each reached
+    # through a block start and a step as in the search
+    mp = pytest.importorskip("mpmath")
+    b, q, mix = _mp_gap_terms(n)
+    rng = np.random.default_rng(n)
+    starts = np.concatenate(([n, n + 1], rng.integers(n, 7 << n, 10),
+                             rng.integers(n, 4 << n // 2, 6)))
+    steps = np.array([0, 1, 3, 64, 1 << n // 2])
+    terms = _gap_terms(n)
+    values = _gap_values(n, terms, starts, steps)
+    with mp.workdps(30):
+        for start, row in zip(starts, values):
+            for step, (limit, tail, prev, _) in zip(steps, row):
+                j = int(start + step)
+                lim = mp.fsum(a * mp.exp(-mp.ldexp(j, k - n))
+                              for k, a in enumerate(mix, start=1))
+                exact = [lim - mp.fsum(bi * qi ** (j - n + 1 - shift)
+                                       for bi, qi in zip(b, q))
+                         for shift in (0, 1)]
+                for got, want in zip((limit - tail, limit - prev), exact):
+                    assert abs(got - want) <= terms[3], (j, got, want)
+
+
+@pytest.mark.parametrize("n", [10, 16, 22])
+def test_ks_search_evaluates_few_points(n, monkeypatch):
+    # about 2^(n/2) jump points, times a small factor, instead of 8 2^n
+    count = []
+
+    def counted(n, terms, starts, steps):
+        count.append(starts.size * steps.size)
+        return _gap_values(n, terms, starts, steps)
+
+    monkeypatch.setattr(renewal_dst.renewal, "_gap_values", counted)
+    ks_scaled_sum_exact(n)
+    assert sum(count) <= 2 ** (n // 2 + 7) < 8 << n
 
 
 def test_import_leaves_scipy_out():
