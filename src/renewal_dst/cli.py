@@ -30,8 +30,8 @@ from .lifetimes import GeometricDst, ScaledBase
 from .limit_law import q_cdf, q_pmf, q_tail
 from .metrics import (
     REPORT_COLUMNS,
+    _tv_and_window,
     check_rate_report,
-    limit_pmf_window,
     rate_report,
     rate_rows,
     tv_distance,
@@ -148,9 +148,7 @@ def cmd_depth_dist(args) -> int:
     if not 1 <= args.n <= MAX_TV_N:
         raise UsageError(f"--n must be in [1, {MAX_TV_N}] for the exact DP")
     law, eta = centered_count_distribution(args.n)
-    lo, qmasses, _ = limit_pmf_window(eta, min(law.support_min, -8),
-                                      max(law.support_max, 10))
-    tv, _ = tv_vs_limit(law, eta)
+    tv, _, lo, qmasses = _tv_and_window(law, eta)
     rows = []
     for i, qm in enumerate(qmasses):
         j = lo + i

@@ -105,13 +105,18 @@ def limit_pmf_window(eta: float, lo: int = -8, hi: int = 10) -> tuple[int, np.nd
     return lo, masses, outside
 
 
-def tv_vs_limit(pmf: IntPmf, eta: float) -> tuple[float, float]:
-    """Certified d_TV(pmf, Q_eta): (upper bound, slack included in it)."""
+def _tv_and_window(pmf: IntPmf, eta: float):
+    """``tv_vs_limit``'s (bound, slack) and the Q_eta window (lo, masses)."""
     lo, qm, outside = limit_pmf_window(eta, min(pmf.support_min, -8),
                                        max(pmf.support_max, 10))
-    qpmf = IntPmf(lo, qm, truncation=outside)
     slack = 0.5 * (outside + pmf.truncation)
-    return tv_distance(pmf, qpmf) + slack, slack
+    tv = tv_distance(pmf, IntPmf(lo, qm, truncation=outside)) + slack
+    return tv, slack, lo, qm
+
+
+def tv_vs_limit(pmf: IntPmf, eta: float) -> tuple[float, float]:
+    """Certified d_TV(pmf, Q_eta): (upper bound, slack included in it)."""
+    return _tv_and_window(pmf, eta)[:2]
 
 
 def tv_to_limit(n: int) -> tuple[float, float]:

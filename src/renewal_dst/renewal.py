@@ -6,11 +6,12 @@ from level k with probability 2^(-k) per step. Forward dynamic programming
 over that chain yields the exact law of the count after n steps, and through
 the identity P(S_j <= t) = P(X_t >= j) the exact partial-sum CDFs:
 ``depth_distribution_exact(t).tail_ge(j)``.
-The chain is advanced in blocks of B ~ sqrt(n) steps: the single-step
-recursion, run on every start level at once, gives the B-step transition
-matrix, so n steps cost about 2 sqrt(n) array operations instead of n. Every
-operation multiplies and adds nonnegative numbers, so tiny tail masses keep
-their relative accuracy.
+The n-step law is read off the one-step matrix T raised to the n-th power
+by binary powering, about 2 log2(n) small matrix products instead of n
+steps. The diagonal of each square T^m is reset to its closed form
+(1 - 2^(-k))^m, so rounding does not compound along it; every product
+multiplies and adds nonnegative numbers, so tiny tail masses keep their
+relative accuracy.
 The exact KS distance between 2^(-n) S_n and its limit uses closed forms
 instead: partial fractions write P(S_n > j) as a sum of geometric terms
 B_i q_i^(j-n+1) with exactly computed coefficients, and the limit tail is
@@ -35,44 +36,31 @@ from .lifetimes import GeometricDst, ScaledBase, sample_lifetime
 from .limit_law import mixture_coefficients, s_infinity_sf
 from .pmf import IntPmf
 
-MAX_EXACT_N = 2 ** 26      # time guard for the DP (~2 sqrt(n) block steps)
+MAX_EXACT_N = 2 ** 26      # checked range of the DP's reported rounding slack
 MAX_EXACT_KS_N = 22        # KS range: here the cap-8 tail (3.9e-7) passes KS
 _STATE_SLACK = 60          # levels above ceil(log2(n+1)) carry mass < 1e-300
+_EXACT_STAY = 53           # 1 - 2^(-k) is exact in binary64 for k < 53
 _KS_SPLIT = 4              # sub-blocks per block at each KS search level
 _KS_CHUNK = 1 << 14        # exps per KS evaluation array; memory is O(chunk)
-
-
-def _chain_steps(p: np.ndarray, steps: int) -> np.ndarray:
-    """Advance level distributions (last axis) by single chain steps, in place.
-
-    P_{m+1}(k) = P_m(k)(1 - 2^(-k)) + P_m(k-1) 2^(-(k-1)); mass leaving the
-    top level is dropped.
-    """
-    up = 2.0 ** -np.arange(p.shape[-1])
-    stay = 1.0 - up
-    moved = np.empty_like(p)
-    for _ in range(steps):
-        np.multiply(p, up, out=moved)
-        np.multiply(p, stay, out=p)
-        p[..., 1:] += moved[..., :-1]
-    return p
 
 
 def depth_distribution_exact(n: int) -> IntPmf:
     """Exact law of the chain after n steps (= insertion depth of key n+1).
 
-    The single-step recursion run on the identity matrix for
-    B = 2^floor(bit_length(n) / 2) steps gives the B-step transition matrix
-    (row = start level). The law is the unit mass at level 0 advanced by
-    n mod B single steps and then by n // B products with that matrix:
-    about 2 sqrt(n) array operations. All of them combine nonnegative
+    The one-step matrix T (diagonal 1 - 2^(-k), superdiagonal 2^(-k)) is
+    raised to the powers T^m, m = 2^i, by squaring, and the unit mass at
+    level 0 is multiplied by those whose bit is set in n. After each squaring
+    the diagonal is overwritten with its closed form q_k^m, q_k = 1 - 2^(-k):
+    ``q_k ** m`` where q_k is exact (k <= 52), exp(m log1p(-2^(-k))) above,
+    where q_k rounds to 1. An entry d places above the diagonal then takes
+    rounding only from its off-diagonal factors, so its relative error grows
+    like d log n rather than like n. All products combine nonnegative
     numbers, so each mass keeps its relative accuracy however small it is.
     States above ceil(log2(n+1)) + 60 are clipped, and edge masses at or
     below 1e-300 are trimmed. The result's ``truncation`` is the trimmed mass
     plus |1 - sum| of the stored masses: the clipped mass (below 1e-300 for
-    any reachable n) and the rounding drift in either direction (sums run
-    above 1 by up to about 8e-13 at 2^20..2^22), so the slack that
-    ``tv_vs_limit`` adds counts the drift.
+    any reachable n) and the rounding drift in either direction (about 1e-15
+    up to 2^26), so the slack that ``tv_vs_limit`` adds counts the drift.
     """
     n = operator.index(n)
     if n < 0:
@@ -80,13 +68,20 @@ def depth_distribution_exact(n: int) -> IntPmf:
     if n > MAX_EXACT_N:
         raise ValueError(f"exact DP limited to n <= {MAX_EXACT_N}, got {n}")
     width = min(n, n.bit_length() + _STATE_SLACK)
-    block = 1 << (n.bit_length() // 2)
-    transition = _chain_steps(np.eye(width + 1), block)
+    up = 2.0 ** -np.arange(width + 1)
+    stay = 1.0 - up
+    log_stay = np.log1p(-up[_EXACT_STAY:])
+    power = np.diag(stay) + np.diag(up[:-1], 1)
     p = np.zeros(width + 1)
     p[0] = 1.0
-    _chain_steps(p, n % block)
-    for _ in range(n // block):
-        p = p @ transition
+    for bit in range(n.bit_length()):
+        if n >> bit & 1:
+            p = p @ power
+        if n >> (bit + 1):
+            m = 2 << bit
+            power = power @ power
+            np.fill_diagonal(power, np.concatenate(
+                (stay[:_EXACT_STAY] ** m, np.exp(m * log_stay))))
     law = IntPmf(0, p).trim(1e-300)
     return IntPmf(law.offset, law.masses,
                   law.truncation + abs(1.0 - law.total()))
