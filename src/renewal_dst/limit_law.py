@@ -17,8 +17,8 @@ math.fsum; tails are never formed as 1 - cdf.
 
 The law has one coefficient sequence, the 32 numbers a_1..a_32 that
 mixture_coefficients() builds once and returns as a cached tuple; a_32 is
-about -6e-149, far past binary64 precision. Every scalar value is one of two
-private series over it (or over the n-fold partial fractions):
+about -6e-149, far past binary64 precision. Every scalar value takes one
+pass of exp or expm1 values over it (or over the n-fold partial fractions):
 _cdf_terms(t, a) = fsum a_k * -expm1(-2^k t) = P(S <= t) and
 _sf_terms(c, a) = fsum a_k * exp(-2^k c) = P(S > c). Both double u = 2^k t
 once per term; doubling only raises the binary exponent, so u equals
@@ -26,7 +26,12 @@ once per term; doubling only raises the binary exponent, so u equals
 ldexp would raise. Each stops once its remaining terms are known:
 _cdf_terms at u >= 40, where -expm1(-u) is exactly 1.0, appending the
 remaining a_k as they are; _sf_terms at the first exp(-u) that underflows
-to 0.0. Neither exit changes the fsum.
+to 0.0. Neither exit changes the fsum. A Q_eta pmf needs one series at c
+and at 2c. Doubling is exact, so the terms at 2c are those at c one index
+on, with the u >= 40 exit one index earlier: _sf_pair and _cdf_pair sum
+both from one pass, and since fsum rounds the exact sum, each value is bit
+for bit its own series'. Which series a Q_eta value reads follows from c
+(_MEDIAN_BAND).
 
 The array branch of s_infinity_cdf sums plainly in numpy, without fsum or
 exits, over the 11 leading terms with |a_k| >= COEFF_EPS: together the rest
@@ -131,6 +136,55 @@ def _sf_terms(c: float, a) -> float:
     return min(max(math.fsum(terms), 0.0), 1.0)
 
 
+def _sf_pair(c: float, a) -> tuple[float, float]:
+    """(P(S > c), P(S > 2c)) from one exp pass; see the module notes."""
+    terms, terms_2c = [], []
+    u = c + c
+    e = math.exp(-u)
+    for ak in a:
+        if e == 0.0:
+            break
+        terms.append(ak * e)
+        u += u
+        e = math.exp(-u)
+        if e != 0.0:
+            terms_2c.append(ak * e)
+    return (min(max(math.fsum(terms), 0.0), 1.0),
+            min(max(math.fsum(terms_2c), 0.0), 1.0))
+
+
+def _cdf_pair(c: float, a) -> tuple[float, float]:
+    """(P(S <= c), P(S <= 2c)) from one expm1 pass; see the module notes."""
+    terms, terms_2c = [], []
+    u = c + c
+    for k, ak in enumerate(a):
+        if u >= 40.0:   # as in _cdf_terms, and one index earlier at 2c
+            terms.extend(a[k:])
+            terms_2c.extend(a[k - 1:] if k else a)
+            break
+        m = -math.expm1(-u)
+        terms.append(ak * m)
+        if k:
+            terms_2c.append(a[k - 1] * m)
+        u += u
+    else:   # the last term at 2c, a_32 at u = 2^33 c
+        terms_2c.append(a[-1] * -math.expm1(-u) if u < 40.0 else a[-1])
+    return (min(max(math.fsum(terms), 0.0), 1.0),
+            min(max(math.fsum(terms_2c), 0.0), 1.0))
+
+
+# P(S > c) = 1/2 at c = 0.87275. _sf_terms(c) - 1/2 is +4.9e-5 at the lower
+# end and -3.0e-5 at the upper, its float error a few ulps of sum |a_k| = 8.26
+# (~1e-14): outside the band, c alone gives the side _sf_terms(c) <= 1/2 would.
+_MEDIAN_BAND = (0.8727, 0.8728)
+
+
+def _past_median(c: float, a) -> bool:
+    """_sf_terms(c, a) > 0.5, read off c alone outside _MEDIAN_BAND."""
+    lo, hi = _MEDIAN_BAND
+    return c <= lo or (c < hi and _sf_terms(c, a) > 0.5)
+
+
 def _checked(t, name: str = "t") -> float:
     t = float(t)
     if not t >= 0.0:    # also rejects NaN
@@ -190,10 +244,11 @@ def q_cdf(eta: float, x) -> float:
     """P(Q_eta <= x) = sum_k a_k exp(-2^k c), c = 2^(eta - 1 - x), integer x.
 
     Real x is answered at floor(x); the law is integer-supported, and
-    x = -inf / +inf give 0 / 1. Below the median the direct series has no
-    cancellation; above it the value is formed as 1 minus the stably
-    evaluated tail P(S <= c), which keeps the CDF monotone in floating point
-    all the way into the flat-at-1 region.
+    x = -inf / +inf give 0 / 1. One series pass per call: below the median
+    (c above _MEDIAN_BAND) the direct series, which has no cancellation;
+    past it (c below the band) 1 minus the stably evaluated tail
+    P(S <= c), which keeps the CDF monotone in floating point all the way
+    into the flat-at-1 region. Inside the band the direct value decides.
     """
     _check_eta(eta)
     try:
@@ -202,18 +257,18 @@ def q_cdf(eta: float, x) -> float:
         return _limit(x, "x", 0.0, 1.0)
     a = mixture_coefficients()
     c = _pow2(e)
-    direct = _sf_terms(c, a)
-    if direct <= 0.5:
-        return direct
-    return 1.0 - _cdf_terms(c, a)
+    if _past_median(c, a):
+        return 1.0 - _cdf_terms(c, a)
+    return _sf_terms(c, a)
 
 
 def q_pmf(eta: float, j) -> float:
     """P(Q_eta = j) = P(S > c) - P(S > 2c), c = 2^(eta - 1 - j); 0 at +-inf.
 
-    Past the median both terms sit at 1 - tiny and their float difference is
-    noise, so the stable tails P(S <= 2c) - P(S <= c) are used instead; both
-    forms are floored at 0.
+    Past the median (2c below _MEDIAN_BAND) both terms sit at 1 - tiny and
+    their float difference is noise, so the stable tails
+    P(S <= 2c) - P(S <= c) are used instead; both forms are floored at 0.
+    Either pair comes from one series pass (_sf_pair, _cdf_pair).
     """
     _check_eta(eta)
     try:
@@ -222,10 +277,11 @@ def q_pmf(eta: float, j) -> float:
         return _limit(j, "j", 0.0, 0.0)
     a = mixture_coefficients()
     c = _pow2(e)
-    left = _sf_terms(c + c, a)
-    if left <= 0.5:
-        return max(_sf_terms(c, a) - left, 0.0)
-    return max(_cdf_terms(c + c, a) - _cdf_terms(c, a), 0.0)
+    if _past_median(c + c, a):
+        below, below_2c = _cdf_pair(c, a)
+        return max(below_2c - below, 0.0)
+    above, above_2c = _sf_pair(c, a)
+    return max(above - above_2c, 0.0)
 
 
 def q_tail(eta: float, j) -> float:

@@ -96,13 +96,12 @@ def limit_pmf_window(eta: float, lo: int = -8, hi: int = 10) -> tuple[int, np.nd
     Returns (lo, masses, outside) where ``outside`` is the exact mass the
     law carries off-window, to be carried as certified slack.
     """
-    while q_cdf(eta, lo - 1) >= _TAIL_EPS:
+    while (below := q_cdf(eta, lo - 1)) >= _TAIL_EPS:
         lo -= 4
-    while q_tail(eta, hi + 1) >= _TAIL_EPS:
+    while (above := q_tail(eta, hi + 1)) >= _TAIL_EPS:
         hi += 4
     masses = np.array([q_pmf(eta, j) for j in range(lo, hi + 1)])
-    outside = q_cdf(eta, lo - 1) + q_tail(eta, hi + 1)
-    return lo, masses, outside
+    return lo, masses, below + above
 
 
 def _tv_and_window(pmf: IntPmf, eta: float):

@@ -245,8 +245,9 @@ def test_byte_identical_reruns(tmp_path, argv):
 
 
 # SHA-256 of the CSV these commands write, recorded on x86-64 Linux with
-# numpy 2.4. They pin the draw layout of simulate_count and the placement
-# rule of Dst across refactors; the header's version field is in the bytes.
+# numpy 2.4. They pin the draw layout of simulate_count, the placement rule
+# of Dst and the Q_eta values across refactors; the header's version field
+# is in the bytes.
 @pytest.mark.parametrize("argv, digest", [
     (("simulate", "--n-grid", "16:256:x4", "--samples", "3000"),
      "cf25cc812890d306c1621842a9a1240f3eeeb605cff2dadc4813b8e243c65680"),
@@ -255,7 +256,15 @@ def test_byte_identical_reruns(tmp_path, argv):
      "ac1a8cc3e2d8c6f118e090c6f27ea60a3bf6a783bcc3186cad8be71f3d51bba4"),
     (("dst-demo", "--probe", "011100"),
      "5c7373d7d7a42fd4907281b67eaf4cbf9c92ae319e5c9411880ccb92e2dc687e"),
-], ids=["simulate-dyadic", "simulate-alpha-2.7", "dst-demo-probe"])
+    # eta = 0.80364 puts c = 0.872750 (x = 0) inside limit_law._MEDIAN_BAND
+    (("limit-law", "--eta", "0.80364"),
+     "7d7620a55649ed863daab8d9962845a028f4dde8a60fc87bb8dc84b9a3bb3c10"),
+    (("limit-law", "--eta", "0.5"),
+     "2778d4b2e609255bd00829606a9964bb151959887ac15dba55afc9f5612f9cda"),
+    (("depth-dist", "--n", "1024"),
+     "0eb9b900d534438a991d4a8be5bffc43d09908a304abcfa6ee9e65ef70b1d489"),
+], ids=["simulate-dyadic", "simulate-alpha-2.7", "dst-demo-probe",
+        "limit-law-median-band", "limit-law-half", "depth-dist-1024"])
 def test_output_matches_recorded_digest(tmp_path, argv, digest):
     code, data = run(tmp_path, *argv)
     assert code == 0

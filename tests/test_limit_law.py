@@ -22,7 +22,17 @@ from renewal_dst import (
     sample_q,
     sample_s_infinity,
 )
-from renewal_dst.limit_law import _Q_HI, _Q_LO, _cdf_terms, _q_table, _sf_terms
+from renewal_dst.limit_law import (
+    _MEDIAN_BAND,
+    _Q_HI,
+    _Q_LO,
+    _cdf_pair,
+    _cdf_terms,
+    _past_median,
+    _q_table,
+    _sf_pair,
+    _sf_terms,
+)
 from renewal_dst.metrics import limit_pmf_window, tv_vs_limit
 from renewal_dst.rng import stream_rng
 
@@ -358,6 +368,75 @@ def test_q_cdf_and_pmf_match_termwise_loop():
     assert checked > len(ETA_GRID) * len(J_GRID)
 
 
+# The Q_eta forms before one series pass per call: the branch read off a
+# computed direct value, and q_pmf from three separate series past the median.
+
+def _c(eta, x):
+    e = eta - (math.floor(x) + 1)
+    return 2.0 ** e if e < 1024 else math.inf
+
+
+def _two_pass_q_cdf(eta, x, a):
+    if math.isinf(x):
+        return 0.0 if x < 0 else 1.0
+    c = _c(eta, x)
+    direct = _sf_terms(c, a)
+    return direct if direct <= 0.5 else 1.0 - _cdf_terms(c, a)
+
+
+def _three_pass_q_pmf(eta, j, a):
+    if math.isinf(j):
+        return 0.0
+    c = _c(eta, j)
+    left = _sf_terms(c + c, a)
+    if left <= 0.5:
+        return max(_sf_terms(c, a) - left, 0.0)
+    return max(_cdf_terms(c + c, a) - _cdf_terms(c, a), 0.0)
+
+
+def _near(c):
+    return (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))
+
+
+# c at and beside both band edges and the median of S, at each saturation
+# exit 40 * 2^-k of the expm1 pass (k = 33, 34 past the 32 coefficients),
+# where 2^k c crosses exp's underflow, and at the ends of the float range
+ONE_PASS_C = sorted({
+    v for c in (*_MEDIAN_BAND, 0.87275, *(b / 2 for b in _MEDIAN_BAND),
+                *(40.0 * 2.0 ** -k for k in range(0, 35)),
+                *(745.1332191019412 * 2.0 ** -k for k in range(0, 12)),
+                1e-300, 5e-324, 1e300, 1.7e308)
+    for v in _near(c)} | {0.0, math.inf})
+
+
+def test_one_pass_kernels_bit_identical_to_separate_series():
+    a = mixture_coefficients()
+    for c in ONE_PASS_C:
+        assert _past_median(c, a) == (_sf_terms(c, a) > 0.5), c
+        for got, ref in zip((*_sf_pair(c, a), *_cdf_pair(c, a)),
+                            (_sf_terms(c, a), _sf_terms(c + c, a),
+                             _cdf_terms(c, a), _cdf_terms(c + c, a))):
+            assert got.hex() == ref.hex(), c
+
+
+def test_q_cdf_and_pmf_bit_identical_to_separate_series():
+    # eta = 0.80364: q_cdf(eta, 0) has c = 0.872750 and q_pmf(eta, 1) has
+    # 2c in the band; the log2 etas put c (for x = 0) or 2c (for j = 1) at
+    # and beside each band edge
+    a = mixture_coefficients()
+    etas = set(ETA_GRID) | {0.80364}
+    for edge in _MEDIAN_BAND:
+        etas.update(_near(1.0 + math.log2(edge)))
+    xs = [*J_GRID, 30, 40, 1000, -1022, -1100, -math.inf, math.inf]
+    for eta in sorted(etas):
+        for x in xs:
+            assert (q_cdf(eta, x).hex()
+                    == _two_pass_q_cdf(eta, x, a).hex()), (eta, x)
+            assert (q_pmf(eta, x).hex()
+                    == _three_pass_q_pmf(eta, x, a).hex()), (eta, x)
+    assert _MEDIAN_BAND[0] < 2.0 ** (0.80364 - 1) < _MEDIAN_BAND[1]
+
+
 @lru_cache(maxsize=None)
 def _mp_law(t):
     """(P(S <= t), P(S > t)) for an mpf t, from 40 mixture terms at 80
@@ -403,6 +482,20 @@ def test_scalar_series_against_mpmath():
             checked += close(q_tail(eta, j), cdf_left, 1e-6)
             checked += close(q_pmf(eta, j), sf_j - sf_left, 1e-6)
     assert checked > 300
+
+
+def test_median_band_certificate():
+    # outside the band the side of the median follows from c alone: each
+    # end's margin is far above _sf_terms' float error (~1e-14), and the
+    # median of S lies strictly inside
+    mp = pytest.importorskip("mpmath")
+    lo, hi = _MEDIAN_BAND
+    a = mixture_coefficients()
+    assert _sf_terms(lo, a) - 0.5 > 1e-9
+    assert 0.5 - _sf_terms(hi, a) > 1e-9
+    with mp.workdps(30):
+        median = mp.findroot(lambda t: _mp_law(t)[1] - 0.5, mp.mpf(0.87275))
+    assert lo < median < hi
 
 
 def test_q_extreme_arguments():
