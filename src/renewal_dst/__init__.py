@@ -14,24 +14,18 @@ from .dst import (
     Dst,
     InsertReport,
     InsufficientBitsError,
-    bits_from_unit_interval,
     build,
     knuth_corpus,
     load_corpus,
-    parse_corpus,
     simulate_insertion_depth,
 )
 from .lifetimes import (
     GeometricDst,
     ScaledBase,
-    geometric_pmf,
     sample_lifetime,
 )
 from .limit_law import (
-    euler_b,
-    exp_convolution_cdf,
     mixture_coefficients,
-    partial_fraction_coefficients,
     q_cdf,
     q_pmf,
     q_tail,
@@ -42,8 +36,6 @@ from .limit_law import (
 )
 from .metrics import (
     check_rate_report,
-    empirical_cdf_jumps,
-    ks_discrete_vs_continuous,
     pmf_gap_bound_check,
     rate_report,
     tv_distance,
@@ -55,7 +47,6 @@ from .renewal import (
     depth_distribution_exact,
     ks_scaled_sum_exact,
     sample_scaled_limit,
-    scaled_sum_sample,
     simulate_count,
 )
 from .rng import DEFAULT_SEED, stream_rng
@@ -70,22 +61,14 @@ __all__ = [
     "InsufficientBitsError",
     "IntPmf",
     "ScaledBase",
-    "bits_from_unit_interval",
     "build",
     "centered_count_distribution",
     "check_rate_report",
     "depth_distribution_exact",
-    "empirical_cdf_jumps",
-    "euler_b",
-    "exp_convolution_cdf",
-    "geometric_pmf",
     "knuth_corpus",
-    "ks_discrete_vs_continuous",
     "ks_scaled_sum_exact",
     "load_corpus",
     "mixture_coefficients",
-    "parse_corpus",
-    "partial_fraction_coefficients",
     "pmf_gap_bound_check",
     "q_cdf",
     "q_pmf",
@@ -97,7 +80,6 @@ __all__ = [
     "sample_q",
     "sample_s_infinity",
     "sample_scaled_limit",
-    "scaled_sum_sample",
     "simulate_count",
     "simulate_insertion_depth",
     "stream_rng",

@@ -10,8 +10,10 @@ tree; it reads the depth off the keys on the probe's path by a record scan.
 With nodes 0..d-1 of that path filled, the next key sharing at least d
 leading bits with the probe takes node d, and any other key leaves the path
 above it; so over the keys in insertion order, ``depth += shared >= depth``
-ends at the probe's depth. A key runs out of bits only below an earlier key
-with the same first ``bit_budget`` bits, so one sort of the key prefixes
+ends at the probe's depth. Simulated keys are one 64-bit word each: the
+unbounded-key model (Flajolet and Sedgewick, SIAM J. Comput. 1986) up to a
+tie on all 64 bits, an event of probability about n^2 / 2^65. A key runs
+out of bits only below an earlier key equal to it, so one sort of the keys
 screens each replicate, and only flagged ones scan again, for those keys.
 """
 
@@ -29,8 +31,10 @@ from .rng import stream_rng
 _KNUTH_BITS = ("0110", "1011", "0011", "0010", "0100",
                "0111", "0011", "1011", "0001", "0100")
 
-# Keys per chunk of replicates in simulate_insertion_depth, and keys that
-# _exhausts_budget compares with every scanned key per numpy pass.
+# Bits per simulated key; keys per chunk of replicates in
+# simulate_insertion_depth, and keys that _exhausts_budget compares with
+# every scanned key per numpy pass.
+_KEY_BITS = 64
 _SIM_BATCH = 2 ** 16
 _SCAN_BLOCK = 32
 
@@ -191,19 +195,18 @@ _LEADING_ZEROS_16 = (16 - np.frexp(np.arange(2.0 ** 16))[1]).astype(np.uint8)
 
 
 def _shared_bits(x: np.ndarray) -> np.ndarray:
-    """Leading zero bits of ``x``, uint64 words along the last axis, most
-    significant first: for two keys' XOR, their common-prefix length. Bits
-    are read 16 at a time, past the first 16 only where all so far were 0."""
-    flat = x.reshape(-1, x.shape[-1])
-    out = _LEADING_ZEROS_16[(flat[:, 0] >> np.uint64(48)).view(np.int64)]
+    """Leading zero bits of each uint64 of ``x``: for two keys' XOR, their
+    common-prefix length, 64 for equal keys. Bits are read 16 at a time,
+    past the first 16 only where all so far were 0."""
+    flat = x.ravel()
+    out = _LEADING_ZEROS_16[(flat >> np.uint64(48)).view(np.int64)]
     out = out.astype(np.int64)
     rows = np.flatnonzero(out == 16)
-    for digit in range(1, 4 * flat.shape[1]):
-        word, k = divmod(digit, 4)
-        bits = flat[rows, word] >> np.uint64(48 - 16 * k) & np.uint64(0xFFFF)
+    for digit in range(1, 4):
+        bits = flat[rows] >> np.uint64(48 - 16 * digit) & np.uint64(0xFFFF)
         out[rows] += _LEADING_ZEROS_16[bits.view(np.int64)]
         rows = rows[out[rows] == 16 * (digit + 1)]
-    return out.reshape(x.shape[:-1])
+    return out.reshape(x.shape)
 
 
 def _record_scan(depth: np.ndarray, shared_rows) -> np.ndarray:
@@ -215,22 +218,17 @@ def _record_scan(depth: np.ndarray, shared_rows) -> np.ndarray:
     return depth
 
 
-def _exhausts_budget(keys: np.ndarray, shift: np.uint64,
-                     bit_budget: int) -> np.ndarray:
-    """Whether some key of each replicate, (c, n, words) in insertion order,
-    lands deeper than b = ``bit_budget``. Only a key whose prefix
-    ``keys[..., 0] >> shift`` repeats an earlier key's can. For b <= 64 only
-    the last of each run of equal prefixes is scanned: a key of the run
-    drops exactly when the nodes at depths 0..b on their shared b-bit path
-    are all filled before it comes, and nodes stay filled, so the last drops
-    whenever an earlier one does. Past 64 bits equal first words need not
-    mean equal b-bit prefixes, so every repeated key is scanned."""
-    prefix = keys[..., 0] >> shift
-    order = np.argsort(prefix, axis=1, kind="stable")
-    ranked = np.take_along_axis(prefix, order, axis=1)
+def _exhausts_budget(keys: np.ndarray) -> np.ndarray:
+    """Whether some key of each replicate, (c, n) in insertion order, lands
+    deeper than its 64 bits. Only a key equal to an earlier one can, and
+    only the last of each run of equal keys is scanned: a key of the run
+    drops exactly when the nodes at depths 0..64 on their common path are
+    all filled before it comes, and nodes stay filled, so the last drops
+    whenever an earlier one does."""
+    order = np.argsort(keys, axis=1, kind="stable")
+    ranked = np.take_along_axis(keys, order, axis=1)
     repeat = ranked[:, 1:] == ranked[:, :-1]
-    if bit_budget <= 64:
-        repeat[:, :-1] &= ~repeat[:, 1:]    # the last key of each run
+    repeat[:, :-1] &= ~repeat[:, 1:]    # the last key of each run
     rep, pos = np.nonzero(repeat)
     key = order[rep, pos + 1]
     bits = keys[rep, key]
@@ -240,77 +238,62 @@ def _exhausts_budget(keys: np.ndarray, shift: np.uint64,
         shared = _shared_bits(keys[rep, cols] ^ bits)
         shared[cols >= key] = -1
         _record_scan(depth, shared)
-    return np.bincount(rep[depth > bit_budget], minlength=len(keys)) > 0
+    return np.bincount(rep[depth > _KEY_BITS], minlength=len(keys)) > 0
 
 
-def simulate_insertion_depth(n: int, replicates: int, bit_budget: int = 64,
+def simulate_insertion_depth(n: int, replicates: int,
                              rng: np.random.Generator | None = None,
                              probe_bits: str | None = None) -> IntPmf:
     """Empirical law of the insertion depth of key n+1 under uniform keys.
 
-    Each replicate draws n random keys (each key is ``bit_budget``
-    independent fair coins) and records the depth at which one more key
-    would be inserted into their tree. With ``probe_bits`` the extra key is
+    Each replicate draws n random 64-bit keys (64 independent fair coins
+    each) and records the depth at which one more key would be inserted
+    into their tree. With ``probe_bits``, exactly 64 bits, the extra key is
     a fixed direction probed without inserting; the law is the same either
-    way. Replicates where any key exhausts its bit budget are dropped and
-    counted in the returned pmf's ``truncation``.
+    way. A replicate where some key, or the probe, finds all 65 nodes on its
+    path filled (an earlier key equal to it on all 64 bits sits at depth
+    64) is dropped and counted in the returned pmf's ``truncation``.
 
     No tree is built: the depth is the record scan of the module docstring,
-    O(n) per replicate, and a sort of key prefixes screens for replicates
-    that may drop (``_exhausts_budget`` settles those). Chunks of at most
+    O(n) per replicate, and a sort of the keys screens for replicates that
+    may drop (``_exhausts_budget`` settles those). Chunks of at most
     ``_SIM_BATCH`` keys keep memory O(chunk) whatever ``replicates`` is; keys
-    are drawn replicate-major as (chunk, keys, words) uint64 arrays, so the
-    Philox stream is consumed exactly as one replicate at a time would.
+    are drawn replicate-major as (chunk, keys) uint64 arrays, so the Philox
+    stream is consumed exactly as one replicate at a time would.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    if bit_budget < 1:
-        raise ValueError(f"bit_budget must be >= 1, got {bit_budget}")
     if probe_bits is not None:
         _check_bits(probe_bits)
-        if not probe_bits:
-            raise ValueError("probe_bits must be nonempty")
-    if n >= 2 ** (bit_budget + 1):  # n > the nodes of depth <= bit_budget
-        raise InsufficientBitsError("probe", bit_budget)
+        if len(probe_bits) != _KEY_BITS:
+            raise ValueError(f"probe_bits must hold exactly {_KEY_BITS} "
+                             f"bits, got {len(probe_bits)}")
+        probe = np.uint64(int(probe_bits, 2))
     if rng is None:
         rng = stream_rng()
 
-    words = (bit_budget + 63) // 64
     n_keys = n if probe_bits is not None else n + 1
-    if probe_bits is not None:
-        # A kept replicate reads at most the probe's first bit_budget bits: a
-        # key sharing more would pass the probe's node at that depth and run
-        # out of bits.
-        padded = int(probe_bits[:64 * words].ljust(64 * words, "0"), 2)
-        probe = np.frombuffer(padded.to_bytes(8 * words, "big"), ">u8")
-        probe_limit = len(probe_bits)
-    else:
-        probe_limit = bit_budget
-    # Screening on the first word flags more replicates than drop, not fewer.
-    screen_shift = np.uint64(64 - min(bit_budget, 64))
-
     chunk = max(1, _SIM_BATCH // max(n_keys, 1))
     depths = []
     for done in range(0, replicates, chunk):
-        size = (min(chunk, replicates - done), n_keys, words)
+        size = (min(chunk, replicates - done), n_keys)
         keys = rng.integers(0, 2 ** 64, size=size, dtype=np.uint64)
         if probe_bits is None:
             probe = keys[:, n:]
         path = np.ascontiguousarray(_shared_bits(keys[:, :n] ^ probe).T)
         depth = _record_scan(np.zeros(len(keys), dtype=np.int64), path)
-        drop = depth > probe_limit
-        prefix = np.sort(keys[:, :n, 0] >> screen_shift, axis=1)
-        flagged = np.flatnonzero((prefix[:, 1:] == prefix[:, :-1]).any(1))
+        drop = depth > _KEY_BITS
+        ranked = np.sort(keys[:, :n], axis=1)
+        flagged = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(1))
         if flagged.size:
-            drop[flagged] |= _exhausts_budget(keys[flagged, :n],
-                                              screen_shift, bit_budget)
+            drop[flagged] |= _exhausts_budget(keys[flagged, :n])
         depth[drop] = -1
         depths.append(depth)
     depths = np.concatenate(depths)
     kept = depths[depths >= 0]
     if kept.size == 0:
-        raise InsufficientBitsError("probe", bit_budget)
+        raise InsufficientBitsError("probe", _KEY_BITS)
     return IntPmf.from_samples(
         kept, truncation=(replicates - kept.size) / replicates)

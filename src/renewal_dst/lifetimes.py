@@ -81,5 +81,9 @@ def sample_lifetime(family: GeometricDst | ScaledBase, k: int,
         u = rng.random(size)
         j = np.ceil(np.log1p(-u) / math.log1p(-(2.0 ** (1 - k))))
         return np.maximum(j, 1.0)
-    return family.alpha ** k * 0.5 * rng.standard_exponential(size)
+    # A lifetime past the float range is +inf, past every horizon, as in
+    # exact arithmetic; numpy's power saturates where float ** k raises.
+    with np.errstate(over="ignore"):
+        scale = np.float64(family.alpha) ** k * 0.5
+        return scale * rng.standard_exponential(size)
 

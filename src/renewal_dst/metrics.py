@@ -49,14 +49,15 @@ def rate_rows(grid, row) -> list[tuple]:
 
 
 def tv_distance(p: IntPmf, q: IntPmf) -> float:
-    """d_TV(p, q) = (1/2) sum_j |p({j}) - q({j})| over the union support."""
+    """d_TV(p, q) = (1/2) sum_j |p({j}) - q({j})| over the union support,
+    at most 1: the float sum of two disjoint laws can round past it."""
     lo = min(p.offset, q.offset)
     hi = max(p.support_max, q.support_max)
     ap = np.zeros(hi - lo + 1)
     aq = np.zeros(hi - lo + 1)
     ap[p.offset - lo: p.offset - lo + len(p.masses)] = p.masses
     aq[q.offset - lo: q.offset - lo + len(q.masses)] = q.masses
-    return 0.5 * float(np.abs(ap - aq).sum())
+    return min(1.0, 0.5 * float(np.abs(ap - aq).sum()))
 
 
 def ks_discrete_vs_continuous(points, after, cdf) -> float:

@@ -5,7 +5,7 @@ results, series evaluations and empirical histograms all travel as an offset
 plus a dense mass vector. The optional ``truncation`` field carries a
 certified upper bound on mass that the producer dropped outside the stored
 support (for example DP states clipped below 1e-300, or simulation replicates
-abandoned for exceeding a bit budget); consumers that assert distances add it
+dropped for a key tied on all 64 bits); consumers that assert distances add it
 back as slack so their bounds stay sound.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_MASS_TOL = 1e-9
+_MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,9 @@ from renewal_dst import (
     IntPmf,
     build,
     depth_distribution_exact,
-    empirical_cdf_jumps,
-    exp_convolution_cdf,
     knuth_corpus,
-    ks_discrete_vs_continuous,
     ks_scaled_sum_exact,
     mixture_coefficients,
-    partial_fraction_coefficients,
     pmf_gap_bound_check,
     q_tail,
     s_infinity_cdf,
@@ -27,7 +23,15 @@ from renewal_dst import (
     tv_to_limit,
 )
 from renewal_dst.cli import main
-from renewal_dst.metrics import tv_vs_limit
+from renewal_dst.limit_law import (
+    exp_convolution_cdf,
+    partial_fraction_coefficients,
+)
+from renewal_dst.metrics import (
+    empirical_cdf_jumps,
+    ks_discrete_vs_continuous,
+    tv_vs_limit,
+)
 from renewal_dst.rng import stream_rng
 
 
@@ -131,7 +135,7 @@ def test_criterion_8_monte_carlo_agreement():
         assert tv <= 0.003, (eta, tv)
 
     replicates = 10 ** 5
-    emp = simulate_insertion_depth(100, replicates, 64,
+    emp = simulate_insertion_depth(100, replicates,
                                    stream_rng(20070201, 14))
     assert emp.truncation == 0.0
     exact = depth_distribution_exact(100)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 
@@ -178,6 +179,23 @@ def test_simulate_bad_alpha_one_error_line(tmp_path, capsys, alpha):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_simulate_disjoint_laws_exits_0(tmp_path):
+    # the simulated and reference laws share no atom: the distance is 1
+    code, data = run(tmp_path, "simulate", "--alpha", "1.03", "--n-grid",
+                     "3:3:1", "--samples", "10", "--seed", "2")
+    assert code == 0
+    assert data.decode().strip().split("\n")[-1].split(",")[3] == "1"
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_huge_alpha_warns_nothing(tmp_path, capsys):
+    code, data = run(tmp_path, "simulate", "--alpha", "1e308", "--n-grid",
+                     "16:16:1", "--samples", "100")
+    assert code == 0 and capsys.readouterr().err == ""
+    row = data.decode().strip().split("\n")[-1].split(",")
+    assert 0.0 <= float(row[3]) <= 1.0
+
+
 def test_converge_tv_small_grid(tmp_path):
     code, data = run(tmp_path, "converge", "--kind", "tv",
                      "--n-grid", "16:4096:x4")
@@ -276,3 +294,24 @@ def test_package_exports_resolve():
     assert len(names) == len(set(names))
     missing = [n for n in names if not hasattr(renewal_dst, n)]
     assert not missing, f"__all__ names with no binding: {missing}"
+
+
+# names no command needs: reachable from their modules, not the package
+_MODULE_ONLY = {
+    "dst": ["bits_from_unit_interval", "parse_corpus"],
+    "lifetimes": ["geometric_pmf"],
+    "limit_law": ["euler_b", "exp_convolution_cdf",
+                  "partial_fraction_coefficients"],
+    "metrics": ["empirical_cdf_jumps", "ks_discrete_vs_continuous"],
+    "renewal": ["scaled_sum_sample"],
+}
+
+
+def test_module_only_names_stay_off_the_package():
+    assert len(renewal_dst.__all__) == 31
+    for module, names in _MODULE_ONLY.items():
+        mod = importlib.import_module(f"renewal_dst.{module}")
+        for name in names:
+            assert hasattr(mod, name), (module, name)
+            assert not hasattr(renewal_dst, name), name
+            assert name not in renewal_dst.__all__, name

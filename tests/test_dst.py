@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 from renewal_dst import (
     Dst,
     InsufficientBitsError,
-    bits_from_unit_interval,
     build,
     depth_distribution_exact,
     knuth_corpus,
-    parse_corpus,
     simulate_insertion_depth,
     tv_distance,
 )
-from renewal_dst.dst import CorpusFormatError
+from renewal_dst.dst import (
+    CorpusFormatError,
+    bits_from_unit_interval,
+    parse_corpus,
+)
 from renewal_dst.pmf import IntPmf
 from renewal_dst.rng import stream_rng
 
@@ -145,33 +147,55 @@ def test_simulated_depth_degenerate_cases():
 
 
 def test_simulated_depth_matches_exact_law():
-    emp = simulate_insertion_depth(100, 4000, 64, stream_rng(20070201, 25))
+    emp = simulate_insertion_depth(100, 4000, stream_rng(20070201, 25))
     assert tv_distance(emp, depth_distribution_exact(100)) <= 0.04
 
 
 def test_probe_direction_does_not_matter():
-    a = simulate_insertion_depth(50, 20000, 64, stream_rng(20070201, 23),
-                                 probe_bits="0" * 40)
-    b = simulate_insertion_depth(50, 20000, 64, stream_rng(20070201, 24),
-                                 probe_bits="1" * 40)
+    a = simulate_insertion_depth(50, 20000, stream_rng(20070201, 23),
+                                 probe_bits="0" * 64)
+    b = simulate_insertion_depth(50, 20000, stream_rng(20070201, 24),
+                                 probe_bits="1" * 64)
     assert tv_distance(a, b) <= 0.03
 
 
+@pytest.mark.parametrize("probe", ["", "01", "0" * 63, "1" * 65, "1" * 128,
+                                   "0" * 63 + "2"])
+def test_probe_must_be_64_bits(probe):
+    rng = stream_rng(1, 2)
+    with pytest.raises(ValueError):
+        simulate_insertion_depth(5, 10, rng, probe_bits=probe)
+    assert rng.random() == stream_rng(1, 2).random()    # nothing drawn
+
+
+class _MaskedRng:
+    """A generator whose integer draws are ANDed with a mask, so keys share
+    long prefixes, trees chain down to depth 64 and some keys tie on all
+    64 bits."""
+
+    def __init__(self, rng, mask):
+        self._rng = rng
+        self._mask = np.uint64(mask)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs) & self._mask
+
+
 def test_simulated_depth_reports_budget_exhaustion():
-    emp = simulate_insertion_depth(5, 500, 3, stream_rng(1, 1))
+    # 66 keys 0 or 1 fill the 64 nodes their one path shares, then the two
+    # nodes at depth 64; the last key drops when it equals the one before
+    emp = simulate_insertion_depth(65, 500, _MaskedRng(stream_rng(1, 1), 1))
     assert 0 < emp.truncation < 1
     assert emp.total() == pytest.approx(1 - emp.truncation, abs=1e-12)
-    # 20 keys can never fit under a 3-bit budget: every replicate drops,
-    # which is known before any key is drawn
-    rng = stream_rng(1, 2)
+    # 66 all-zero keys: the last finds all 65 nodes of its path filled, so
+    # every replicate drops
     with pytest.raises(InsufficientBitsError):
-        simulate_insertion_depth(20, 50, 3, rng)
-    assert rng.random() == stream_rng(1, 2).random()
+        simulate_insertion_depth(65, 50, _MaskedRng(stream_rng(1, 2), 0))
 
 
 def test_simulated_depth_reproducible():
-    a = simulate_insertion_depth(10, 500, 64, stream_rng(9, 9))
-    b = simulate_insertion_depth(10, 500, 64, stream_rng(9, 9))
+    a = simulate_insertion_depth(10, 500, stream_rng(9, 9))
+    b = simulate_insertion_depth(10, 500, stream_rng(9, 9))
     assert a.offset == b.offset and np.array_equal(a.masses, b.masses)
 
 
@@ -179,65 +203,61 @@ def test_simulated_depth_reproducible():
 # set walk that the level-synchronous simulator replaced; equality is exact,
 # so these pin both the tree logic and the Philox draw layout.
 P64 = "0110" * 16
-P100 = "10" * 50
+P01 = "01" + "0" * 62
+PRAND = "1101000110100111010010111100110001011110010100011111000011011010"
 PINNED = [
-    ((100, 3000, 64, (20070201, 25), None),
+    ((100, 3000, (20070201, 25), None),
      (4, [0.005333333333333333, 0.136, 0.43033333333333335, 0.328, 0.09,
           0.01, 0.0003333333333333333], 0.0)),
-    ((100, 3000, 64, (20070201, 25), P64),
+    ((100, 3000, (20070201, 25), P64),
      (4, [0.005, 0.12633333333333333, 0.44433333333333336, 0.344,
           0.07366666666666667, 0.006333333333333333, 0.0003333333333333333],
       0.0)),
-    ((5, 500, 3, (1, 1), None), (1, [0.052, 0.516, 0.36], 0.072)),
-    ((40, 600, 70, (7, 3), None),
-     (3, [0.023333333333333334, 0.21333333333333335, 0.4633333333333333,
-          0.25666666666666665, 0.04, 0.0033333333333333335], 0.0)),
-    ((40, 600, 70, (7, 4), P100),
-     (3, [0.02, 0.23333333333333334, 0.47833333333333333, 0.22, 0.045,
-          0.0033333333333333335], 0.0)),
     # 1500 = 2 * 648 + 204 replicates: a ragged last chunk
-    ((100, 1500, 64, (3, 5), None),
+    ((100, 1500, (3, 5), None),
      (4, [0.006, 0.13666666666666666, 0.43666666666666665, 0.328,
           0.08466666666666667, 0.008], 0.0)),
-    ((12, 7000, 4, (2, 2), None),
-     (1, [0.00014285714285714287, 0.05828571428571429, 0.373,
-          0.3387142857142857], 0.22985714285714287)),
-    # a two-bit probe that is blocked in most replicates
-    ((6, 400, 64, (5, 6), "01"), (1, [0.0325, 0.425], 0.5425)),
-    ((0, 30, 64, (5, 7), "01"), (0, [1.0], 0.0)),
+    ((5, 500, (1, 1), None), (1, [0.062, 0.522, 0.36, 0.056], 0.0)),
+    ((40, 600, (7, 3), None),
+     (3, [0.013333333333333334, 0.20833333333333334, 0.44666666666666666,
+          0.27166666666666667, 0.055, 0.005], 0.0)),
+    ((40, 600, (7, 4), "10" * 32),
+     (3, [0.011666666666666667, 0.23166666666666666, 0.4816666666666667,
+          0.23666666666666666, 0.03666666666666667, 0.0016666666666666668],
+      0.0)),
+    ((12, 7000, (2, 2), None),
+     (1, [0.00042857142857142855, 0.08328571428571428, 0.448,
+          0.37942857142857145, 0.08342857142857144, 0.005,
+          0.00042857142857142855], 0.0)),
+    # a probe whose first two bits are blocked in most replicates
+    ((6, 400, (5, 6), P01),
+     (1, [0.0325, 0.425, 0.4425, 0.0975, 0.0025], 0.0)),
+    ((0, 30, (5, 7), P01), (0, [1.0], 0.0)),
+    ((1, 30, (5, 8), None), (1, [1.0], 0.0)),
+    # as the monte-carlo benchmark workload calls it
+    ((100, 10 ** 4, (20070201, 26), None),
+     (4, [0.005, 0.1239, 0.4323, 0.3492, 0.0823, 0.0072, 0.0001], 0.0)),
+    ((100, 10 ** 4, (20070201, 27), PRAND),
+     (4, [0.004, 0.1315, 0.4226, 0.3485, 0.0868, 0.0062, 0.0004], 0.0)),
 ]
 
 
 @pytest.mark.parametrize("args,expected", PINNED)
 def test_simulated_depth_pinned(args, expected):
-    n, replicates, budget, (seed, stream), probe = args
-    emp = simulate_insertion_depth(n, replicates, budget,
-                                   stream_rng(seed, stream), probe_bits=probe)
+    n, replicates, (seed, stream), probe = args
+    emp = simulate_insertion_depth(n, replicates, stream_rng(seed, stream),
+                                   probe_bits=probe)
     assert (emp.offset, emp.masses.tolist(), emp.truncation) == expected
 
 
-class _MaskedRng:
-    """A generator whose integer draws are ANDed with a per-word mask, so
-    keys share long prefixes and trees grow past one 64-bit word."""
-
-    def __init__(self, rng, mask):
-        self._rng = rng
-        self._mask = np.array(mask, dtype=np.uint64)
-
-    def integers(self, *args, **kwargs):
-        return self._rng.integers(*args, **kwargs) & self._mask
-
-
-def _oracle_depths(n, replicates, budget, rng, probe):
-    """Insert each replicate's keys into a ``Dst`` one at a time, drawing
-    them replicate by replicate; -1 marks a dropped replicate."""
-    words = (budget + 63) // 64
+def _oracle_depths(n, replicates, rng, probe):
+    """Insert each replicate's 64-bit keys into a ``Dst`` one at a time,
+    drawing them replicate by replicate; -1 marks a dropped replicate."""
     n_keys = n if probe is not None else n + 1
     depths = []
     for _ in range(replicates):
-        rows = rng.integers(0, 2 ** 64, size=(n_keys, words), dtype=np.uint64)
-        bits = ["".join(format(int(w), "064b") for w in row)[:budget]
-                for row in rows]
+        keys = rng.integers(0, 2 ** 64, size=n_keys, dtype=np.uint64)
+        bits = [format(int(k), "064b") for k in keys]
         tree = Dst()
         try:
             for i, b in enumerate(bits[:n]):
@@ -249,118 +269,116 @@ def _oracle_depths(n, replicates, budget, rng, probe):
     return np.array(depths)
 
 
-def _assert_matches_oracle(n, replicates, budget, make_rng, probe):
-    depths = _oracle_depths(n, replicates, budget, make_rng(), probe)
+def _assert_matches_oracle(n, replicates, make_rng, probe):
+    depths = _oracle_depths(n, replicates, make_rng(), probe)
     kept = depths[depths >= 0]
     if kept.size == 0:
         with pytest.raises(InsufficientBitsError):
-            simulate_insertion_depth(n, replicates, budget, make_rng(), probe)
+            simulate_insertion_depth(n, replicates, make_rng(), probe)
         return
-    emp = simulate_insertion_depth(n, replicates, budget, make_rng(), probe)
+    emp = simulate_insertion_depth(n, replicates, make_rng(), probe)
     want = IntPmf.from_samples(
         kept, truncation=(replicates - kept.size) / replicates)
     assert (emp.offset, emp.masses.tolist(), emp.truncation) == (
-        want.offset, want.masses.tolist(), want.truncation), (n, budget, probe)
+        want.offset, want.masses.tolist(), want.truncation), (n, probe)
 
 
 @pytest.mark.parametrize("batch", [None, 7])
-@pytest.mark.parametrize("probe", [None, "01", "1" * 70])
-@pytest.mark.parametrize("budget", [2, 3, 64, 70])
-def test_simulated_depth_matches_dst_oracle(monkeypatch, budget, probe, batch):
+@pytest.mark.parametrize("probe", [None, "1" * 64, "0" * 64, "01" * 32])
+def test_simulated_depth_matches_dst_oracle(monkeypatch, probe, batch):
     if batch is not None:
         # several chunks per call, the last one ragged
         monkeypatch.setattr("renewal_dst.dst._SIM_BATCH", batch)
     for n in (0, 1, 2, 5, 9):
-        stream = 1000 * budget + 10 * n + len(probe or "")
-        _assert_matches_oracle(n, 60, budget,
-                               lambda: stream_rng(budget, stream), probe)
+        stream = 64000 + 10 * n + len(probe or "")
+        _assert_matches_oracle(n, 60, lambda: stream_rng(64, stream), probe)
 
 
-@pytest.mark.parametrize("probe", [None, "0" * 66, "0" * 63 + "1" * 9])
-@pytest.mark.parametrize("budget", [64, 66, 70])
-def test_deep_trees_match_dst_oracle(monkeypatch, budget, probe):
-    # Keys agree on their first 63 bits, so the trees chain down past bit 64
-    # (the second key word) and often exhaust the budget.
+@pytest.mark.parametrize("probe", [None, "0" * 64, "0" * 63 + "1",
+                                   "0" * 56 + "1" * 8])
+@pytest.mark.parametrize("mask", [1, 3, 7])
+def test_deep_trees_match_dst_oracle(monkeypatch, mask, probe):
+    # Masked keys agree on all but their last few bits, so the trees chain
+    # down to depth 64 and keys tied on all 64 bits often drop.
     monkeypatch.setattr("renewal_dst.dst._SIM_BATCH", 200)
-    mask = [1, 0xFF << 56][:(budget + 63) // 64]
-    for n in (64, 70):
+    for n in (64, 65, 70):
         _assert_matches_oracle(
-            n, 30, budget,
-            lambda: _MaskedRng(stream_rng(budget, n), mask), probe)
+            n, 30, lambda: _MaskedRng(stream_rng(64, n), mask), probe)
 
 
 class _ScriptedRng:
-    """A generator whose integer draws replay given keys, row by row, in
-    whatever (..., words) shape is asked for."""
+    """A generator whose integer draws replay given keys, in whatever shape
+    is asked for."""
 
-    def __init__(self, rows):
-        self._rows = rows
+    def __init__(self, keys):
+        self._keys = keys
         self._next = 0
 
     def integers(self, low, high, size, dtype):
-        count = math.prod(size[:-1])
-        out = self._rows[self._next:self._next + count]
+        count = math.prod(np.atleast_1d(size))
+        out = self._keys[self._next:self._next + count]
         self._next += count
         return out.reshape(size)
+
+
+def _key(bits: str) -> int:
+    return int(bits, 2) if bits else 0
 
 
 @st.composite
 def _shared_prefix_replicates(draw):
     """Replicates of keys that start with a few prefixes of one path, so
-    trees chain down and exhaust small budgets; budgets past 64 span two
-    words."""
+    trees chain down along it, some keys equal on all 64 bits."""
     n = draw(st.integers(0, 40))
-    budget = draw(st.integers(1, 6) | st.integers(1, 70)
-                  | st.integers(62, 70))
-    words = (budget + 63) // 64
-    # prefixes of one path, so keys line up along it, each a little deeper
-    path = draw(st.text("01", min_size=budget + 2, max_size=budget + 2))
-    stems = [path[:k] for k in draw(st.lists(st.integers(0, budget + 2),
+    path = draw(st.text("01", min_size=64, max_size=64))
+    stems = [path[:k] for k in draw(st.lists(st.integers(0, 64),
                                              min_size=1, max_size=4))]
-    probe = draw(st.none() | st.sampled_from(stems).map(lambda s: s + "1")
-                 | st.text("01", min_size=1, max_size=70))
+    probe = draw(st.none()
+                 | st.sampled_from(stems).map(
+                     lambda s: (s + "1").ljust(64, "0")[:64])
+                 | st.text("01", min_size=64, max_size=64))
     n_keys = n if probe is not None else n + 1
     replicates = draw(st.integers(1, 4))
-    rows = []
+    keys = []
     for _ in range(replicates * n_keys):
-        stem = draw(st.sampled_from(stems))[:64 * words]
-        tail = draw(st.integers(0, 2 ** (64 * words - len(stem)) - 1))
-        key = (int(stem, 2) if stem else 0) << (64 * words - len(stem)) | tail
-        rows.append([key >> (64 * (words - 1 - w)) & (2 ** 64 - 1)
-                     for w in range(words)])
-    rows = np.array(rows, dtype=np.uint64).reshape(-1, words)
-    return n, budget, probe, replicates, rows
+        stem = draw(st.sampled_from(stems))
+        tail = draw(st.integers(0, 2 ** (64 - len(stem)) - 1))
+        keys.append(_key(stem) << (64 - len(stem)) | tail)
+    return n, probe, replicates, np.array(keys, dtype=np.uint64)
 
 
-# Only the last of the keys starting 00 runs out of bits: the depth-2 node
-# on its path fills just before it arrives.
-_LAST_KEY_DROPS = (4, 2, "1", 1, np.array(
-    [[int(k.ljust(64, "0"), 2)] for k in ("00", "01", "001", "0001")],
+# Keys 0^d 1^(64-d), d = 0..64, fill the nodes at depths 0..64 on the
+# all-zero path, so a second all-zero key (the 66th) runs out of bits. In
+# the second replicate three all-zero keys land at depths 0 and 64, and only
+# the last of them drops; in the third the two all-zero keys come first: a
+# tie, no drop.
+_CHAIN = [_key("0" * d + "1" * (64 - d)) for d in range(65)]
+_TIES = (66, "1" * 64, 3, np.array(
+    _CHAIN + [0] + [0] + _CHAIN[1:64] + [0, 0] + [0, 0] + _CHAIN[:64],
     dtype=np.uint64))
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=_shared_prefix_replicates(), batch=st.sampled_from([None, 5]))
-@example(case=_LAST_KEY_DROPS, batch=None)
+@example(case=_TIES, batch=None)
 def test_record_scan_matches_dst_per_replicate(case, batch):
-    n, budget, probe, replicates, rows = case
-    per_rep = len(rows) // replicates
+    n, probe, replicates, keys = case
+    per_rep = len(keys) // replicates
     with pytest.MonkeyPatch.context() as mp:
         if batch is not None:
             mp.setattr("renewal_dst.dst._SIM_BATCH", batch)
             mp.setattr("renewal_dst.dst._SCAN_BLOCK", 3)
         # each replicate alone: its depth, or its drop
         for r in range(replicates):
-            mine = rows[r * per_rep:(r + 1) * per_rep]
-            want = _oracle_depths(n, 1, budget, _ScriptedRng(mine), probe)[0]
+            mine = keys[r * per_rep:(r + 1) * per_rep]
+            want = _oracle_depths(n, 1, _ScriptedRng(mine), probe)[0]
             if want < 0:
                 with pytest.raises(InsufficientBitsError):
-                    simulate_insertion_depth(n, 1, budget,
-                                             _ScriptedRng(mine), probe)
+                    simulate_insertion_depth(n, 1, _ScriptedRng(mine), probe)
             else:
-                emp = simulate_insertion_depth(n, 1, budget,
-                                               _ScriptedRng(mine), probe)
+                emp = simulate_insertion_depth(n, 1, _ScriptedRng(mine),
+                                               probe)
                 assert dict(emp.items()) == {want: 1.0}
         # and all of them in one call
-        _assert_matches_oracle(n, replicates, budget,
-                               lambda: _ScriptedRng(rows), probe)
+        _assert_matches_oracle(n, replicates,
+                               lambda: _ScriptedRng(keys), probe)

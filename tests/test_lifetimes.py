@@ -7,10 +7,10 @@ from renewal_dst import (
     GeometricDst,
     IntPmf,
     ScaledBase,
-    geometric_pmf,
     sample_lifetime,
     tv_distance,
 )
+from renewal_dst.lifetimes import geometric_pmf
 from renewal_dst.rng import stream_rng
 
 DST = GeometricDst()
@@ -96,3 +96,16 @@ def test_scaled_base_sampling_mean():
     assert abs(draws.mean() - 8.0) <= 5 * se
     assert np.all(draws > 0)
 
+
+@pytest.mark.filterwarnings("error")
+def test_lifetimes_past_float_range_are_inf():
+    # 1e200 ** 2 overflows a float: the lifetime lies past every horizon
+    draws = sample_lifetime(ScaledBase(1e200), 2, stream_rng(1, 1), size=10)
+    assert np.all(draws == math.inf)
+    assert sample_lifetime(ScaledBase(1e200), 2, stream_rng(1, 1)) == math.inf
+
+
+def test_scaled_base_lifetimes_in_float_range_unchanged():
+    draws = sample_lifetime(ScaledBase(2.7), 5, stream_rng(3, 4), size=10)
+    want = 2.7 ** 5 * 0.5 * stream_rng(3, 4).standard_exponential(10)
+    assert np.array_equal(draws, want)

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from renewal_dst import (
     IntPmf,
-    empirical_cdf_jumps,
-    euler_b,
-    exp_convolution_cdf,
-    ks_discrete_vs_continuous,
     mixture_coefficients,
-    partial_fraction_coefficients,
     q_cdf,
     q_pmf,
     q_tail,
@@ -32,8 +27,16 @@ from renewal_dst.limit_law import (
     _q_table,
     _sf_pair,
     _sf_terms,
+    euler_b,
+    exp_convolution_cdf,
+    partial_fraction_coefficients,
 )
-from renewal_dst.metrics import limit_pmf_window, tv_vs_limit
+from renewal_dst.metrics import (
+    empirical_cdf_jumps,
+    ks_discrete_vs_continuous,
+    limit_pmf_window,
+    tv_vs_limit,
+)
 from renewal_dst.rng import stream_rng
 
 

@@ -9,14 +9,13 @@ import renewal_dst.metrics
 from renewal_dst import (
     IntPmf,
     check_rate_report,
-    empirical_cdf_jumps,
-    ks_discrete_vs_continuous,
     pmf_gap_bound_check,
     rate_report,
     s_infinity_cdf,
     tv_distance,
     tv_to_limit,
 )
+from renewal_dst.metrics import empirical_cdf_jumps, ks_discrete_vs_continuous
 
 
 def pmf_of(d):
@@ -40,6 +39,30 @@ def test_tv_distance_basics():
     assert tv_distance(p, q) == 1.0
     half = pmf_of({0: 0.5, 1: 0.5})
     assert tv_distance(half, p) == 0.5
+    # disjoint 10-sample laws: their float masses summed over the union
+    # support round past 2
+    p = IntPmf.from_samples([-30, -27, -34, -33, -28, -29, -32, -31, -34, -32])
+    q = IntPmf.from_samples([-99, -94, -99, -95, -100, -100, -96, -93, -94,
+                             -93])
+    assert tv_distance(p, q) == tv_distance(q, p) == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.lists(st.integers(-100, 100), min_size=1, max_size=30),
+       b=st.lists(st.integers(1, 100), min_size=1, max_size=30))
+def test_tv_distance_of_disjoint_sample_laws(a, b):
+    p = IntPmf.from_samples(a)
+    q = IntPmf.from_samples([max(a) + x for x in b])
+    for d in (tv_distance(p, q), tv_distance(q, p)):
+        assert d <= 1.0
+        assert d == pytest.approx(1.0, abs=1e-12)
+
+
+def test_pmf_mass_checked_to_1e_12():
+    IntPmf(0, np.array([0.5, 0.5 + 1e-13]))
+    for off in (1e-10, -1e-10):
+        with pytest.raises(ValueError):
+            IntPmf(0, np.array([0.5, 0.5 + off]))
 
 
 @settings(max_examples=80, deadline=None)

@@ -16,26 +16,28 @@ from renewal_dst import (
     ScaledBase,
     centered_count_distribution,
     depth_distribution_exact,
-    empirical_cdf_jumps,
-    ks_discrete_vs_continuous,
     ks_scaled_sum_exact,
     mixture_coefficients,
     pmf_gap_bound_check,
     s_infinity_cdf,
     s_infinity_sf,
     sample_scaled_limit,
-    scaled_sum_sample,
     simulate_count,
     tv_distance,
     tv_to_limit,
 )
-from renewal_dst.metrics import MAX_TV_N
+from renewal_dst.metrics import (
+    MAX_TV_N,
+    empirical_cdf_jumps,
+    ks_discrete_vs_continuous,
+)
 from renewal_dst.renewal import (
     _block_bound,
     _gap_terms,
     _gap_values,
     _partial_sum_terms,
     floor_log2,
+    scaled_sum_sample,
 )
 from renewal_dst.rng import stream_rng
 
