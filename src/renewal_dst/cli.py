@@ -65,7 +65,9 @@ class DataError(Exception):
     pass
 
 
-def _parse_grid(text: str) -> list[int]:
+def _parse_grid(text: str) -> list[int] | range:
+    """Grid points of A:B:STEP (a ``range``, so its bounds are checked without
+    building it) or A:B:xM (a geometric list)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must be A:B:STEP or A:B:xM, got {text!r}")
@@ -96,7 +98,7 @@ def _parse_grid(text: str) -> list[int]:
         raise UsageError(f"bad grid step: {text!r}")
     if s < 1:
         raise UsageError("grid step must be >= 1")
-    return list(range(a, b + 1, s))
+    return range(a, b + 1, s)
 
 
 def _cell(v) -> str:
@@ -204,6 +206,11 @@ def cmd_simulate(args) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     grid = _parse_grid(args.n_grid or _GRID_DEFAULTS["simulate"])
+    try:
+        float(grid[-1])
+    except OverflowError:
+        raise UsageError(f"simulate grid must end within the float range "
+                         f"(<= {sys.float_info.max:.6g})")
     dyadic = args.alpha == 2.0
     family = GeometricDst() if dyadic else ScaledBase(args.alpha)
 

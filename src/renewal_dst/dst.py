@@ -10,11 +10,15 @@ tree; it reads the depth off the keys on the probe's path by a record scan.
 With nodes 0..d-1 of that path filled, the next key sharing at least d
 leading bits with the probe takes node d, and any other key leaves the path
 above it; so over the keys in insertion order, ``depth += shared >= depth``
-ends at the probe's depth. Simulated keys are one 64-bit word each: the
-unbounded-key model (Flajolet and Sedgewick, SIAM J. Comput. 1986) up to a
-tie on all 64 bits, an event of probability about n^2 / 2^65. A key runs
-out of bits only below an earlier key equal to it, so one sort of the keys
-screens each replicate, and only flagged ones scan again, for those keys.
+ends at the probe's depth. Simulated keys are the first 64 bits of the
+unbounded uniform keys of the model (Flajolet and Sedgewick, SIAM J.
+Comput. 1986), one word each. While ``depth`` is at most 64 the scan only
+asks whether ``shared >= depth``, which 64 bits settle, so a probe depth of
+64 or less is the model's exact depth; a key that runs out of bits in a
+64-bit tree lands deeper than 64 in the model, below every node the scan
+reads. A replicate drops only when its probe needs more than 64 bits,
+which takes a key equal to the probe on all 64 bits: probability at most
+n / 2^64.
 """
 
 from __future__ import annotations
@@ -32,11 +36,9 @@ _KNUTH_BITS = ("0110", "1011", "0011", "0010", "0100",
                "0111", "0011", "1011", "0001", "0100")
 
 # Bits per simulated key; keys per chunk of replicates in
-# simulate_insertion_depth, and keys that _exhausts_budget compares with
-# every scanned key per numpy pass.
+# simulate_insertion_depth.
 _KEY_BITS = 64
 _SIM_BATCH = 2 ** 16
-_SCAN_BLOCK = 32
 
 
 class InsufficientBitsError(ValueError):
@@ -209,38 +211,6 @@ def _shared_bits(x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _record_scan(depth: np.ndarray, shared_rows) -> np.ndarray:
-    """Add to ``depth`` the path nodes the keys fill, key by key in insertion
-    order: ``shared_rows`` holds the bits each key shares with each target,
-    -1 where the key does not come before it (see the module docstring)."""
-    for shared in shared_rows:
-        depth += shared >= depth
-    return depth
-
-
-def _exhausts_budget(keys: np.ndarray) -> np.ndarray:
-    """Whether some key of each replicate, (c, n) in insertion order, lands
-    deeper than its 64 bits. Only a key equal to an earlier one can, and
-    only the last of each run of equal keys is scanned: a key of the run
-    drops exactly when the nodes at depths 0..64 on their common path are
-    all filled before it comes, and nodes stay filled, so the last drops
-    whenever an earlier one does."""
-    order = np.argsort(keys, axis=1, kind="stable")
-    ranked = np.take_along_axis(keys, order, axis=1)
-    repeat = ranked[:, 1:] == ranked[:, :-1]
-    repeat[:, :-1] &= ~repeat[:, 1:]    # the last key of each run
-    rep, pos = np.nonzero(repeat)
-    key = order[rep, pos + 1]
-    bits = keys[rep, key]
-    depth = np.zeros(len(key), dtype=np.int64)
-    for i in range(0, keys.shape[1], _SCAN_BLOCK):
-        cols = np.arange(i, min(i + _SCAN_BLOCK, keys.shape[1]))[:, None]
-        shared = _shared_bits(keys[rep, cols] ^ bits)
-        shared[cols >= key] = -1
-        _record_scan(depth, shared)
-    return np.bincount(rep[depth > _KEY_BITS], minlength=len(keys)) > 0
-
-
 def simulate_insertion_depth(n: int, replicates: int,
                              rng: np.random.Generator | None = None,
                              probe_bits: str | None = None) -> IntPmf:
@@ -250,16 +220,16 @@ def simulate_insertion_depth(n: int, replicates: int,
     each) and records the depth at which one more key would be inserted
     into their tree. With ``probe_bits``, exactly 64 bits, the extra key is
     a fixed direction probed without inserting; the law is the same either
-    way. A replicate where some key, or the probe, finds all 65 nodes on its
-    path filled (an earlier key equal to it on all 64 bits sits at depth
-    64) is dropped and counted in the returned pmf's ``truncation``.
+    way. A replicate whose probe finds all 65 nodes on its path filled
+    (depth > 64, so it needs more than its 64 bits) is dropped and counted
+    in the returned pmf's ``truncation``; every other depth is exact for
+    unbounded uniform keys (see the module docstring).
 
     No tree is built: the depth is the record scan of the module docstring,
-    O(n) per replicate, and a sort of the keys screens for replicates that
-    may drop (``_exhausts_budget`` settles those). Chunks of at most
-    ``_SIM_BATCH`` keys keep memory O(chunk) whatever ``replicates`` is; keys
-    are drawn replicate-major as (chunk, keys) uint64 arrays, so the Philox
-    stream is consumed exactly as one replicate at a time would.
+    O(n) per replicate. Chunks of at most ``_SIM_BATCH`` keys keep memory
+    O(chunk) whatever ``replicates`` is; keys are drawn replicate-major as
+    (chunk, keys) uint64 arrays, so the Philox stream is consumed exactly as
+    one replicate at a time would.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -283,13 +253,10 @@ def simulate_insertion_depth(n: int, replicates: int,
         if probe_bits is None:
             probe = keys[:, n:]
         path = np.ascontiguousarray(_shared_bits(keys[:, :n] ^ probe).T)
-        depth = _record_scan(np.zeros(len(keys), dtype=np.int64), path)
-        drop = depth > _KEY_BITS
-        ranked = np.sort(keys[:, :n], axis=1)
-        flagged = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(1))
-        if flagged.size:
-            drop[flagged] |= _exhausts_budget(keys[flagged, :n])
-        depth[drop] = -1
+        depth = np.zeros(len(keys), dtype=np.int64)
+        for shared in path:     # keys in insertion order
+            depth += shared >= depth
+        depth[depth > _KEY_BITS] = -1
         depths.append(depth)
     depths = np.concatenate(depths)
     kept = depths[depths >= 0]

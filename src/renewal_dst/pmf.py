@@ -5,8 +5,8 @@ results, series evaluations and empirical histograms all travel as an offset
 plus a dense mass vector. The optional ``truncation`` field carries a
 certified upper bound on mass that the producer dropped outside the stored
 support (for example DP states clipped below 1e-300, or simulation replicates
-dropped for a key tied on all 64 bits); consumers that assert distances add it
-back as slack so their bounds stay sound.
+dropped for a probe deeper than 64 bits); consumers that assert distances add
+it back as slack so their bounds stay sound.
 """
 
 from __future__ import annotations

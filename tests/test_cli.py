@@ -179,6 +179,16 @@ def test_simulate_bad_alpha_one_error_line(tmp_path, capsys, alpha):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_simulate_grid_past_float_range_one_error_line(tmp_path, capsys):
+    end = "1" + "0" * 400
+    code, data = run(tmp_path, "simulate", "--alpha", "2", "--samples",
+                     "10", "--n-grid", f"{end}:{end}:1")
+    assert code == 2 and data == b""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "float range" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_simulate_disjoint_laws_exits_0(tmp_path):
     # the simulated and reference laws share no atom: the distance is 1
     code, data = run(tmp_path, "simulate", "--alpha", "1.03", "--n-grid",
@@ -240,6 +250,18 @@ def test_converge_grid_errors(tmp_path):
     assert run(tmp_path, "converge", "--n-grid", "64:16:1")[0] == 2
     assert run(tmp_path, "converge", "--n-grid", "16:64")[0] == 2
     assert run(tmp_path, "converge", "--kind", "ks", "--n-grid", "4:40:1")[0] == 2
+
+
+# a grid end the machine cannot allocate a list for: refused at its bound,
+# before any point is built
+@pytest.mark.parametrize("kind,grid", [("ks", "4:1000000000000000000:1"),
+                                       ("tv", "1:1000000000000000000:1")])
+def test_converge_huge_grid_one_error_line(tmp_path, capsys, kind, grid):
+    code, data = run(tmp_path, "converge", "--kind", kind, "--n-grid", grid)
+    assert code == 2 and data == b""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "limited to" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_unknown_command_exits_2(tmp_path):

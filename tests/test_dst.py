@@ -170,8 +170,8 @@ def test_probe_must_be_64_bits(probe):
 
 class _MaskedRng:
     """A generator whose integer draws are ANDed with a mask, so keys share
-    long prefixes, trees chain down to depth 64 and some keys tie on all
-    64 bits."""
+    long prefixes, trees chain down to depth 64 and some probes need more
+    than 64 bits."""
 
     def __init__(self, rng, mask):
         self._rng = rng
@@ -182,13 +182,14 @@ class _MaskedRng:
 
 
 def test_simulated_depth_reports_budget_exhaustion():
-    # 66 keys 0 or 1 fill the 64 nodes their one path shares, then the two
-    # nodes at depth 64; the last key drops when it equals the one before
+    # 66 keys 0 or 1: the first 64 fill the nodes at depths 0..63 of the
+    # path they share, the 65th one of the two nodes at depth 64; the 66th,
+    # the implicit probe, needs more than 64 bits when it equals the 65th
     emp = simulate_insertion_depth(65, 500, _MaskedRng(stream_rng(1, 1), 1))
     assert 0 < emp.truncation < 1
     assert emp.total() == pytest.approx(1 - emp.truncation, abs=1e-12)
-    # 66 all-zero keys: the last finds all 65 nodes of its path filled, so
-    # every replicate drops
+    # 66 all-zero keys: the 66th, the probe, finds all 65 nodes of its path
+    # filled, so every replicate drops
     with pytest.raises(InsufficientBitsError):
         simulate_insertion_depth(65, 50, _MaskedRng(stream_rng(1, 2), 0))
 
@@ -252,16 +253,21 @@ def test_simulated_depth_pinned(args, expected):
 
 def _oracle_depths(n, replicates, rng, probe):
     """Insert each replicate's 64-bit keys into a ``Dst`` one at a time,
-    drawing them replicate by replicate; -1 marks a dropped replicate."""
+    drawing them replicate by replicate. A key that runs out of bits is
+    skipped: with unbounded keys it lands deeper than 64, below every node
+    a probe of 64 bits reaches. -1 marks a replicate whose probe runs out."""
     n_keys = n if probe is not None else n + 1
     depths = []
     for _ in range(replicates):
         keys = rng.integers(0, 2 ** 64, size=n_keys, dtype=np.uint64)
         bits = [format(int(k), "064b") for k in keys]
         tree = Dst()
-        try:
-            for i, b in enumerate(bits[:n]):
+        for i, b in enumerate(bits[:n]):
+            try:
                 tree.insert(i, b)
+            except InsufficientBitsError:
+                pass
+        try:
             depths.append(tree.probe(probe if probe is not None
                                      else bits[n]).depth)
         except InsufficientBitsError:
@@ -299,7 +305,8 @@ def test_simulated_depth_matches_dst_oracle(monkeypatch, probe, batch):
 @pytest.mark.parametrize("mask", [1, 3, 7])
 def test_deep_trees_match_dst_oracle(monkeypatch, mask, probe):
     # Masked keys agree on all but their last few bits, so the trees chain
-    # down to depth 64 and keys tied on all 64 bits often drop.
+    # down to depth 64, keys tied on all 64 bits often run out of bits and
+    # probes often need more than 64.
     monkeypatch.setattr("renewal_dst.dst._SIM_BATCH", 200)
     for n in (64, 65, 70):
         _assert_matches_oracle(
@@ -348,14 +355,25 @@ def _shared_prefix_replicates(draw):
 
 
 # Keys 0^d 1^(64-d), d = 0..64, fill the nodes at depths 0..64 on the
-# all-zero path, so a second all-zero key (the 66th) runs out of bits. In
-# the second replicate three all-zero keys land at depths 0 and 64, and only
-# the last of them drops; in the third the two all-zero keys come first: a
-# tie, no drop.
+# all-zero path, so a second all-zero key (the 66th) runs out of bits and
+# is skipped; no replicate drops, as the probe 1^64 stops at depth 1. In
+# the second replicate three all-zero keys land at depths 0 and 64, and the
+# last of them runs out of bits; in the third the two all-zero keys come
+# first and land at depths 0 and 1.
 _CHAIN = [_key("0" * d + "1" * (64 - d)) for d in range(65)]
 _TIES = (66, "1" * 64, 3, np.array(
     _CHAIN + [0] + [0] + _CHAIN[1:64] + [0, 0] + [0, 0] + _CHAIN[:64],
     dtype=np.uint64))
+
+
+@pytest.mark.parametrize("probe,depth", [("1" * 64, 1),
+                                         ("0" * 63 + "1", 64)])
+def test_key_out_of_bits_leaves_probe_depth_pinned(probe, depth):
+    # the 66th key, all-zero, runs out of bits below the all-zero path; the
+    # probes leave that path at depth 1 and 64, above it
+    keys = np.array(_CHAIN + [0], dtype=np.uint64)
+    emp = simulate_insertion_depth(66, 1, _ScriptedRng(keys), probe)
+    assert dict(emp.items()) == {depth: 1.0}
 
 
 @settings(max_examples=100, deadline=None)
@@ -367,7 +385,6 @@ def test_record_scan_matches_dst_per_replicate(case, batch):
     with pytest.MonkeyPatch.context() as mp:
         if batch is not None:
             mp.setattr("renewal_dst.dst._SIM_BATCH", batch)
-            mp.setattr("renewal_dst.dst._SCAN_BLOCK", 3)
         # each replicate alone: its depth, or its drop
         for r in range(replicates):
             mine = keys[r * per_rep:(r + 1) * per_rep]
