@@ -5,8 +5,8 @@ function of flags and seed: the default seed is fixed and printed in every
 header, and floats are written with 17 significant digits, so identical
 invocations are byte-identical.
 
-Exit codes: 0 success / assertions hold, 1 assertion failure, 2 usage,
-3 data error.
+Exit codes: 0 success / assertions hold, 1 assertion failure, 2 usage
+(a request too big for memory among them), 3 data error.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ _GRID_DEFAULTS = {
     "converge-tv": "16:262144:x4",
     "converge-ks": "4:18:1",
 }
+_MAX_GRID_POINTS = 10 ** 6
 
 
 class UsageError(Exception):
@@ -98,6 +99,10 @@ def _parse_grid(text: str) -> list[int] | range:
         raise UsageError(f"bad grid step: {text!r}")
     if s < 1:
         raise UsageError("grid step must be >= 1")
+    count = (b - a) // s + 1    # len() of a range past sys.maxsize raises
+    if count > _MAX_GRID_POINTS:
+        raise UsageError(f"grid limited to {_MAX_GRID_POINTS} points, "
+                         f"got {count}")
     return range(a, b + 1, s)
 
 
@@ -337,6 +342,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 2
 
 

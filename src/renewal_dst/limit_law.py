@@ -26,12 +26,15 @@ once per term; doubling only raises the binary exponent, so u equals
 ldexp would raise. Each stops once its remaining terms are known:
 _cdf_terms at u >= 40, where -expm1(-u) is exactly 1.0, appending the
 remaining a_k as they are; _sf_terms at the first exp(-u) that underflows
-to 0.0. Neither exit changes the fsum. A Q_eta pmf needs one series at c
-and at 2c. Doubling is exact, so the terms at 2c are those at c one index
-on, with the u >= 40 exit one index earlier: _sf_pair and _cdf_pair sum
-both from one pass, and since fsum rounds the exact sum, each value is bit
-for bit its own series'. Which series a Q_eta value reads follows from c
-(_MEDIAN_BAND).
+to 0.0. Neither exit changes the fsum.
+
+A Q_eta mass P(S > c) - P(S > 2c) is one series of the same form,
+sum_{k=1..33} d_k exp(-2^k c) with d_k = a_k - a_{k-1} (a_0 = a_33 = 0).
+Since a_{k-1} = (1 - 2^(k-1)) a_k, d_k = 2^(k-1) a_k for k <= 32: an
+exponent shift of the float a_k that adds no rounding (it also equals the
+float a_k - a_{k-1} bit for bit), and d_33 = -a_32 (_pmf_coefficients).
+The d_k sum to 0 (to 1.4e-16 in floats), so the mass is also
+fsum -d_k * -expm1(-2^k c), the stable form past the median.
 
 The array branch of s_infinity_cdf sums plainly in numpy, without fsum or
 exits, over the 11 leading terms with |a_k| >= COEFF_EPS: together the rest
@@ -87,6 +90,14 @@ def mixture_coefficients() -> tuple[float, ...]:
     return tuple(a)
 
 
+@lru_cache(maxsize=1)
+def _pmf_coefficients() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(d, -d) for the Q_eta mass series: d_k = 2^(k-1) a_k, d_33 = -a_32."""
+    a = mixture_coefficients()
+    d = tuple(math.ldexp(ak, k) for k, ak in enumerate(a)) + (-a[-1],)
+    return d, tuple(-dk for dk in d)
+
+
 def partial_fraction_coefficients(n: int) -> np.ndarray:
     """Coefficients a_{n,1}..a_{n,n} of the n-fold convolution expansion.
 
@@ -136,53 +147,9 @@ def _sf_terms(c: float, a) -> float:
     return min(max(math.fsum(terms), 0.0), 1.0)
 
 
-def _sf_pair(c: float, a) -> tuple[float, float]:
-    """(P(S > c), P(S > 2c)) from one exp pass; see the module notes."""
-    terms, terms_2c = [], []
-    u = c + c
-    e = math.exp(-u)
-    for ak in a:
-        if e == 0.0:
-            break
-        terms.append(ak * e)
-        u += u
-        e = math.exp(-u)
-        if e != 0.0:
-            terms_2c.append(ak * e)
-    return (min(max(math.fsum(terms), 0.0), 1.0),
-            min(max(math.fsum(terms_2c), 0.0), 1.0))
-
-
-def _cdf_pair(c: float, a) -> tuple[float, float]:
-    """(P(S <= c), P(S <= 2c)) from one expm1 pass; see the module notes."""
-    terms, terms_2c = [], []
-    u = c + c
-    for k, ak in enumerate(a):
-        if u >= 40.0:   # as in _cdf_terms, and one index earlier at 2c
-            terms.extend(a[k:])
-            terms_2c.extend(a[k - 1:] if k else a)
-            break
-        m = -math.expm1(-u)
-        terms.append(ak * m)
-        if k:
-            terms_2c.append(a[k - 1] * m)
-        u += u
-    else:   # the last term at 2c, a_32 at u = 2^33 c
-        terms_2c.append(a[-1] * -math.expm1(-u) if u < 40.0 else a[-1])
-    return (min(max(math.fsum(terms), 0.0), 1.0),
-            min(max(math.fsum(terms_2c), 0.0), 1.0))
-
-
-# P(S > c) = 1/2 at c = 0.87275. _sf_terms(c) - 1/2 is +4.9e-5 at the lower
-# end and -3.0e-5 at the upper, its float error a few ulps of sum |a_k| = 8.26
-# (~1e-14): outside the band, c alone gives the side _sf_terms(c) <= 1/2 would.
-_MEDIAN_BAND = (0.8727, 0.8728)
-
-
-def _past_median(c: float, a) -> bool:
-    """_sf_terms(c, a) > 0.5, read off c alone outside _MEDIAN_BAND."""
-    lo, hi = _MEDIAN_BAND
-    return c <= lo or (c < hi and _sf_terms(c, a) > 0.5)
+# The least float c with _sf_terms(c) <= 1/2; the median of S is 1.9e-17
+# above it. Below it a Q_eta value reads the stable complement series.
+_MEDIAN_C = 0.8727617307746323
 
 
 def _checked(t, name: str = "t") -> float:
@@ -245,10 +212,10 @@ def q_cdf(eta: float, x) -> float:
 
     Real x is answered at floor(x); the law is integer-supported, and
     x = -inf / +inf give 0 / 1. One series pass per call: below the median
-    (c above _MEDIAN_BAND) the direct series, which has no cancellation;
-    past it (c below the band) 1 minus the stably evaluated tail
-    P(S <= c), which keeps the CDF monotone in floating point all the way
-    into the flat-at-1 region. Inside the band the direct value decides.
+    (c >= _MEDIAN_C) the direct series, which has no cancellation; past it
+    1 minus the stably evaluated tail P(S <= c), which keeps the CDF
+    monotone in floating point all the way into the flat-at-1 region. The
+    side is the one the direct value would pick (_sf_terms(c) <= 1/2).
     """
     _check_eta(eta)
     try:
@@ -257,7 +224,7 @@ def q_cdf(eta: float, x) -> float:
         return _limit(x, "x", 0.0, 1.0)
     a = mixture_coefficients()
     c = _pow2(e)
-    if _past_median(c, a):
+    if c < _MEDIAN_C:
         return 1.0 - _cdf_terms(c, a)
     return _sf_terms(c, a)
 
@@ -265,23 +232,20 @@ def q_cdf(eta: float, x) -> float:
 def q_pmf(eta: float, j) -> float:
     """P(Q_eta = j) = P(S > c) - P(S > 2c), c = 2^(eta - 1 - j); 0 at +-inf.
 
-    Past the median (2c below _MEDIAN_BAND) both terms sit at 1 - tiny and
-    their float difference is noise, so the stable tails
-    P(S <= 2c) - P(S <= c) are used instead; both forms are floored at 0.
-    Either pair comes from one series pass (_sf_pair, _cdf_pair).
+    One series pass: sum_k d_k exp(-2^k c) over the difference coefficients
+    of the module notes, or past the median (2c below _MEDIAN_C), where both
+    tails sit at 1 - tiny, the stable fsum -d_k * -expm1(-2^k c).
     """
     _check_eta(eta)
     try:
         e = eta - (math.floor(j) + 1)
     except (OverflowError, ValueError):     # j is infinite or NaN
         return _limit(j, "j", 0.0, 0.0)
-    a = mixture_coefficients()
+    d, neg_d = _pmf_coefficients()
     c = _pow2(e)
-    if _past_median(c + c, a):
-        below, below_2c = _cdf_pair(c, a)
-        return max(below_2c - below, 0.0)
-    above, above_2c = _sf_pair(c, a)
-    return max(above - above_2c, 0.0)
+    if c + c < _MEDIAN_C:
+        return _cdf_terms(c, neg_d)
+    return _sf_terms(c, d)
 
 
 def q_tail(eta: float, j) -> float:

@@ -1,9 +1,14 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import math
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import renewal_dst
 import renewal_dst.cli
@@ -264,6 +269,22 @@ def test_converge_huge_grid_one_error_line(tmp_path, capsys, kind, grid):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# sizes past any machine: each is refused or fails to allocate at once
+@pytest.mark.parametrize("argv", [
+    ("limit-law", "--n-grid", "0:1000000000000000000:1"),
+    ("limit-law", "--n-grid", f"0:{10 ** 400}:1"),
+    ("simulate", "--samples", "10", "--n-grid", "16:1000000000000000000:1"),
+    ("simulate", "--samples", "1000000000000000", "--n-grid", "16:16:1"),
+], ids=["limit-law-grid", "limit-law-grid-past-maxsize", "simulate-grid",
+        "simulate-samples"])
+def test_request_too_big_one_error_line(tmp_path, capsys, argv):
+    code, data = run(tmp_path, *argv)
+    assert code == 2 and data == b""
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_unknown_command_exits_2(tmp_path):
     assert main(["frobnicate"]) == 2
 
@@ -290,19 +311,20 @@ def test_byte_identical_reruns(tmp_path, argv):
 # is in the bytes.
 @pytest.mark.parametrize("argv, digest", [
     (("simulate", "--n-grid", "16:256:x4", "--samples", "3000"),
-     "cf25cc812890d306c1621842a9a1240f3eeeb605cff2dadc4813b8e243c65680"),
+     "4010b19486a5e5760aa56826a10809e7646108b57e044f37ec4d8a6c280654b7"),
     (("simulate", "--alpha", "2.7", "--n-grid", "16:64:x2",
       "--samples", "2000"),
      "ac1a8cc3e2d8c6f118e090c6f27ea60a3bf6a783bcc3186cad8be71f3d51bba4"),
     (("dst-demo", "--probe", "011100"),
      "5c7373d7d7a42fd4907281b67eaf4cbf9c92ae319e5c9411880ccb92e2dc687e"),
-    # eta = 0.80364 puts c = 0.872750 (x = 0) inside limit_law._MEDIAN_BAND
+    # eta = 0.80364 puts c = 0.872750 (x = 0) 1.2e-5 below the median
+    # crossing limit_law._MEDIAN_C, and 2c of q_pmf at j = 1 there too
     (("limit-law", "--eta", "0.80364"),
-     "7d7620a55649ed863daab8d9962845a028f4dde8a60fc87bb8dc84b9a3bb3c10"),
+     "1613ee035fe7d911e1298f047d7caa0d5bfa0e2dab17fe7bb452780fa5f09486"),
     (("limit-law", "--eta", "0.5"),
-     "2778d4b2e609255bd00829606a9964bb151959887ac15dba55afc9f5612f9cda"),
+     "38708830fc3ada6784faa8384a3fba867f1945de1cbe443f879904708a71f307"),
     (("depth-dist", "--n", "1024"),
-     "0eb9b900d534438a991d4a8be5bffc43d09908a304abcfa6ee9e65ef70b1d489"),
+     "e55b17310d3b7e81cfae34ac00c74374067ad0c196da4c40e1ac390a1a312f38"),
 ], ids=["simulate-dyadic", "simulate-alpha-2.7", "dst-demo-probe",
         "limit-law-median-band", "limit-law-half", "depth-dist-1024"])
 def test_output_matches_recorded_digest(tmp_path, argv, digest):
@@ -337,3 +359,78 @@ def test_module_only_names_stay_off_the_package():
             assert hasattr(mod, name), (module, name)
             assert not hasattr(renewal_dst, name), name
             assert name not in renewal_dst.__all__, name
+
+
+# The grammar fuzz: argv for the five commands from option values that
+# include NaN, +-inf, -0.0, 1e308, huge ints, empty strings and reversed or
+# malformed grids. A valid grid holds at most 4 points with n <= 2^12 and
+# --samples is at most 50; every other size is at least 10^15, so each argv
+# is refused at once or runs in tens of milliseconds.
+_HUGE = [str(10 ** 15), str(10 ** 18), str(-10 ** 15), str(10 ** 400)]
+_JUNK = ["", "x", "1.5", "nan", "-0.0"]
+_FLOATS = st.sampled_from(["0", "-0.0", "0.5", "1", "2", "2.7", "1.03",
+                           "0.80364", "1e308", "-1e308", "nan", "inf", "-inf",
+                           "1e400", "", "x"])
+_GRIDS = st.sampled_from([
+    "1:1:1", "3:3:1", "16:16:1", "-3:0:1", "0:3:1", "4:7:1", "5:10:2",
+    "1:8:x2", "16:4096:x8",
+    "", "1:2", "1:2:3:4", "::", "a:b:1", "1.5:2:1", "5:1:1", "4096:16:x8",
+    "1:5:0", "1:5:-1", "1:5:x1", "1:5:x", "1:5:xx", "0:5:x2",
+    f"0:{10 ** 15}:1", f"16:{10 ** 18}:1", f"0:{10 ** 400}:1",
+    f"{-10 ** 15}:0:1", f"{10 ** 400}:{10 ** 400}:1"])
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str) | st.sampled_from(_HUGE + _JUNK)
+
+
+_OPTIONS = {
+    "limit-law": {"--eta": _FLOATS, "--n-grid": _GRIDS},
+    "depth-dist": {"--n": _ints(-2, 2 ** 12)},
+    "dst-demo": {"--probe": st.text("01x", max_size=70),
+                 "--corpus": st.just("no-such-corpus.txt")},
+    "simulate": {"--alpha": _FLOATS, "--samples": _ints(-2, 50),
+                 "--n-grid": _GRIDS},
+    "converge": {"--kind": st.sampled_from(["tv", "ks", "x"]),
+                 "--n-grid": _GRIDS},
+}
+# left out, these would run the defaults: 10^4 samples, 2^18-point laws
+_REQUIRED = {"--samples", "--n-grid"}
+_COMMON = {"--seed": _ints(-2, 5),
+           "--format": st.sampled_from(["csv", "json", "xml"])}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for name, values in {**_OPTIONS[command], **_COMMON}.items():
+        if name in _REQUIRED or draw(st.booleans()):
+            argv.append(f"{name}={draw(values)}")
+    return argv
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argv())
+@example(["simulate", "--alpha=1.03", "--n-grid=3:3:1", "--samples=10",
+          "--seed=2"])
+@example(["limit-law", "--n-grid=0:1000000000000000000:1"])
+@example(["simulate", "--samples=10", "--n-grid=16:1000000000000000000:1"])
+@example(["simulate", "--samples=1000000000000000", "--n-grid=16:16:1"])
+def test_cli_grammar_fuzz(argv):
+    first = _run_captured(argv)
+    code, _, err = first
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    # a distance outside [0, 1] is a defect, not a usage error
+    assert "out of [0, 1]" not in err, (argv, err)
+    assert _run_captured(argv) == first, argv

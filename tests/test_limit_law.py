@@ -18,14 +18,12 @@ from renewal_dst import (
     sample_s_infinity,
 )
 from renewal_dst.limit_law import (
-    _MEDIAN_BAND,
+    _MEDIAN_C,
     _Q_HI,
     _Q_LO,
-    _cdf_pair,
     _cdf_terms,
-    _past_median,
+    _pmf_coefficients,
     _q_table,
-    _sf_pair,
     _sf_terms,
     euler_b,
     exp_convolution_cdf,
@@ -387,43 +385,44 @@ def _near(c):
     return (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))
 
 
-# c at and beside both band edges and the median of S, at each saturation
-# exit 40 * 2^-k of the expm1 pass (k = 33, 34 past the 32 coefficients),
-# where 2^k c crosses exp's underflow, and at the ends of the float range
+# c at and beside the median crossing (for q_cdf at c, for q_pmf at 2c) and
+# within 1e-4 either side, at each saturation exit 40 * 2^-k of the expm1 pass
+# (k = 33, 34 past the 32 coefficients), where 2^k c crosses exp's
+# underflow, and at the ends of the float range
 ONE_PASS_C = sorted({
-    v for c in (*_MEDIAN_BAND, 0.87275, *(b / 2 for b in _MEDIAN_BAND),
+    v for c in (_MEDIAN_C, _MEDIAN_C / 2, 0.8727, 0.8728, 0.87275,
                 *(40.0 * 2.0 ** -k for k in range(0, 35)),
                 *(745.1332191019412 * 2.0 ** -k for k in range(0, 12)),
                 1e-300, 5e-324, 1e300, 1.7e308)
     for v in _near(c)} | {0.0, math.inf})
 
 
-def test_one_pass_kernels_bit_identical_to_separate_series():
+def test_pmf_coefficients_are_the_exact_differences():
     a = mixture_coefficients()
-    for c in ONE_PASS_C:
-        assert _past_median(c, a) == (_sf_terms(c, a) > 0.5), c
-        for got, ref in zip((*_sf_pair(c, a), *_cdf_pair(c, a)),
-                            (_sf_terms(c, a), _sf_terms(c + c, a),
-                             _cdf_terms(c, a), _cdf_terms(c + c, a))):
-            assert got.hex() == ref.hex(), c
+    d, neg_d = _pmf_coefficients()
+    assert len(d) == 33
+    for k, ak in enumerate(a):
+        assert d[k].hex() == (ak - (a[k - 1] if k else 0.0)).hex(), k + 1
+    assert d[32] == -a[31]
+    assert neg_d == tuple(-dk for dk in d)
 
 
-def test_q_cdf_and_pmf_bit_identical_to_separate_series():
+def test_q_cdf_bit_identical_and_q_pmf_within_1e_15_of_separate_series():
     # eta = 0.80364: q_cdf(eta, 0) has c = 0.872750 and q_pmf(eta, 1) has
-    # 2c in the band; the log2 etas put c (for x = 0) or 2c (for j = 1) at
-    # and beside each band edge
+    # 2c beside the median; the log2 etas put c (for x = 0) or 2c (for
+    # j = 1) at and beside _MEDIAN_C. q_pmf sums one series of differences
+    # where _three_pass_q_pmf subtracts two: they agree to 8.3e-16 or better
     a = mixture_coefficients()
     etas = set(ETA_GRID) | {0.80364}
-    for edge in _MEDIAN_BAND:
-        etas.update(_near(1.0 + math.log2(edge)))
+    etas.update(_near(1.0 + math.log2(_MEDIAN_C)))
     xs = [*J_GRID, 30, 40, 1000, -1022, -1100, -math.inf, math.inf]
     for eta in sorted(etas):
         for x in xs:
             assert (q_cdf(eta, x).hex()
                     == _two_pass_q_cdf(eta, x, a).hex()), (eta, x)
-            assert (q_pmf(eta, x).hex()
-                    == _three_pass_q_pmf(eta, x, a).hex()), (eta, x)
-    assert _MEDIAN_BAND[0] < 2.0 ** (0.80364 - 1) < _MEDIAN_BAND[1]
+            assert abs(q_pmf(eta, x)
+                       - _three_pass_q_pmf(eta, x, a)) <= 1e-15, (eta, x)
+    assert abs(2.0 ** (0.80364 - 1) - _MEDIAN_C) < 1e-4
 
 
 @lru_cache(maxsize=None)
@@ -473,18 +472,35 @@ def test_scalar_series_against_mpmath():
     assert checked > 300
 
 
-def test_median_band_certificate():
-    # outside the band the side of the median follows from c alone: each
-    # end's margin is far above _sf_terms' float error (~1e-14), and the
-    # median of S lies strictly inside
+def test_q_pmf_against_mpmath_including_left_tail():
+    # absolute error only, so the left tail (rel check waived above) counts
     mp = pytest.importorskip("mpmath")
-    lo, hi = _MEDIAN_BAND
+    for eta in ETA_GRID:
+        with mp.workdps(80):
+            c = {j: mp.mpf(2) ** (mp.mpf(eta) - 1 - j)
+                 for j in range(J_GRID.start - 1, J_GRID.stop)}
+        for j in J_GRID:
+            ref = _mp_law(c[j])[1] - _mp_law(c[j - 1])[1]
+            assert abs(q_pmf(eta, j) - float(ref)) <= 2e-15, (eta, j)
+
+
+def test_median_c_is_the_crossing():
+    # c < _MEDIAN_C picks the side _sf_terms(c) > 1/2 would: at the
+    # crossing, at every float within 10^4 ulps of it, and at ONE_PASS_C
+    mp = pytest.importorskip("mpmath")
     a = mixture_coefficients()
-    assert _sf_terms(lo, a) - 0.5 > 1e-9
-    assert 0.5 - _sf_terms(hi, a) > 1e-9
+    assert _sf_terms(_MEDIAN_C, a) <= 0.5 < _sf_terms(
+        math.nextafter(_MEDIAN_C, 0.0), a)
+    lo = hi = _MEDIAN_C
+    near = [_MEDIAN_C]
+    for _ in range(10 ** 4):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+        near += (lo, hi)
+    for c in near + ONE_PASS_C:
+        assert (c < _MEDIAN_C) == (_sf_terms(c, a) > 0.5), c
     with mp.workdps(30):
         median = mp.findroot(lambda t: _mp_law(t)[1] - 0.5, mp.mpf(0.87275))
-    assert lo < median < hi
+    assert abs(_MEDIAN_C - median) < 1e-15
 
 
 def test_q_extreme_arguments():
