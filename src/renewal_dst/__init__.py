@@ -32,7 +32,6 @@ from .limit_law import (
     s_infinity_cdf,
     s_infinity_sf,
     sample_q,
-    sample_s_infinity,
 )
 from .metrics import (
     check_rate_report,
@@ -78,7 +77,6 @@ __all__ = [
     "s_infinity_sf",
     "sample_lifetime",
     "sample_q",
-    "sample_s_infinity",
     "sample_scaled_limit",
     "simulate_count",
     "simulate_insertion_depth",

@@ -288,7 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="CDF/pmf/tail table of the limit family")
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--n-grid", default=None, metavar="A:B:STEP",
-                   help="x range (default %s)" % _GRID_DEFAULTS["limit-law"])
+                   help="x range (default %s); a negative start needs the = "
+                        "form, --n-grid=-3:12:1" % _GRID_DEFAULTS["limit-law"])
     common(p)
     p.set_defaults(func=cmd_limit_law)
 

@@ -36,11 +36,6 @@ float a_k - a_{k-1} bit for bit), and d_33 = -a_32 (_pmf_coefficients).
 The d_k sum to 0 (to 1.4e-16 in floats), so the mass is also
 fsum -d_k * -expm1(-2^k c), the stable form past the median.
 
-The array branch of s_infinity_cdf sums plainly in numpy, without fsum or
-exits, over the 11 leading terms with |a_k| >= COEFF_EPS: together the rest
-change no value by more than 2e-19, and summing them would about double the
-cost of each call.
-
 The discretized family is Q_eta = L(floor(-log2 S + eta)) for eta in [0, 1]:
 
     P(Q_eta <= x) = sum_k a_k exp(-2^k c),  c = 2^(eta - 1 - x),  x integer.
@@ -58,22 +53,15 @@ from functools import lru_cache
 
 import numpy as np
 
-COEFF_EPS = 1e-18     # series truncation threshold for coefficients
-
 
 @lru_cache(maxsize=1)
 def euler_b() -> float:
     """The normalizer b = prod_{j>=1} (1 - 2^(-j))^(-1) ~ 3.4627466194550636.
 
-    Factors are multiplied until they differ from 1 by less than 1e-18
-    (j = 59 in binary64); the result is deterministic.
+    Factors j = 1..53 are multiplied; every later factor rounds to 1.0 in
+    binary64, so the float product is complete.
     """
-    denom = 1.0
-    j = 1
-    while 2.0 ** -j >= COEFF_EPS:
-        denom *= 1.0 - 2.0 ** -j
-        j += 1
-    return 1.0 / denom
+    return 1.0 / math.prod(1.0 - 2.0 ** -j for j in range(1, 54))
 
 
 @lru_cache(maxsize=1)
@@ -159,7 +147,10 @@ def _checked(t, name: str = "t") -> float:
     return t
 
 
-def _cdf_array(t, a) -> np.ndarray:
+def _cdf(t, a):
+    """P(S <= t) for the coefficients a: a float, or an array for array t."""
+    if isinstance(t, (float, int)) or np.ndim(t) == 0:  # np.float64 is a float
+        return _cdf_terms(_checked(t), a)
     tv = np.asarray(t, dtype=float)
     if not np.all(tv >= 0):     # also rejects NaN
         raise ValueError("t must be >= 0 and not NaN at every point")
@@ -179,12 +170,9 @@ def s_infinity_cdf(t):
 
     Termwise expm1 keeps the alternating sum accurate near t = 0, where the
     true value decays superexponentially: P(S <= 2^(-j)) <= 2^(-j(j-1)/2).
-    Accepts scalars or arrays (arrays: terms with |a_k| >= COEFF_EPS, no fsum).
+    Accepts scalars or arrays (arrays: a plain numpy sum, no fsum).
     """
-    a = mixture_coefficients()
-    if isinstance(t, (float, int)) or np.ndim(t) == 0:  # np.float64 is a float
-        return _cdf_terms(_checked(t), a)
-    return _cdf_array(t, [ak for ak in a if abs(ak) >= COEFF_EPS])
+    return _cdf(t, mixture_coefficients())
 
 
 def s_infinity_sf(x: float) -> float:
@@ -194,10 +182,7 @@ def s_infinity_sf(x: float) -> float:
 
 def exp_convolution_cdf(n: int, t):
     """CDF of Exp(2) + Exp(4) + ... + Exp(2^n) via the signed expansion."""
-    a = partial_fraction_coefficients(n).tolist()
-    if isinstance(t, (float, int)) or np.ndim(t) == 0:
-        return _cdf_terms(_checked(t), a)
-    return _cdf_array(t, a)
+    return _cdf(t, partial_fraction_coefficients(n).tolist())
 
 
 def _limit(x, name: str, low: float, high: float) -> float:
@@ -214,8 +199,8 @@ def q_cdf(eta: float, x) -> float:
     x = -inf / +inf give 0 / 1. One series pass per call: below the median
     (c >= _MEDIAN_C) the direct series, which has no cancellation; past it
     1 minus the stably evaluated tail P(S <= c), which keeps the CDF
-    monotone in floating point all the way into the flat-at-1 region. The
-    side is the one the direct value would pick (_sf_terms(c) <= 1/2).
+    nondecreasing in floating point all the way into the flat-at-1 region.
+    The side is the one the direct value would pick (_sf_terms(c) <= 1/2).
     """
     _check_eta(eta)
     try:
@@ -263,22 +248,6 @@ def q_tail(eta: float, j) -> float:
     return _cdf_terms(_pow2(e), mixture_coefficients())
 
 
-def sample_s_infinity(rng: np.random.Generator, k_trunc: int = 64,
-                      size: int | None = None):
-    """Draw S ~ sum_{k=1}^{k_trunc} 2^(-k) Z_k, Z_k i.i.d. Exp(1).
-
-    The discarded remainder has mean 2^(-k_trunc), far below sampling noise
-    at the default truncation. size=None draws one value through the array
-    path and returns it as a float.
-    """
-    if k_trunc < 1:
-        raise ValueError(f"k_trunc must be >= 1, got {k_trunc}")
-    out = np.zeros(1 if size is None else size)
-    for k in range(1, k_trunc + 1):
-        out += 2.0 ** -k * rng.standard_exponential(out.shape)
-    return float(out[0]) if size is None else out
-
-
 # sample_q's table spans j = _Q_LO.._Q_HI - 1: at every eta, P(Q_eta < _Q_LO)
 # <= q_cdf(0, -6) ~ 5.6e-28 and P(Q_eta > _Q_HI) <= q_tail(1, 11) ~ 2.9e-23.
 _Q_LO, _Q_HI = -5, 10
@@ -288,7 +257,7 @@ def _q_table(eta: float) -> np.ndarray:
     """C_j = q_cdf(eta, j) for j = _Q_LO.._Q_HI - 1, checked nondecreasing."""
     table = np.array([q_cdf(eta, j) for j in range(_Q_LO, _Q_HI)])
     if np.any(table[1:] < table[:-1]):
-        raise RuntimeError(f"q_cdf({eta!r}, .) is not monotone")
+        raise RuntimeError(f"q_cdf({eta!r}, .) decreases")
     return table
 
 
@@ -302,12 +271,11 @@ def sample_q(eta: float, rng: np.random.Generator, size: int | None = None):
     error (at most 8.9e-16 abs against mpmath over eta = 0, 0.01, ..., 1),
     and the window's ends take the mass beyond it, under 2^-64. Atoms with
     C_j < 2^-53 are never drawn; from 1/2 up, where the C_j lie on the grid,
-    each atom has exactly C_j - C_{j-1}. size=None returns an int; eta = 1
-    is the eta = 0 draw plus one (the translate identity).
+    each atom has exactly C_j - C_{j-1}. size=None returns an int. The
+    tables at eta = 1 and eta = 0 are translates (the first entry at eta = 1
+    is below 2^-53), so an eta = 1 draw is the eta = 0 draw plus one.
     """
     _check_eta(eta)
-    if eta == 1.0:
-        return sample_q(0.0, rng, size) + 1
     v = 1.0 - rng.random(1 if size is None else size)
     q = np.searchsorted(_q_table(eta), v, side="left")
     q += _Q_LO

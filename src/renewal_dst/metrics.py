@@ -4,7 +4,7 @@ Total variation between integer pmfs is half the l1 gap over the union
 support; the Kolmogorov-Smirnov distance between a step CDF and a continuous
 CDF is exact when evaluated at jump points only. The rate harness compares
 exact centered count laws against the discretized limit family over a grid,
-phrasing the asymptotic rate claims as finite-n monotonicity of scaled
+phrasing the asymptotic rate claims as finite-n decrease of scaled
 sequences (an o(.) statement is not assertable at any finite n). Distances
 against truncated laws carry the reported truncation mass as certified
 slack, so every asserted inequality is sound rather than merely plausible.
@@ -25,7 +25,6 @@ from .renewal import (
 )
 
 MAX_TV_N = 2 ** 22
-_TAIL_EPS = 1e-14
 
 REPORT_COLUMNS = ("n", "eta", "kind", "value", "trunc_bound")
 
@@ -91,18 +90,16 @@ def empirical_cdf_jumps(sample) -> tuple[np.ndarray, np.ndarray]:
     return pts, np.searchsorted(s, pts, side="right") / s.size
 
 
-def limit_pmf_window(eta: float, lo: int = -8, hi: int = 10) -> tuple[int, np.ndarray, float]:
-    """Q_eta masses on a window wide enough that both tails are < 1e-14.
+def limit_pmf_window(eta: float, lo: int,
+                     hi: int) -> tuple[int, np.ndarray, float]:
+    """Q_eta masses on the window [lo, hi]: (lo, masses, outside).
 
-    Returns (lo, masses, outside) where ``outside`` is the exact mass the
-    law carries off-window, to be carried as certified slack.
+    ``outside`` = P(Q_eta < lo) + P(Q_eta > hi) is the mass the law carries
+    off the window, to be carried as certified slack. For lo <= -8 and
+    hi >= 10 it is below 1e-17 at every eta.
     """
-    while (below := q_cdf(eta, lo - 1)) >= _TAIL_EPS:
-        lo -= 4
-    while (above := q_tail(eta, hi + 1)) >= _TAIL_EPS:
-        hi += 4
     masses = np.array([q_pmf(eta, j) for j in range(lo, hi + 1)])
-    return lo, masses, below + above
+    return lo, masses, q_cdf(eta, lo - 1) + q_tail(eta, hi + 1)
 
 
 def _tv_and_window(pmf: IntPmf, eta: float):

@@ -56,8 +56,7 @@ class IntPmf:
         v = np.asarray(values, dtype=np.int64)
         lo = int(v.min())
         counts = np.bincount(v - lo)
-        denom = v.size / (1.0 - truncation) if truncation else v.size
-        return cls(lo, counts / denom, truncation)
+        return cls(lo, counts / (v.size / (1.0 - truncation)), truncation)
 
     @property
     def support_min(self) -> int:

@@ -17,10 +17,10 @@ instead: partial fractions write P(S_n > j) as a sum of geometric terms
 B_i q_i^(j-n+1) with exactly computed coefficients, and the limit tail is
 the signed exponential mixture. The largest gap over the jump points is
 found by a certified block search: blocks of jump points are split level
-by level, and a block is dropped once a bound on its gaps (the end values
-plus a second-derivative term, or the two tails' monotonicity), widened by
-twice an a priori float error bound r, falls to the incumbent maximum. It
-evaluates on the order of 2^(n/2) jump points instead of all 8 2^n.
+by level, and a block is dropped once a bound on its gaps (the larger end
+value plus a second-derivative term), widened by twice an a priori float
+error bound r, falls to the incumbent maximum. It evaluates on the order of
+2^(n/2) jump points instead of all 8 2^n.
 Everything else (general growth rates, sanity cross-checks) is seeded Monte
 Carlo.
 """
@@ -151,7 +151,7 @@ def sample_scaled_limit(family: ScaledBase, rng: np.random.Generator,
     The W_k are exponential of mean 1/2, summed to enough terms that the
     remainder's mean, relative to the base mean, is below 1e-12. Scalar and
     array draws take the same path and the same stream; at alpha = 2 the
-    draws equal ``limit_law.sample_s_infinity(rng, 41, size)``.
+    draws are those of S = sum_{k=1..41} 2^(-k) Z_k with unit exponential Z_k.
     """
     out = np.zeros(1 if size is None else size)
     for k in range(family.limit_terms + 1):
@@ -252,16 +252,12 @@ def _gap(values: np.ndarray) -> np.ndarray:
 def _block_bound(lo: np.ndarray, hi: np.ndarray, width) -> np.ndarray:
     """U >= max |G+(j)|, |G-(j)| over the integers j of [u, u + width].
 
-    ``lo`` and ``hi`` are ``_gap_values`` at u and v = u + width.
-    U = min(U_curv, U_mono). U_curv: a function whose second derivative is
-    at most M on [u, v] exceeds the larger end value by at most
-    M (v - u)^2 / 8, and M2(u) bounds both |G''| on the block because each
-    of its terms falls as j grows. U_mono: both tails fall, so on the block
-    G+ and G- are at most L(u) - T(v) and -G+, -G- at most T(u - 1) - L(v).
+    ``lo`` and ``hi`` are ``_gap_values`` at u and v = u + width. A function
+    whose second derivative is at most M on [u, v] exceeds the larger end
+    value by at most M (v - u)^2 / 8, and M2(u) bounds both |G''| on the
+    block because each of its terms falls as j grows.
     """
-    curv = np.maximum(_gap(lo), _gap(hi)) + width * width / 8 * lo[..., 3]
-    mono = np.maximum(lo[..., 0] - hi[..., 1], lo[..., 2] - hi[..., 0])
-    return np.minimum(curv, mono)
+    return np.maximum(_gap(lo), _gap(hi)) + width * width / 8 * lo[..., 3]
 
 
 def ks_scaled_sum_exact(n: int, cap_multiplier: int = 8) -> tuple[float, float]:
@@ -280,16 +276,14 @@ def ks_scaled_sum_exact(n: int, cap_multiplier: int = 8) -> tuple[float, float]:
     are split into quarters, level by level, down to single points; every
     split point is evaluated and raises the incumbent maximum. A block
     [u, v] is dropped once its bound U (``_block_bound``: the larger end
-    gap plus (v - u)^2 / 8 times a termwise second-derivative bound, or
-    the monotone bound from L(u), T(v), T(u - 1), L(v)) satisfies
-    U + 2r <= incumbent, where r (``_gap_terms``) bounds the float error of
-    one gap value a priori. A dropped block therefore holds no jump point
-    whose float gap beats the incumbent, and the result is the maximum of
-    the float gaps over every jump point, as a scan would find it, from a
+    gap plus (v - u)^2 / 8 times a termwise second-derivative bound)
+    satisfies U + 2r <= incumbent, where r (``_gap_terms``) bounds the float
+    error of one gap value a priori. A dropped block therefore holds no jump
+    point whose float gap beats the incumbent, and the result is the maximum
+    of the float gaps over every jump point, as a scan would find it, from a
     small multiple of 2^(n/2) evaluated points (1.2e5 at n = 22) instead of
-    cap_multiplier * 2^n. Returns
-    (ks, truncation_bound) where the bound covers all mass either law
-    carries beyond cap_multiplier * 2^n.
+    cap_multiplier * 2^n. Returns (ks, truncation_bound) where the bound
+    covers all mass either law carries beyond cap_multiplier * 2^n.
     """
     n = operator.index(n)
     cap_multiplier = operator.index(cap_multiplier)

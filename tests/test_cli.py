@@ -4,6 +4,8 @@ import importlib
 import io
 import json
 import math
+import pathlib
+import shlex
 import warnings
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 import renewal_dst
 import renewal_dst.cli
 import renewal_dst.metrics
-from renewal_dst import q_cdf, tv_to_limit
+from renewal_dst import knuth_corpus, q_cdf, tv_to_limit
 from renewal_dst.cli import main
 from renewal_dst.metrics import REPORT_COLUMNS
 
@@ -38,10 +40,12 @@ def test_limit_law_table(tmp_path):
 
 
 def test_limit_law_eta_translate(tmp_path):
-    _, d0 = run(tmp_path, "limit-law", "--eta", "0", "--n-grid", "-3:12:1")
-    _, d1 = run(tmp_path, "limit-law", "--eta", "1", "--n-grid", "-2:13:1")
+    c0, d0 = run(tmp_path, "limit-law", "--eta", "0", "--n-grid=-3:12:1")
+    c1, d1 = run(tmp_path, "limit-law", "--eta", "1", "--n-grid=-2:13:1")
+    assert c0 == c1 == 0
     rows0 = [line.split(",") for line in d0.decode().strip().split("\n")[2:]]
     rows1 = [line.split(",") for line in d1.decode().strip().split("\n")[2:]]
+    assert len(rows0) == len(rows1) == 16
     for r0, r1 in zip(rows0, rows1):
         assert int(r1[0]) == int(r0[0]) + 1
         assert r1[1:] == r0[1:]
@@ -289,6 +293,25 @@ def test_unknown_command_exits_2(tmp_path):
     assert main(["frobnicate"]) == 2
 
 
+def _readme_cli_argvs():
+    """argv of each `renewal-dst ...` line in the README's CLI block."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("renewal-dst ")]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_argvs(), ids=" ".join)
+def test_readme_cli_examples_run(tmp_path, argv):
+    if "--corpus" in argv:
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("".join(f"{label} {bits}\n"
+                                  for label, bits in knuth_corpus()))
+        argv[argv.index("--corpus") + 1] = str(corpus)
+    code, data = run(tmp_path, *argv)
+    assert code == 0 and data, argv
+
+
 @pytest.mark.parametrize("argv", [
     ("limit-law", "--eta", "0.5"),
     ("limit-law", "--eta", "0.25", "--format", "json"),
@@ -352,7 +375,7 @@ _MODULE_ONLY = {
 
 
 def test_module_only_names_stay_off_the_package():
-    assert len(renewal_dst.__all__) == 31
+    assert len(renewal_dst.__all__) == 30
     for module, names in _MODULE_ONLY.items():
         mod = importlib.import_module(f"renewal_dst.{module}")
         for name in names:

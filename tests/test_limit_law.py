@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from renewal_dst import (
     IntPmf,
+    ScaledBase,
     mixture_coefficients,
     q_cdf,
     q_pmf,
@@ -15,7 +16,7 @@ from renewal_dst import (
     s_infinity_cdf,
     s_infinity_sf,
     sample_q,
-    sample_s_infinity,
+    sample_scaled_limit,
 )
 from renewal_dst.limit_law import (
     _MEDIAN_C,
@@ -77,10 +78,12 @@ def test_s_infinity_cdf_endpoints():
     assert s_infinity_cdf(1e300) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
         s_infinity_cdf(-0.1)
-    xs = np.linspace(0, 4, 200)
+    xs = np.linspace(0, 4, 2001)
     vals = s_infinity_cdf(xs)
     assert np.all(np.diff(vals) >= 0)
     assert np.all((vals >= 0) & (vals <= 1))
+    scalar = np.array([s_infinity_cdf(float(x)) for x in xs])
+    assert np.abs(vals - scalar).max() <= 1e-15
 
 
 def test_s_infinity_upper_tail_geometric_decay():
@@ -168,7 +171,8 @@ def test_q_mean_matches_mellin_fourier_form(eta):
 
 @pytest.fixture(scope="module")
 def s_infinity_draws():
-    return sample_s_infinity(stream_rng(20070201, 11), 64, size=10 ** 6)
+    return sample_scaled_limit(ScaledBase(2.0), stream_rng(20070201, 11),
+                               size=10 ** 6)
 
 
 def test_sample_s_infinity_moments(s_infinity_draws):
@@ -188,7 +192,7 @@ def test_sample_s_infinity_matches_cdf(s_infinity_draws):
 
 def test_sample_q_in_unit_band_when_s_in_half_one():
     rng = stream_rng(123, 9)
-    s = sample_s_infinity(rng, 64, size=5000)
+    s = sample_scaled_limit(ScaledBase(2.0), rng, size=5000)
     q = np.floor(-np.log2(s))
     sel = (s > 0.5) & (s <= 1.0)
     assert np.all(q[sel] == 0)
@@ -198,15 +202,28 @@ def test_sample_q_eta_shift_under_shared_stream():
     q0 = sample_q(0.0, stream_rng(5, 7), size=2000)
     q1 = sample_q(1.0, stream_rng(5, 7), size=2000)
     assert np.array_equal(q1, q0 + 1)
+    v0 = sample_q(0.0, stream_rng(5, 7))
+    v1 = sample_q(1.0, stream_rng(5, 7))
+    assert isinstance(v1, int) and v1 == v0 + 1
+
+
+def test_q_tables_at_eta_0_and_1_are_translates():
+    # why one inversion serves eta = 1: searchsorted over the eta = 1 table
+    # returns the eta = 0 index plus one for every v on the 2^-53 grid
+    t0, t1 = _q_table(0.0), _q_table(1.0)
+    assert np.array_equal(t1[1:], t0[:-1])
+    assert 0.0 < t1[0] < 2.0 ** -53
+    assert t0[-1] == 1.0
 
 
 def test_sample_q_scalar():
     v = sample_q(0.5, stream_rng(7, 7))
     assert isinstance(v, int)
     assert v == sample_q(0.5, stream_rng(7, 7), size=1)[0]
-    s = sample_s_infinity(stream_rng(7, 7))
+    base = ScaledBase(2.0)
+    s = sample_scaled_limit(base, stream_rng(7, 7))
     assert isinstance(s, float)
-    assert s == sample_s_infinity(stream_rng(7, 7), 64, size=1)[0]
+    assert s == sample_scaled_limit(base, stream_rng(7, 7), size=1)[0]
 
 
 @pytest.mark.parametrize("size", [(3, 4), 0, (2, 0), (500, 400)])
@@ -561,3 +578,12 @@ def test_array_series_reject_negative_and_nan(bad):
         s_infinity_cdf(bad)
     with pytest.raises(ValueError, match="^t "):
         exp_convolution_cdf(3, bad)
+
+
+def test_limit_pmf_window_outside_mass_is_negligible():
+    # every caller's window covers at least [-8, 10]; off it Q_eta carries
+    # under 1e-14 at every eta, so no window needs widening
+    for eta in np.linspace(0.0, 1.0, 101):
+        lo, masses, outside = limit_pmf_window(eta, -8, 10)
+        assert lo == -8 and masses.size == 19
+        assert 0.0 <= outside < 1e-14, eta

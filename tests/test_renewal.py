@@ -431,7 +431,7 @@ def test_block_bound_curvature_term_is_sharp(width):
     # Falling tails realise it: T = 1 - (x - u) / width and L = T + G.
     m2 = 3.0 * 2.0 ** -20
     lo = np.array([1.0, 1.0, 1.0, m2])      # L = T = T(. - 1): zero gaps
-    hi = np.array([0.0, 0.0, 0.0, 0.0])     # monotone bound 1, not binding
+    hi = np.array([0.0, 0.0, 0.0, 0.0])     # L = T = T(. - 1) = 0: zero gaps
     assert _block_bound(lo, hi, width) >= m2 * width * width / 8
 
 
