@@ -114,7 +114,9 @@ def _cell(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     f = float(v)
-    return str(int(f)) if f.is_integer() else format(f, ".17g")
+    if f.is_integer() and abs(f) < 2 ** 53:  # every such integer is exact
+        return str(int(f))
+    return format(f, ".17g")
 
 
 def _emit(meta: dict, columns, rows, fmt: str, out, extra: dict | None = None):

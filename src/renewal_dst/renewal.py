@@ -16,11 +16,14 @@ The exact KS distance between 2^(-n) S_n and its limit uses closed forms
 instead: partial fractions write P(S_n > j) as a sum of geometric terms
 B_i q_i^(j-n+1) with exactly computed coefficients, and the limit tail is
 the signed exponential mixture. The largest gap over the jump points is
-found by a certified block search: blocks of jump points are split level
-by level, and a block is dropped once a bound on its gaps (the larger end
-value plus a second-derivative term), widened by twice an a priori float
-error bound r, falls to the incumbent maximum. It evaluates on the order of
-2^(n/2) jump points instead of all 8 2^n.
+found by a certified block search: one block over the jump points is split
+into sixteenths level by level, and a block is dropped once a bound on its
+gaps (the larger end value plus a second-derivative term), widened by twice
+an a priori float error bound r, falls to the incumbent maximum. The
+second-derivative bound pairs each limit term exp(-2^(k-n) j) with the
+partial-sum term whose p_i is 2^(k-n), so the two tails' curvatures cancel in
+it as they do in the gap; the search evaluates a few hundred jump points
+up to n = 19 instead of all 8 2^n.
 Everything else (general growth rates, sanity cross-checks) is seeded Monte
 Carlo.
 """
@@ -40,7 +43,7 @@ MAX_EXACT_N = 2 ** 26      # checked range of the DP's reported rounding slack
 MAX_EXACT_KS_N = 22        # KS range: here the cap-8 tail (3.9e-7) passes KS
 _STATE_SLACK = 60          # levels above ceil(log2(n+1)) carry mass < 1e-300
 _EXACT_STAY = 53           # 1 - 2^(-k) is exact in binary64 for k < 53
-_KS_SPLIT = 4              # sub-blocks per block at each KS search level
+_KS_SPLIT = 16             # sub-blocks per block at each KS search level
 _KS_CHUNK = 1 << 14        # exps per KS evaluation array; memory is O(chunk)
 
 
@@ -181,10 +184,36 @@ def _gap_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(rates, shifts, weights, r) of the KS gap evaluator at n.
 
     Term i is exp((j - n) rates_i + shifts_i): q_i^(j-n) for the n - 1
-    partial-sum terms, then exp(-2^(k-n) j) for the 32 mixture terms. The
-    columns of ``weights`` (a_k; B_i q_i; B_i; |B_i| ln^2 q_i and
-    |a_k| 4^(k-n)) turn the terms into L(j), T(j), T(j - 1) and the
-    curvature bound M2(j) of ``ks_scaled_sum_exact``.
+    partial-sum terms, then exp(-rho_k j), rho_k = 2^(k-n), for the 32
+    mixture terms. The columns of ``weights`` (a_k; B_i q_i; B_i; c0_k;
+    c1_k) turn the terms into L(j), T(j), T(j - 1) and the two sums whose
+    combination M(j) = sum_k (c0_k + c1_k j) exp(-rho_k j) bounds both
+    |G+''| and |G-''| on [j, oo) (``_gap_values``).
+
+    M pairs the two tails. With lambda_i = -ln q_i and beta_(i,s) =
+    B_i q_i^(-s), T(j) and T(j - 1) are sum_i beta_(i,s) exp(-lambda_i j)
+    for s = n - 1 and n. Mixture term k < n is paired with partial-sum term
+    i = n + 1 - k, for which p_i = rho_k <= lambda_i <= 1.39 rho_k; their
+    share of G'' is
+      (a_k - beta) rho^2 e^(-rho j) + beta (rho^2 e^(-rho j)
+                                            - lambda^2 e^(-lambda j)),
+    and by the mean value theorem in the rate (x^2 e^(-x j) has derivative
+    at most (2x + x^2 j) e^(-x j) in size) the second part is at most
+    |beta| (lambda - rho)(2 lambda + lambda^2 j) e^(-rho j). So
+      c0_k = max_s |a_k - beta_(i,s)| rho^2 + 2 |beta_(i,n)| d lam,
+      c1_k = |beta_(i,n)| d lam^2                      (k < n),
+      c0_k = |a_k| rho_k^2, c1_k = 0                   (k >= n),
+    with d = rho^2 / (2 - 2 rho) >= lambda - rho (the series of
+    -ln(1 - rho) - rho against a geometric one) and lam = rho + d >=
+    lambda; |beta_(i,n)| is the larger of the two |beta| as q_i < 1. Since
+    lam <= 1.5 rho, c1_k <= rho_k c0_k and every term of M falls as j
+    grows, so M(u) bounds |G+''| and |G-''| on every block [u, v]. The
+    bound must hold for the exact coefficients: |a_k - beta| gets the
+    coefficient rounding as an absolute slack, 46 eps |a_k| + (n + 4) eps
+    |beta| (beta is B_i's 2n - 4 roundings, q_i^(-n)'s 4 ulp and two
+    products), and c0 and c1 are inflated by 1 + (n + 50) eps, which
+    covers a_k's 46 eps, beta's n + 4 and the five roundings that build
+    each.
 
     r bounds the float error of one gap |L - T| and of the block bound built
     from such values. With eps = 2^-52 (a rounding is at most eps/2 of its
@@ -195,51 +224,66 @@ def _gap_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
       factors are below eps/64) and k - 1 <= 31 quotients, below 46 eps;
     - the exponent products: a partial-sum exponent x = (j - n) ln q_i is
       rounded twice after log1p's 1 ulp, so exp(x) moves by at most
-      1.5 eps |x| e^(-|x|) <= 0.6 eps; the mixture exponents -2^(k-n) j are
-      exact, as powers of two times integers below 2^53;
+      1.5 eps |x| e^(-|x|) <= 0.6 eps; the mixture exponents are exact:
+      -2^(k-n) u at a block start u <= 2^53 is a power of two times an
+      integer below 2^53, as are its two parts (u - n) and n, and a step
+      is at most 16 times a power of two;
     - exp itself: two exps per term (at the block start and at the step),
       each allowed 4 ulp (NumPy's is within 1), and two products: 9 eps;
     - the summation of K terms in one matrix product: K/2 eps of sum |term|.
     That gives S_B (n + 10 + K/2) eps + S_a (55 + K/2) eps; the subtraction
-    L - T adds eps/2. A block bound that can prune is at most 1, so its own
-    arithmetic (the sum M2, rounded like a value, times an exact width
-    factor, and the additions) adds at most (n + 60 + K/2) eps. r is the sum
-    of these, rounded up.
+    L - T adds eps/2. A block bound that can prune is at most 1, and its
+    curvature term is a sum of nonnegative terms: the two columns carry the
+    exps' and products' 9 eps and the summation's K/2 eps, and u c1, the
+    sum, the exact width factor's product and the addition of the end gap
+    add eps/2 each, (11 + K/2) eps in all; underflow adds below 2^-1000.
+    r is the sum of these, rounded up.
     """
     coeffs, p = _partial_sum_terms(n)
     mix = np.array(mixture_coefficients())
     sum_rates = np.log1p(-p)
-    mix_rates = -np.ldexp(1.0, np.arange(1, mix.size + 1) - n)  # -2^(k-n)
+    mix_rates = -np.ldexp(1.0, np.arange(1, mix.size + 1) - n)  # -rho_k
     rates = np.concatenate((sum_rates, mix_rates))
     shifts = np.concatenate((np.zeros(n - 1), n * mix_rates))
-    no_sum, no_mix = np.zeros(n - 1), np.zeros(mix.size)
-    weights = np.stack([np.concatenate(col) for col in (
-        (no_sum, mix),
-        (coeffs * (1.0 - p), no_mix),
-        (coeffs, no_mix),
-        (np.abs(coeffs), np.abs(mix)),
-    )], axis=1)
-    weights[:, 3] *= rates * rates
+    eps = 2.0 ** -52
+    rho, beta, head = p[::-1], (coeffs * (1.0 - p) ** -n)[::-1], mix[:n - 1]
+    mismatch = np.maximum(np.abs(head - beta),
+                          np.abs(head - beta * (1.0 - rho)))
+    mismatch += (46 * np.abs(head) + (n + 4) * np.abs(beta)) * eps
+    d = rho * rho / (2.0 - 2.0 * rho)
+    lam = rho + d
+    c0, c1 = np.abs(mix) * mix_rates * mix_rates, np.zeros(mix.size)
+    c0[:n - 1] = mismatch * rho * rho + 2.0 * np.abs(beta) * d * lam
+    c1[:n - 1] = np.abs(beta) * d * lam * lam
+    weights = np.zeros((rates.size, 5))
+    weights[n - 1:, 0] = mix
+    weights[:n - 1, 1] = coeffs * (1.0 - p)
+    weights[:n - 1, 2] = coeffs
+    grow = 1 + (n + 50) * eps  # up to the exact coefficients' c0 and c1
+    weights[n - 1:, 3] = c0 * grow
+    weights[n - 1:, 4] = c1 * grow
     half_k = (n + 31) / 2
-    r = np.finfo(float).eps * (
-        np.abs(coeffs).sum() * (n + 10 + half_k)
-        + np.abs(mix).sum() * (55 + half_k) + n + 61 + half_k)
+    r = eps * (np.abs(coeffs).sum() * (n + 10 + half_k)
+               + np.abs(mix).sum() * (55 + half_k) + 12 + half_k)
     return rates, shifts, weights, float(r)
 
 
 def _gap_values(n: int, terms, starts: np.ndarray,
                 steps: np.ndarray) -> np.ndarray:
-    """[L(j), T(j), T(j - 1), M2(j)] at j = starts[m] + steps[t], (m, t, 4).
+    """[L(j), T(j), T(j - 1), M(j)] at j = starts[m] + steps[t], (m, t, 4).
 
     One exp per term at each start and one per term at each step; the
-    values are one matrix product of the two.
+    values are one matrix product of the two, and M(j) = c0(j) + j c1(j)
+    combines its last two columns.
     """
     rates, shifts, weights, _ = terms
     heads = np.exp(np.multiply.outer(starts - n, rates) + shifts)
     rungs = (np.exp(np.multiply.outer(rates, steps))[:, :, None]
              * weights[:, None, :])
-    return (heads @ rungs.reshape(rates.size, -1)).reshape(
-        starts.size, steps.size, 4)
+    values = (heads @ rungs.reshape(rates.size, -1)).reshape(
+        starts.size, steps.size, 5)
+    values[..., 3] += np.add.outer(starts, steps) * values[..., 4]
+    return values[..., :4]
 
 
 def _gap(values: np.ndarray) -> np.ndarray:
@@ -249,15 +293,18 @@ def _gap(values: np.ndarray) -> np.ndarray:
                       np.abs(limit - values[..., 2]))
 
 
-def _block_bound(lo: np.ndarray, hi: np.ndarray, width) -> np.ndarray:
-    """U >= max |G+(j)|, |G-(j)| over the integers j of [u, u + width].
+def _block_bound(gaps: np.ndarray, curvature: np.ndarray,
+                 width) -> np.ndarray:
+    """U >= max |G+(j)|, |G-(j)| over the integers j of each block.
 
-    ``lo`` and ``hi`` are ``_gap_values`` at u and v = u + width. A function
+    ``gaps`` (``_gap``) and ``curvature`` (M) are taken along the last axis
+    at split points u_t = u_0 + t width; block t is [u_t, u_t+1]. A function
     whose second derivative is at most M on [u, v] exceeds the larger end
-    value by at most M (v - u)^2 / 8, and M2(u) bounds both |G''| on the
-    block because each of its terms falls as j grows.
+    value by at most M (v - u)^2 / 8, and M(u) bounds both |G''| on the
+    block because each of its terms falls as j grows (``_gap_terms``).
     """
-    return np.maximum(_gap(lo), _gap(hi)) + width * width / 8 * lo[..., 3]
+    return (np.maximum(gaps[..., :-1], gaps[..., 1:])
+            + width * width / 8 * curvature[..., :-1])
 
 
 def ks_scaled_sum_exact(n: int, cap_multiplier: int = 8) -> tuple[float, float]:
@@ -272,18 +319,26 @@ def ks_scaled_sum_exact(n: int, cap_multiplier: int = 8) -> tuple[float, float]:
     (the limit mixture), so no pmf is built.
 
     The maximum over j = n .. cap_multiplier * 2^n is found by a certified
-    block search instead of a scan. Blocks of 2^(ceil(n/2)+1) jump points
-    are split into quarters, level by level, down to single points; every
-    split point is evaluated and raises the incumbent maximum. A block
-    [u, v] is dropped once its bound U (``_block_bound``: the larger end
-    gap plus (v - u)^2 / 8 times a termwise second-derivative bound)
-    satisfies U + 2r <= incumbent, where r (``_gap_terms``) bounds the float
-    error of one gap value a priori. A dropped block therefore holds no jump
-    point whose float gap beats the incumbent, and the result is the maximum
-    of the float gaps over every jump point, as a scan would find it, from a
-    small multiple of 2^(n/2) evaluated points (1.2e5 at n = 22) instead of
-    cap_multiplier * 2^n. Returns (ks, truncation_bound) where the bound
-    covers all mass either law carries beyond cap_multiplier * 2^n.
+    block search instead of a scan. One block of 4 16^L jump points covers
+    the range; blocks are split into sixteenths, level by level, down to
+    blocks of 4 and then single points, and every split point is evaluated
+    and raises the incumbent maximum. The incumbent starts from G-(n) and
+    the gap at j = 2^n, near the peak at x = 0.91, so the far tail of a
+    large cap_multiplier is dropped as soon as it is split off: each factor
+    16 in cap_multiplier adds one level. A block [u, v] is dropped once its
+    bound U (``_block_bound``: the larger end gap plus (v - u)^2 / 8 times
+    M(u), a bound on |G''| that pairs the two tails' terms, ``_gap_terms``)
+    satisfies U + 2r <= incumbent, where r bounds the float error of one gap
+    value a priori. A dropped block therefore holds no jump point whose
+    float gap beats the incumbent, and the result is the maximum of the
+    float gaps over every jump point, as a scan would find it, from a few
+    hundred evaluated points up to n = 19 instead of cap_multiplier * 2^n
+    (1.2e4 at n = 22, where the gap stays within 2r of its maximum over
+    thousands of points, which no bound can drop). cap_multiplier * 2^n is
+    limited to 2^53, past which not every jump point is a float and the
+    exponents of r's derivation stop being exact. Returns (ks,
+    truncation_bound) where the bound covers all mass either law carries
+    beyond cap_multiplier * 2^n.
     """
     n = operator.index(n)
     cap_multiplier = operator.index(cap_multiplier)
@@ -291,14 +346,21 @@ def ks_scaled_sum_exact(n: int, cap_multiplier: int = 8) -> tuple[float, float]:
         raise ValueError(f"n must be in [1, {MAX_EXACT_KS_N}], got {n}")
     if cap_multiplier < 2:
         raise ValueError(f"cap_multiplier must be >= 2, got {cap_multiplier}")
+    if cap_multiplier << n > 1 << 53:  # keeps the gap exponents exact
+        raise ValueError(f"cap_multiplier * 2^n must be at most 2^53, got "
+                         f"{cap_multiplier} * 2^{n}")
     terms = _gap_terms(n)
     rates, *_, r = terms
     j_max = cap_multiplier << n
-    edges = _gap_values(n, terms, np.array([n, j_max]), np.array([0]))[:, 0]
-    ks = float(abs(edges[0, 0] - 1.0))  # G-(n) against T(n - 1) = 1 exactly
+    edges = _gap_values(n, terms, np.array([n, 1 << n, j_max]),
+                        np.array([0]))[:, 0]
+    # G-(n) against T(n - 1) = 1 exactly, and the gap at x = 1, near the peak
+    ks = max(float(abs(edges[0, 0] - 1.0)), float(_gap(edges[1])))
     per_chunk = _KS_CHUNK // rates.size
-    width = 2 << (n + 1) // 2
-    starts = np.arange(n, j_max, width)
+    width = 4  # one block of 4 16^L points; the last level steps 4 by 1
+    while width < j_max - n:
+        width *= _KS_SPLIT
+    starts = np.array([n])
     while width > 1 and starts.size:  # until no live block is left
         sub = max(width // _KS_SPLIT, 1)
         steps = np.arange(0, width + 1, sub)
@@ -306,13 +368,14 @@ def ks_scaled_sum_exact(n: int, cap_multiplier: int = 8) -> tuple[float, float]:
         for at in range(0, starts.size, per_chunk):
             chunk = starts[at:at + per_chunk]
             values = _gap_values(n, terms, chunk, steps)
+            gaps = _gap(values)
             points = chunk[:, None] + steps
-            ks = max(ks, float(_gap(values)[points <= j_max].max()))
-            bound = _block_bound(values[:, :-1], values[:, 1:], sub)
+            ks = max(ks, float(gaps[points <= j_max].max()))
+            bound = _block_bound(gaps, values[..., 3], sub)
             live = (bound + 2 * r > ks) & (points[:, :-1] < j_max)
             kept.append(points[:, :-1][live])
             bounds.append(bound[live])
         starts = np.concatenate(kept)[np.concatenate(bounds) + 2 * r > ks]
         width = sub
-    truncation = max(float(edges[1, 1]), s_infinity_sf(float(cap_multiplier)))
+    truncation = max(float(edges[2, 1]), s_infinity_sf(float(cap_multiplier)))
     return ks, truncation

@@ -16,7 +16,7 @@ import renewal_dst
 import renewal_dst.cli
 import renewal_dst.metrics
 from renewal_dst import knuth_corpus, q_cdf, tv_to_limit
-from renewal_dst.cli import main
+from renewal_dst.cli import _cell, main
 from renewal_dst.metrics import REPORT_COLUMNS
 
 
@@ -211,8 +211,19 @@ def test_simulate_huge_alpha_warns_nothing(tmp_path, capsys):
     code, data = run(tmp_path, "simulate", "--alpha", "1e308", "--n-grid",
                      "16:16:1", "--samples", "100")
     assert code == 0 and capsys.readouterr().err == ""
-    row = data.decode().strip().split("\n")[-1].split(",")
-    assert 0.0 <= float(row[3]) <= 1.0
+    lines = data.decode().strip().split("\n")
+    # an integral float past 2^53 is not spelled out as a 309-digit integer
+    assert " alpha=1e+308 " in lines[0]
+    assert 0.0 <= float(lines[-1].split(",")[3]) <= 1.0
+
+
+def test_cell_spells_integers_only_below_2_53():
+    # below 2^53 every integral float is an exact integer; past it the
+    # shortest round-trip form, as for any other float
+    assert _cell(2.0) == "2" and _cell(-0.0) == "0"
+    assert _cell(2.0 ** 53 - 1) == "9007199254740991"
+    assert _cell(2.0 ** 60) == "1.152921504606847e+18"
+    assert _cell(-1e308) == "-1e+308"
 
 
 def test_converge_tv_small_grid(tmp_path):

@@ -33,6 +33,7 @@ from renewal_dst.metrics import (
 )
 from renewal_dst.renewal import (
     _block_bound,
+    _gap,
     _gap_terms,
     _gap_values,
     _partial_sum_terms,
@@ -297,6 +298,9 @@ def test_ks_scaled_sum_domain():
         ks_scaled_sum_exact(23)
     with pytest.raises(ValueError):
         ks_scaled_sum_exact(4, cap_multiplier=1)
+    # every jump point j <= cap_multiplier * 2^n must be an exact float
+    with pytest.raises(ValueError, match="at most 2"):
+        ks_scaled_sum_exact(12, cap_multiplier=2 ** 41 + 1)
     # non-integers are refused up front, as by depth_distribution_exact,
     # not by numpy's ldexp or by << partway through
     for args, kwargs in (((19.0,), {}), ((4,), {"cap_multiplier": 8.0}),
@@ -342,7 +346,8 @@ def test_ks_scaled_sum_matches_mpmath_full_grid(n):
 
 
 def test_ks_scaled_sum_top_of_range():
-    # 8 2^22 jump points: the search runs its most levels and chunks here
+    # 8 2^22 jump points: the gap stays within 2r of its maximum over
+    # thousands of them, so the search keeps its most blocks and chunks here
     ks22, trunc22 = ks_scaled_sum_exact(22)
     ks21, trunc21 = ks_scaled_sum_exact(21)
     assert 0 < ks22 < ks21
@@ -413,14 +418,14 @@ def test_ks_search_matches_scan(cap):
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(2, 14), cap=st.sampled_from([2, 8]), data=st.data())
 def test_block_bound_covers_scanned_gaps(n, cap, data):
-    # the certificate itself: U + r bounds every scanned gap of the block
+    # the certificate itself: U + r bounds every scanned gap of the block,
+    # for blocks up to the whole range, as wide as the search's first ones
     j_max = cap << n
     u = data.draw(st.integers(n, j_max - 1), label="u")
-    v = data.draw(st.integers(u + 1, min(j_max, u + (4 << n // 2))),
-                  label="v")
+    v = data.draw(st.integers(u + 1, j_max), label="v")
     terms = _gap_terms(n)
     ends = _gap_values(n, terms, np.array([u]), np.array([0, v - u]))[0]
-    bound = _block_bound(ends[0], ends[1], v - u)
+    bound = _block_bound(_gap(ends), ends[:, 3], v - u)[0]
     assert bound + terms[3] >= _scanned_gaps(n, cap)[u - n:v - n + 1].max()
 
 
@@ -429,10 +434,11 @@ def test_block_bound_curvature_term_is_sharp(width):
     # G(x) = M (x - u)(v - x) / 2 has |G''| = M, zero ends and the maximum
     # M width^2 / 8 at the middle jump point: no smaller factor is sound.
     # Falling tails realise it: T = 1 - (x - u) / width and L = T + G.
-    m2 = 3.0 * 2.0 ** -20
-    lo = np.array([1.0, 1.0, 1.0, m2])      # L = T = T(. - 1): zero gaps
-    hi = np.array([0.0, 0.0, 0.0, 0.0])     # L = T = T(. - 1) = 0: zero gaps
-    assert _block_bound(lo, hi, width) >= m2 * width * width / 8
+    m = 3.0 * 2.0 ** -20
+    ends = np.array([[1.0, 1.0, 1.0, m],       # L = T = T(. - 1): zero gaps
+                     [0.0, 0.0, 0.0, 0.0]])    # L = T = T(. - 1) = 0
+    bound = _block_bound(_gap(ends), ends[:, 3], width)[0]
+    assert bound >= m * width * width / 8
 
 
 @lru_cache(maxsize=None)
@@ -449,6 +455,52 @@ def _mp_gap_terms(n):
     return b, [1 - p[i] for i in p], mix
 
 
+def _mp_curvature(n, x):
+    """max(|G+''(x)|, |G-''(x)|) in 30 digits at a real x >= n."""
+    mp = pytest.importorskip("mpmath")
+    b, q, mix = _mp_gap_terms(n)
+    with mp.workdps(30):
+        x = mp.mpf(float(x))
+        limit = mp.fsum(a * mp.ldexp(mp.exp(-mp.ldexp(x, k - n)), 2 * (k - n))
+                        for k, a in enumerate(mix, start=1))
+        return max(abs(limit - mp.fsum(bi * mp.log(qi) ** 2 * qi ** (x - n + s)
+                                       for bi, qi in zip(b, q)))
+                   for s in (0, 1))
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_curvature_bound_covers_mpmath(n):
+    # M(u) bounds the 30-digit |G+''| and |G-''| on blocks [u, v] of every
+    # width, near j = n, across the peak and in the tail
+    rng = np.random.default_rng(n)
+    j_max = 8 << n
+    us = np.unique(np.concatenate((
+        [n, n + 1], np.geomspace(n, j_max - 1, 8).astype(int),
+        rng.integers(n, j_max, 4))))
+    bounds = _gap_values(n, _gap_terms(n), us, np.array([0]))[:, 0, 3]
+    for u, bound in zip(us, bounds):
+        v = rng.integers(u + 1, j_max + 1)
+        for x in np.linspace(u, v, 7):
+            assert bound >= _mp_curvature(n, x), (u, v, x)
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_curvature_bound_is_sharp(n):
+    # pairing the tails keeps M(u) within 10x of the 30-digit sup of |G''|
+    # on [u, u + 2^(n-2)] around the peak of the gap (x = 0.91) and in the
+    # tail; the termwise bound sum |B_i| ln^2 q_i q_i^(u-n) + sum |a_k|
+    # 4^(k-n) e^(-2^(k-n) u) is 43x to 7926x the sup on these blocks. Left
+    # out: near x = 1.4, where G'' changes sign, M(u) is 13x the sup, and
+    # on blocks that start at j = n up to 151x
+    us = (np.array([0.75, 0.91, 1, 1.25, 1.6, 2, 3, 4, 6]) * 2 ** n)
+    us = us.astype(int)
+    bounds = _gap_values(n, _gap_terms(n), us, np.array([0]))[:, 0, 3]
+    for u, bound in zip(us, bounds):
+        sup = max(_mp_curvature(n, x)
+                  for x in np.linspace(u, u + (1 << n - 2), 9))
+        assert bound <= 10 * sup, (u, bound, sup)
+
+
 @pytest.mark.parametrize("n", [6, 12, 18, 22])
 def test_gap_rounding_bound_against_mpmath(n):
     # |float gap - 30-digit gap| <= r at sampled jump points, each reached
@@ -458,7 +510,7 @@ def test_gap_rounding_bound_against_mpmath(n):
     rng = np.random.default_rng(n)
     starts = np.concatenate(([n, n + 1], rng.integers(n, 7 << n, 10),
                              rng.integers(n, 4 << n // 2, 6)))
-    steps = np.array([0, 1, 3, 64, 1 << n // 2])
+    steps = np.array([0, 1, 3, 64, 1 << n // 2, 1 << n, 16 << n])
     terms = _gap_terms(n)
     values = _gap_values(n, terms, starts, steps)
     with mp.workdps(30):
@@ -474,9 +526,15 @@ def test_gap_rounding_bound_against_mpmath(n):
                     assert abs(got - want) <= terms[3], (j, got, want)
 
 
-@pytest.mark.parametrize("n", [10, 16, 22])
-def test_ks_search_evaluates_few_points(n, monkeypatch):
-    # about 2^(n/2) jump points, times a small factor, instead of 8 2^n
+@pytest.mark.parametrize("n, cap, most", [
+    (10, 8, 1000), (16, 8, 1000), (19, 8, 1000), (22, 8, 20000),
+    (12, 2 ** 41, 1000)])
+def test_ks_search_evaluates_few_points(n, cap, most, monkeypatch):
+    # a few hundred jump points instead of cap 2^n; at n = 22 the gap stays
+    # within 2r of its maximum over thousands, which no bound can drop. Each
+    # factor 16 in cap past the mass adds one level of 17 points, up to the
+    # largest cap, 2^53 / 2^n, and moves ks by at most the scan's 1e-15
+    want = ks_scaled_sum_exact(n)[0]
     count = []
 
     def counted(n, terms, starts, steps):
@@ -484,8 +542,9 @@ def test_ks_search_evaluates_few_points(n, monkeypatch):
         return _gap_values(n, terms, starts, steps)
 
     monkeypatch.setattr(renewal_dst.renewal, "_gap_values", counted)
-    ks_scaled_sum_exact(n)
-    assert sum(count) <= 2 ** (n // 2 + 7) < 8 << n
+    got = ks_scaled_sum_exact(n, cap)[0]
+    assert sum(count) <= most
+    assert got == pytest.approx(want, rel=0, abs=1e-15)
 
 
 def test_import_leaves_scipy_out():
