@@ -9,16 +9,39 @@ convolution into a signed mixture
     a_k  = b * prod_{j=1}^{k-1} (1 - 2^j)^(-1),
     b    = prod_{j>=1} (1 - 2^(-j))^(-1),
 
-whose coefficients alternate in sign and decay like 2^(-k(k-1)/2). All CDF,
-pmf and tail evaluations here are series over that mixture. Signed series
-with coefficients up to |b| ~ 3.46 cancel catastrophically near 0, so every
-CDF-like quantity is evaluated termwise through expm1 and summed exactly with
-math.fsum; tails are never formed as 1 - cdf.
+whose coefficients alternate in sign and decay like 2^(-k(k-1)/2). Signed
+series with coefficients up to |b| ~ 3.46 cancel catastrophically near 0:
+P(S <= t) is flat there (P(S <= 2^-j) <= 2^(-j(j-1)/2)), and a float sum of
+the mixture loses it below about 1e-17. So P(S <= t) for 0 < t < 1 is read
+from a committed table, and everything else is a series over the mixture,
+evaluated termwise through expm1 or exp and summed exactly with math.fsum;
+tails are never formed as 1 - cdf.
+
+The table (_s_table.py, written by tools/make_s_table.py from mpmath) holds,
+for each octave t = m 2^-j, m in [1/2, 1), j = 0..42, an integer E_j and 24
+Chebyshev coefficients c_k of log2 P(S <= t) - E_j in y = 4m - 3, which
+runs over [-1, 1). _table_cdf(t) takes (m, -j) = math.frexp(t), which is
+exact, sums s = sum_k c_k T_k(y) by Clenshaw's recurrence and returns
+math.ldexp(2.0**s, E_j): the exponent E_j is exact, so the error does not
+grow with |log2 P|. s spans up to +-24 on the deep octaves, where its
+rounding would dominate; so the recurrence stops at b_2 and the largest
+term, c_1 y, is added last, with c_1 split into a 2-bit head, whose
+product with y is exact, and the rest (_split). Against mpmath the value
+is within 20 eps relative (13 eps measured; 1.3 eps on octaves 0..2), and
+within half the least subnormal where it rounds into the subnormal range.
+Below 2^-43 the truth is under 2^-1094, and 0.0 is returned. Arrays read
+the same table with the same operations (np.exp2 for 2.0**s), within
+2 ulp of the scalar values.
+The table serves s_infinity_cdf(t) and q_tail for t < 1, q_cdf's
+complement 1 - P(S <= c) for c < _MEDIAN_C, and q_pmf as
+P(S <= 2c) - P(S <= c) while 2c < 1, where the first term dominates and
+the difference keeps relative accuracy.
 
 The law has one coefficient sequence, the 32 numbers a_1..a_32 that
 mixture_coefficients() builds once and returns as a cached tuple; a_32 is
-about -6e-149, far past binary64 precision. Every scalar value takes one
-pass of exp or expm1 values over it (or over the n-fold partial fractions):
+about -6e-149, far past binary64 precision. Every scalar value off the
+table takes one pass of exp or expm1 values over it (or over the n-fold
+partial fractions):
 _cdf_terms(t, a) = fsum a_k * -expm1(-2^k t) = P(S <= t) and
 _sf_terms(c, a) = fsum a_k * exp(-2^k c) = P(S > c). Both double u = 2^k t
 once per term; doubling only raises the binary exponent, so u equals
@@ -33,14 +56,13 @@ sum_{k=1..33} d_k exp(-2^k c) with d_k = a_k - a_{k-1} (a_0 = a_33 = 0).
 Since a_{k-1} = (1 - 2^(k-1)) a_k, d_k = 2^(k-1) a_k for k <= 32: an
 exponent shift of the float a_k that adds no rounding (it also equals the
 float a_k - a_{k-1} bit for bit), and d_33 = -a_32 (_pmf_coefficients).
-The d_k sum to 0 (to 1.4e-16 in floats), so the mass is also
-fsum -d_k * -expm1(-2^k c), the stable form past the median.
+This series serves q_pmf from 2c = 1 on; below, the table does.
 
 The discretized family is Q_eta = L(floor(-log2 S + eta)) for eta in [0, 1]:
 
     P(Q_eta <= x) = sum_k a_k exp(-2^k c),  c = 2^(eta - 1 - x),  x integer.
 
-The two endpoints are translates: Q_1({j}) = Q_0({j-1}), and the series
+The two endpoints are translates: Q_1({j}) = Q_0({j-1}), and every value
 reproduces that identity exactly in floating point because the exponents
 eta - 1 - x at (0, x) and at (1, x + 1) are the same integer, so both give
 the same c.
@@ -52,6 +74,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from ._s_table import ROWS
 
 
 @lru_cache(maxsize=1)
@@ -79,11 +103,10 @@ def mixture_coefficients() -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=1)
-def _pmf_coefficients() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(d, -d) for the Q_eta mass series: d_k = 2^(k-1) a_k, d_33 = -a_32."""
+def _pmf_coefficients() -> tuple[float, ...]:
+    """d for the Q_eta mass series: d_k = 2^(k-1) a_k, d_33 = -a_32."""
     a = mixture_coefficients()
-    d = tuple(math.ldexp(ak, k) for k, ak in enumerate(a)) + (-a[-1],)
-    return d, tuple(-dk for dk in d)
+    return tuple(math.ldexp(ak, k) for k, ak in enumerate(a)) + (-a[-1],)
 
 
 def partial_fraction_coefficients(n: int) -> np.ndarray:
@@ -136,7 +159,7 @@ def _sf_terms(c: float, a) -> float:
 
 
 # The least float c with _sf_terms(c) <= 1/2; the median of S is 1.9e-17
-# above it. Below it a Q_eta value reads the stable complement series.
+# above it. Below it q_cdf reads the complement from the table.
 _MEDIAN_C = 0.8727617307746323
 
 
@@ -147,17 +170,70 @@ def _checked(t, name: str = "t") -> float:
     return t
 
 
-def _cdf(t, a):
-    """P(S <= t) for the coefficients a: a float, or an array for array t."""
+def _split(c: float) -> tuple[float, float]:
+    """(h, c - h) with h = c rounded to 2 significant bits. A table y = 4m - 3
+    has at most 51 significant bits, so h * y is exact, and so is c - h."""
+    m, e = math.frexp(c)
+    h = math.ldexp(round(4.0 * m) / 4.0, e)
+    return h, c - h
+
+
+# The octaves of _table_cdf: row j = (E_j, c_0, c_1 split, (c_23, ..., c_2)),
+# and the same numbers as arrays indexed by octave for _table_cdf_array.
+_S_ROWS = tuple((e, c[0], *_split(c[1]), c[:1:-1]) for e, c in ROWS)
+_S_EXP, _S_C0, _S_HI, _S_LO = map(np.array, zip(*(r[:4] for r in _S_ROWS)))
+_S_REST = np.array([r[4] for r in _S_ROWS]).T
+_TABLE_LO = 2.0 ** -len(ROWS)
+
+
+def _table_cdf(t: float) -> float:
+    """P(S <= t) for t < 1 from the octave table; see the module notes."""
+    if t < _TABLE_LO:
+        return 0.0
+    m, e = math.frexp(t)
+    e_j, c0, hi, lo, rest = _S_ROWS[-e]
+    y = 4.0 * m - 3.0
+    y2 = y + y
+    b1 = b2 = 0.0
+    for c in rest:      # Clenshaw's recurrence down to b_2 (b1) and b_3 (b2)
+        b1, b2 = y2 * b1 - b2 + c, b1
+    s = hi * y + (lo * y + c0 + y * (y2 * b1 - b2) - b1)
+    return math.ldexp(2.0 ** s, e_j)
+
+
+def _table_cdf_array(t: np.ndarray) -> np.ndarray:
+    """_table_cdf at every point of an array of t < 1, in the same order of
+    operations; np.exp2 may differ from the scalar 2.0**s by an ulp."""
+    m, e = np.frexp(t)
+    inside = t >= _TABLE_LO
+    j = np.where(inside, -e, 0)
+    y = 4.0 * m - 3.0
+    y2 = y + y
+    b1 = b2 = np.zeros_like(y)
+    for c in _S_REST:
+        b1, b2 = y2 * b1 - b2 + c[j], b1
+    s = _S_HI[j] * y + (_S_LO[j] * y + _S_C0[j] + y * (y2 * b1 - b2) - b1)
+    return np.where(inside, np.ldexp(np.exp2(s), _S_EXP[j]), 0.0)
+
+
+def _cdf(t, a, table: bool = False):
+    """P(S <= t) for the coefficients a: a float, or an array for array t.
+    With table (a is the limit law's mixture) t < 1 reads the octave table."""
     if isinstance(t, (float, int)) or np.ndim(t) == 0:  # np.float64 is a float
-        return _cdf_terms(_checked(t), a)
+        t = _checked(t)
+        return _table_cdf(t) if table and t < 1.0 else _cdf_terms(t, a)
     tv = np.asarray(t, dtype=float)
     if not np.all(tv >= 0):     # also rejects NaN
         raise ValueError("t must be >= 0 and not NaN at every point")
-    out = np.zeros_like(tv)
+    low = tv < 1.0 if table else np.zeros(tv.shape, dtype=bool)
+    high = tv[~low]
+    series = np.zeros_like(high)
     for k, ak in enumerate(a, start=1):
-        out += ak * -np.expm1(-(2.0 ** k) * tv)
-    return np.clip(out, 0.0, 1.0)
+        series += ak * -np.expm1(-(2.0 ** k) * high)
+    out = np.empty_like(tv)
+    out[~low] = np.clip(series, 0.0, 1.0)
+    out[low] = _table_cdf_array(tv[low])
+    return out
 
 
 def _pow2(e: float) -> float:
@@ -166,13 +242,14 @@ def _pow2(e: float) -> float:
 
 
 def s_infinity_cdf(t):
-    """P(S <= t) = sum_k a_k (1 - exp(-2^k t)), clamped to [0, 1].
+    """P(S <= t): the octave table for t < 1, where the value decays
+    superexponentially (P(S <= 2^(-j)) <= 2^(-j(j-1)/2)), and
+    sum_k a_k (1 - exp(-2^k t)) clamped to [0, 1] from t = 1 on.
 
-    Termwise expm1 keeps the alternating sum accurate near t = 0, where the
-    true value decays superexponentially: P(S <= 2^(-j)) <= 2^(-j(j-1)/2).
-    Accepts scalars or arrays (arrays: a plain numpy sum, no fsum).
+    Accepts scalars or arrays; arrays read the same table (to within 2 ulp)
+    and sum the series without fsum.
     """
-    return _cdf(t, mixture_coefficients())
+    return _cdf(t, mixture_coefficients(), table=True)
 
 
 def s_infinity_sf(x: float) -> float:
@@ -196,48 +273,45 @@ def q_cdf(eta: float, x) -> float:
     """P(Q_eta <= x) = sum_k a_k exp(-2^k c), c = 2^(eta - 1 - x), integer x.
 
     Real x is answered at floor(x); the law is integer-supported, and
-    x = -inf / +inf give 0 / 1. One series pass per call: below the median
-    (c >= _MEDIAN_C) the direct series, which has no cancellation; past it
-    1 minus the stably evaluated tail P(S <= c), which keeps the CDF
-    nondecreasing in floating point all the way into the flat-at-1 region.
-    The side is the one the direct value would pick (_sf_terms(c) <= 1/2).
+    x = -inf / +inf give 0 / 1. Below the median (c >= _MEDIAN_C) one pass
+    of the direct series, which has no cancellation; past it 1 minus the
+    table's P(S <= c), which keeps the CDF nondecreasing in floating point
+    all the way into the flat-at-1 region. The side is the one the direct
+    value would pick (_sf_terms(c) <= 1/2).
     """
     _check_eta(eta)
     try:
         e = eta - (math.floor(x) + 1)
     except (OverflowError, ValueError):     # x is infinite or NaN
         return _limit(x, "x", 0.0, 1.0)
-    a = mixture_coefficients()
     c = _pow2(e)
     if c < _MEDIAN_C:
-        return 1.0 - _cdf_terms(c, a)
-    return _sf_terms(c, a)
+        return 1.0 - _table_cdf(c)
+    return _sf_terms(c, mixture_coefficients())
 
 
 def q_pmf(eta: float, j) -> float:
     """P(Q_eta = j) = P(S > c) - P(S > 2c), c = 2^(eta - 1 - j); 0 at +-inf.
 
-    One series pass: sum_k d_k exp(-2^k c) over the difference coefficients
-    of the module notes, or past the median (2c below _MEDIAN_C), where both
-    tails sit at 1 - tiny, the stable fsum -d_k * -expm1(-2^k c).
+    One series pass, sum_k d_k exp(-2^k c) over the difference coefficients
+    of the module notes, from 2c = 1 on; below, where both tails sit at
+    1 - tiny, the table's P(S <= 2c) - P(S <= c).
     """
     _check_eta(eta)
     try:
         e = eta - (math.floor(j) + 1)
     except (OverflowError, ValueError):     # j is infinite or NaN
         return _limit(j, "j", 0.0, 0.0)
-    d, neg_d = _pmf_coefficients()
     c = _pow2(e)
-    if c + c < _MEDIAN_C:
-        return _cdf_terms(c, neg_d)
-    return _sf_terms(c, d)
+    if c + c < 1.0:
+        return _table_cdf(c + c) - _table_cdf(c)
+    return _sf_terms(c, _pmf_coefficients())
 
 
 def q_tail(eta: float, j) -> float:
-    """P(Q_eta >= j), evaluated as P(S <= 2^(eta - j)) in complement form.
-
-    Going through the expm1 series rather than 1 - cdf keeps relative
-    accuracy in the far right tail, which decays like exp(-j^2 log2 / 2).
+    """P(Q_eta >= j) = P(S <= 2^(eta - j)): the table below t = 1, the
+    expm1 series from 1 on, never 1 - cdf. The far right tail, which decays
+    like exp(-j^2 log2 / 2), keeps its relative accuracy down to 2^-1022.
     j = -inf / +inf give 1 / 0.
     """
     _check_eta(eta)
@@ -245,7 +319,8 @@ def q_tail(eta: float, j) -> float:
         e = eta - math.floor(j)
     except (OverflowError, ValueError):     # j is infinite or NaN
         return _limit(j, "j", 1.0, 0.0)
-    return _cdf_terms(_pow2(e), mixture_coefficients())
+    t = _pow2(e)
+    return _table_cdf(t) if t < 1.0 else _cdf_terms(t, mixture_coefficients())
 
 
 # sample_q's table spans j = _Q_LO.._Q_HI - 1: at every eta, P(Q_eta < _Q_LO)
@@ -268,7 +343,7 @@ def sample_q(eta: float, rng: np.random.Generator, size: int | None = None):
     returns the j with C_{j-1} < v <= C_j in the table C of _q_table. So
     atom j has probability 2^-53 times the count of grid points in
     (C_{j-1}, C_j]: within 2^-53 of C_j - C_{j-1}, which carries q_cdf's
-    error (at most 8.9e-16 abs against mpmath over eta = 0, 0.01, ..., 1),
+    error (at most 1.3e-16 abs against mpmath over eta = 0, 0.01, ..., 1),
     and the window's ends take the mass beyond it, under 2^-64. Atoms with
     C_j < 2^-53 are never drawn; from 1/2 up, where the C_j lie on the grid,
     each atom has exactly C_j - C_{j-1}. size=None returns an int. The

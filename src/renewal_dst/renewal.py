@@ -136,17 +136,6 @@ def simulate_count(family: GeometricDst | ScaledBase, t: float,
         k += 1
 
 
-def scaled_sum_sample(family: GeometricDst | ScaledBase, n: int,
-                      samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Draws of alpha^(-n) S_n with S_n = Y_1 + ... + Y_n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    total = np.zeros(samples)
-    for k in range(1, n + 1):
-        total += sample_lifetime(family, k, rng, size=samples)
-    return family.alpha ** -n * total
-
-
 def sample_scaled_limit(family: ScaledBase, rng: np.random.Generator,
                         size: int | None = None):
     """Draw the limit of alpha^(-n) S_n: sum_{k>=0} alpha^(-k) W_k.

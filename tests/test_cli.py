@@ -345,7 +345,7 @@ def test_byte_identical_reruns(tmp_path, argv):
 # is in the bytes.
 @pytest.mark.parametrize("argv, digest", [
     (("simulate", "--n-grid", "16:256:x4", "--samples", "3000"),
-     "4010b19486a5e5760aa56826a10809e7646108b57e044f37ec4d8a6c280654b7"),
+     "7260a7ae48d783d62064f02194af74854e80f606251ca69821bf195739907aa1"),
     (("simulate", "--alpha", "2.7", "--n-grid", "16:64:x2",
       "--samples", "2000"),
      "ac1a8cc3e2d8c6f118e090c6f27ea60a3bf6a783bcc3186cad8be71f3d51bba4"),
@@ -354,11 +354,11 @@ def test_byte_identical_reruns(tmp_path, argv):
     # eta = 0.80364 puts c = 0.872750 (x = 0) 1.2e-5 below the median
     # crossing limit_law._MEDIAN_C, and 2c of q_pmf at j = 1 there too
     (("limit-law", "--eta", "0.80364"),
-     "1613ee035fe7d911e1298f047d7caa0d5bfa0e2dab17fe7bb452780fa5f09486"),
+     "d5782ed1a722e71fc0b5b762d0cc98f39f68e03aec23b778cfce2e9b7f4e4d2f"),
     (("limit-law", "--eta", "0.5"),
-     "38708830fc3ada6784faa8384a3fba867f1945de1cbe443f879904708a71f307"),
+     "9d988ef753793d77f32d95773c919119e8de3a4cfede26fbf3a22050ef4041d8"),
     (("depth-dist", "--n", "1024"),
-     "e55b17310d3b7e81cfae34ac00c74374067ad0c196da4c40e1ac390a1a312f38"),
+     "f4ae3e1d2fb356326c72f3612b67c524abe7043813e754c8dff07bb650d7e29f"),
 ], ids=["simulate-dyadic", "simulate-alpha-2.7", "dst-demo-probe",
         "limit-law-median-band", "limit-law-half", "depth-dist-1024"])
 def test_output_matches_recorded_digest(tmp_path, argv, digest):
@@ -381,7 +381,6 @@ _MODULE_ONLY = {
     "limit_law": ["euler_b", "exp_convolution_cdf",
                   "partial_fraction_coefficients"],
     "metrics": ["empirical_cdf_jumps", "ks_discrete_vs_continuous"],
-    "renewal": ["scaled_sum_sample"],
 }
 
 

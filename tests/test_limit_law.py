@@ -1,5 +1,7 @@
+import importlib.util
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from renewal_dst import (
     sample_q,
     sample_scaled_limit,
 )
+from renewal_dst._s_table import ROWS
 from renewal_dst.limit_law import (
     _MEDIAN_C,
     _Q_HI,
@@ -101,9 +104,11 @@ def test_q_complement_identity():
 
 
 def test_q_translate_identity():
-    for x in range(-6, 20):
+    # bit for bit, on the series side and on the table side (x >= 1)
+    for x in range(-60, 60):
         assert q_cdf(0.0, x) == q_cdf(1.0, x + 1)
         assert q_pmf(0.0, x) == q_pmf(1.0, x + 1)
+        assert q_tail(0.0, x) == q_tail(1.0, x + 1)
 
 
 def test_q_eta_domain():
@@ -334,14 +339,18 @@ def test_saturation_exit_is_exact():
 @pytest.mark.parametrize("order", [1, 5, 32])
 def test_scalar_s_infinity_bit_identical_to_termwise_loop(order):
     # the kernels on prefixes of the one coefficient tuple; the full tuple
-    # is what s_infinity_cdf and s_infinity_sf use
+    # is what s_infinity_sf uses, and s_infinity_cdf from t = 1 on (below 1
+    # it reads the octave table, checked against mpmath)
     a = mixture_coefficients()[:order]
     for t in T_GRID + [0.0, 5e-324, 1e-300, 1e300, math.inf]:
         assert _cdf_terms(t, a) == _ref_cdf(t, a), t
         assert _sf_terms(t, a) == _ref_sf(t, a), t
         if order == 32:
-            assert s_infinity_cdf(t) == _ref_cdf(t, a), t
             assert s_infinity_sf(t) == _ref_sf(t, a), t
+            if t >= 1.0:
+                assert s_infinity_cdf(t) == _ref_cdf(t, a), t
+            else:
+                assert _table_close(s_infinity_cdf(t), _mp_cdf(t)), t
 
 
 def test_exp_convolution_scalar_bit_identical_to_termwise_loop():
@@ -352,10 +361,15 @@ def test_exp_convolution_scalar_bit_identical_to_termwise_loop():
 
 
 def test_q_tail_bit_identical_to_termwise_loop():
+    # the series from t = 2^(eta - j) = 1 on, the octave table below
     a = mixture_coefficients()
     for eta in ETA_GRID:
         for j in J_GRID:
-            assert q_tail(eta, j) == _ref_q_tail(eta, j, a), (eta, j)
+            t = 2.0 ** (eta - j)
+            if t >= 1.0:
+                assert q_tail(eta, j) == _ref_q_tail(eta, j, a), (eta, j)
+            else:
+                assert _table_close(q_tail(eta, j), _mp_cdf(t)), (eta, j)
 
 
 def test_q_cdf_and_pmf_match_termwise_loop():
@@ -416,29 +430,39 @@ ONE_PASS_C = sorted({
 
 def test_pmf_coefficients_are_the_exact_differences():
     a = mixture_coefficients()
-    d, neg_d = _pmf_coefficients()
+    d = _pmf_coefficients()
     assert len(d) == 33
     for k, ak in enumerate(a):
         assert d[k].hex() == (ak - (a[k - 1] if k else 0.0)).hex(), k + 1
     assert d[32] == -a[31]
-    assert neg_d == tuple(-dk for dk in d)
 
 
 def test_q_cdf_bit_identical_and_q_pmf_within_1e_15_of_separate_series():
     # eta = 0.80364: q_cdf(eta, 0) has c = 0.872750 and q_pmf(eta, 1) has
     # 2c beside the median; the log2 etas put c (for x = 0) or 2c (for
-    # j = 1) at and beside _MEDIAN_C. q_pmf sums one series of differences
-    # where _three_pass_q_pmf subtracts two: they agree to 8.3e-16 or better
+    # j = 1) at and beside _MEDIAN_C. On the series side (c >= _MEDIAN_C
+    # for q_cdf, 2c >= 1 for q_pmf) q_cdf is the two-pass value bit for bit,
+    # and q_pmf's one series of differences is within 8.3e-16 of
+    # _three_pass_q_pmf's two; on the table side both are checked against
+    # mpmath: 1 - F(c) and F(2c) - F(c)
     a = mixture_coefficients()
     etas = set(ETA_GRID) | {0.80364}
     etas.update(_near(1.0 + math.log2(_MEDIAN_C)))
     xs = [*J_GRID, 30, 40, 1000, -1022, -1100, -math.inf, math.inf]
     for eta in sorted(etas):
         for x in xs:
-            assert (q_cdf(eta, x).hex()
-                    == _two_pass_q_cdf(eta, x, a).hex()), (eta, x)
-            assert abs(q_pmf(eta, x)
-                       - _three_pass_q_pmf(eta, x, a)) <= 1e-15, (eta, x)
+            c = _c(eta, x) if math.isfinite(x) else math.inf
+            if c >= _MEDIAN_C:
+                assert (q_cdf(eta, x).hex()
+                        == _two_pass_q_cdf(eta, x, a).hex()), (eta, x)
+            else:
+                assert _table_close(q_cdf(eta, x), 1 - _mp_cdf(c)), (eta, x)
+            if c + c >= 1.0:
+                assert abs(q_pmf(eta, x)
+                           - _three_pass_q_pmf(eta, x, a)) <= 1e-15, (eta, x)
+            else:
+                assert _table_close(q_pmf(eta, x),
+                                    _mp_cdf(c + c) - _mp_cdf(c)), (eta, x)
     assert abs(2.0 ** (0.80364 - 1) - _MEDIAN_C) < 1e-4
 
 
@@ -462,11 +486,9 @@ def _mp_law(t):
 def test_scalar_series_against_mpmath():
     mp = pytest.importorskip("mpmath")
 
-    def close(got, ref, floor):
-        # floor: 1e-6 where the value reads the left tail of S, whose
-        # cancelling float series loses relative accuracy (a known defect);
-        # otherwise the normal-float range
-        if ref >= floor:
+    def close(got, ref):
+        # relative, over the normal-float range
+        if ref >= 1e-290:
             assert got == pytest.approx(float(ref), rel=1e-9, abs=0)
             return 1
         return 0
@@ -474,8 +496,8 @@ def test_scalar_series_against_mpmath():
     checked = 0
     for t in T_GRID:
         cdf, sf = _mp_law(mp.mpf(t))
-        checked += close(s_infinity_cdf(t), cdf, 1e-6)
-        checked += close(s_infinity_sf(t), sf, 1e-290)
+        checked += close(s_infinity_cdf(t), cdf)
+        checked += close(s_infinity_sf(t), sf)
     for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
         with mp.workdps(80):
             c = {j: mp.mpf(2) ** (mp.mpf(eta) - 1 - j)
@@ -483,14 +505,14 @@ def test_scalar_series_against_mpmath():
         for j in J_GRID:
             cdf_j, sf_j = _mp_law(c[j])
             cdf_left, sf_left = _mp_law(c[j - 1])
-            checked += close(q_cdf(eta, j), sf_j, 1e-290)
-            checked += close(q_tail(eta, j), cdf_left, 1e-6)
-            checked += close(q_pmf(eta, j), sf_j - sf_left, 1e-6)
-    assert checked > 300
+            checked += close(q_cdf(eta, j), sf_j)
+            checked += close(q_tail(eta, j), cdf_left)
+            checked += close(q_pmf(eta, j), sf_j - sf_left)
+    assert checked > 600
 
 
 def test_q_pmf_against_mpmath_including_left_tail():
-    # absolute error only, so the left tail (rel check waived above) counts
+    # absolute error, at every eta of ETA_GRID
     mp = pytest.importorskip("mpmath")
     for eta in ETA_GRID:
         with mp.workdps(80):
@@ -587,3 +609,151 @@ def test_limit_pmf_window_outside_mass_is_negligible():
         lo, masses, outside = limit_pmf_window(eta, -8, 10)
         assert lo == -8 and masses.size == 19
         assert 0.0 <= outside < 1e-14, eta
+
+
+# ---- the octave table of P(S <= t) on (0, 1) -------------------------------
+
+EPS = 2.0 ** -52
+TABLE_RTOL = 20 * EPS
+
+
+@lru_cache(maxsize=None)
+def _mp_mixture(dps: int):
+    """a_1, a_2, ... at dps digits, until |a_k| < 2^-(7 dps) < 10^-(2 dps)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        b = mp.mpf(1)
+        for j in range(1, 4 * dps):
+            b /= 1 - mp.ldexp(1, -j)
+        a = [b]
+        while abs(a[-1]) > mp.ldexp(1, -7 * dps):
+            a.append(a[-1] / (1 - mp.ldexp(1, len(a))))
+        return tuple(a)
+
+
+@lru_cache(maxsize=None)
+def _mp_cdf(t: float, dps: int = 0):
+    """P(S <= t) as an mpf. The series cancels from order 1 down to F(t),
+    about 10^-(0.16 j^2 + 0.4 j) at t = 2^-j (1e-336 at 2^-44, a few
+    digits below that estimate), so the default dps is that plus 60. Below
+    2^-44 it returns 0, within F(2^-44) < 2^-1116 of the truth."""
+    mp = pytest.importorskip("mpmath")
+    if t < 2.0 ** -44:
+        return mp.mpf(0)
+    j = max(-math.floor(math.log2(t)), 0)
+    dps = dps or 60 + math.ceil(0.16 * j * j + 0.4 * j)
+    with mp.workdps(dps):
+        return mp.fsum(ak * -mp.expm1(-mp.ldexp(t, k))
+                       for k, ak in enumerate(_mp_mixture(dps), start=1))
+
+
+def _table_close(got: float, ref) -> bool:
+    """|got - ref| <= 20 eps ref, plus half the least subnormal for a value
+    that rounds into (or under) the subnormal range."""
+    mp = pytest.importorskip("mpmath")
+    return abs(mp.mpf(got) - ref) <= TABLE_RTOL * abs(ref) + mp.ldexp(1, -1075)
+
+
+def test_left_tail_under_the_papers_bound():
+    # P(S <= 2^-j) <= 2^(-j(j-1)/2), and every value is a normal float
+    for j in range(2, 41):
+        v = s_infinity_cdf(2.0 ** -j)
+        assert 2.0 ** -1022 < v <= 2.0 ** (-j * (j - 1) / 2), j
+    for t, want in ((2.0 ** -9, 1.965e-19), (2.0 ** -10, 2.887e-23)):
+        assert s_infinity_cdf(t) == pytest.approx(float(_mp_cdf(t)),
+                                                  rel=1e-14, abs=0)
+        assert s_infinity_cdf(t) == pytest.approx(want, rel=1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(j=st.integers(min_value=0, max_value=42),
+       m=st.floats(min_value=0.5, max_value=1.0, exclude_max=True))
+def test_table_against_mpmath(j, m):
+    # t = m 2^-j covers [2^-43, 1) octave by octave; 380 digits leave over
+    # 40 past the series' cancellation at every t
+    t = math.ldexp(m, -j)
+    got = s_infinity_cdf(t)
+    assert _table_close(got, _mp_cdf(t, 380)), (t, got)
+    assert q_tail(0.0, j) == s_infinity_cdf(2.0 ** -j)
+
+
+def test_table_is_zero_below_2_to_minus_43():
+    for t in (0.0, 5e-324, 1e-300, math.nextafter(2.0 ** -43, 0.0)):
+        assert s_infinity_cdf(t) == 0.0
+    assert s_infinity_cdf(np.array([0.0, 1e-300, 2.0 ** -44])).tolist() == [
+        0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("j", [10, 14, 18])
+def test_table_against_talbot_inversion(j):
+    # E[exp(-sS)] = prod_k (1 + s 2^-k)^-1 shares no formula with the
+    # mixture series; P(S <= t) inverts that transform divided by s
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        terms = 64 + 4 * j      # |s| 2^-terms < 1e-30 on Talbot's contour
+
+        def transform(s):
+            return 1 / (s * mp.fprod(1 + s * mp.ldexp(1, -k)
+                                     for k in range(1, terms)))
+
+        ref = mp.invertlaplace(transform, mp.ldexp(1, -j), method="talbot")
+        assert _table_close(s_infinity_cdf(2.0 ** -j), ref), j
+
+
+def _monotone_grid(start: float, factors) -> list[float]:
+    t = [start]
+    for f in factors:
+        t.append(t[-1] * f)
+    return t
+
+
+@settings(max_examples=60, deadline=None)
+@given(log2_start=st.floats(min_value=-44.0, max_value=0.9),
+       steps=st.lists(st.integers(min_value=1, max_value=2 ** 36),
+                      min_size=1, max_size=40))
+def test_s_infinity_cdf_nondecreasing_on_fine_grids(log2_start, steps):
+    # neighbours differ by a ratio of 1 + k 2^-40 (k >= 1) up to one rounding
+    t = [x for x in _monotone_grid(2.0 ** log2_start,
+                                   [1.0 + k * 2.0 ** -40 for k in steps])
+         if x <= 2.0]
+    vals = [s_infinity_cdf(x) for x in t]
+    assert all(a <= b for a, b in zip(vals, vals[1:])), t
+    arr = s_infinity_cdf(np.array(t))
+    assert np.all(np.diff(arr) >= 0), t
+
+
+def test_s_infinity_cdf_nondecreasing_across_octave_edges():
+    # 41 points 2^-40 apart in ratio around every edge 2^-j, j = -1..43
+    for j in range(-1, 44):
+        start = 2.0 ** -j * (1.0 - 20 * 2.0 ** -40)
+        t = _monotone_grid(start, [1.0 + 2.0 ** -40] * 40)
+        vals = [s_infinity_cdf(x) for x in t]
+        assert all(a <= b for a, b in zip(vals, vals[1:])), j
+        assert np.all(np.diff(s_infinity_cdf(np.array(t))) >= 0), j
+
+
+def test_array_reads_the_table_within_2_ulp():
+    rng = np.random.default_rng(3)
+    t = np.concatenate([
+        np.ldexp(rng.uniform(0.5, 1.0, 20000), rng.integers(-43, 1, 20000)),
+        2.0 ** -np.arange(1.0, 46.0), [0.0, 5e-324, math.nextafter(1.0, 0.0)]])
+    arr = s_infinity_cdf(t)
+    scalar = np.array([s_infinity_cdf(float(x)) for x in t])
+    assert np.all(np.abs(arr - scalar) <= 2 * np.spacing(scalar))
+
+
+def _table_generator():
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_s_table.py"
+    spec = importlib.util.spec_from_file_location("make_s_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("j", [0, 12, 40])
+def test_table_rows_match_their_generator(j):
+    pytest.importorskip("mpmath")
+    exponent, coeffs = _table_generator().octave(j)
+    assert len(ROWS) == 43 and len(ROWS[j][1]) == 24
+    assert ROWS[j][0] == exponent
+    assert [c.hex() for c in ROWS[j][1]] == [c.hex() for c in coeffs]

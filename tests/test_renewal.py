@@ -38,8 +38,8 @@ from renewal_dst.renewal import (
     _gap_values,
     _partial_sum_terms,
     floor_log2,
-    scaled_sum_sample,
 )
+from renewal_dst.lifetimes import sample_lifetime
 from renewal_dst.rng import stream_rng
 
 DST = GeometricDst()
@@ -241,6 +241,14 @@ def test_simulate_count_validation():
         simulate_count(DST, 10.0, 0, stream_rng(1))
     with pytest.raises(ValueError):
         simulate_count(DST, 0.0, 10, stream_rng(1))
+
+
+def scaled_sum_sample(family, n, samples, rng):
+    """Draws of alpha^(-n) S_n with S_n = Y_1 + ... + Y_n."""
+    total = np.zeros(samples)
+    for k in range(1, n + 1):
+        total += sample_lifetime(family, k, rng, size=samples)
+    return family.alpha ** -n * total
 
 
 def test_scaled_sum_degenerate():
