@@ -17,21 +17,21 @@ from a committed table, and everything else is a series over the mixture,
 evaluated termwise through expm1 or exp and summed exactly with math.fsum;
 tails are never formed as 1 - cdf.
 
-The table (_s_table.py, written by tools/make_s_table.py from mpmath) holds,
-for each octave t = m 2^-j, m in [1/2, 1), j = 0..42, an integer E_j and 24
-Chebyshev coefficients c_k of log2 P(S <= t) - E_j in y = 4m - 3, which
-runs over [-1, 1). _table_cdf(t) takes (m, -j) = math.frexp(t), which is
-exact, sums s = sum_k c_k T_k(y) by Clenshaw's recurrence and returns
-math.ldexp(2.0**s, E_j): the exponent E_j is exact, so the error does not
-grow with |log2 P|. s spans up to +-24 on the deep octaves, where its
-rounding would dominate; so the recurrence stops at b_2 and the largest
-term, c_1 y, is added last, with c_1 split into a 2-bit head, whose
-product with y is exact, and the rest (_split). Against mpmath the value
-is within 20 eps relative (13 eps measured; 1.3 eps on octaves 0..2), and
-within half the least subnormal where it rounds into the subnormal range.
-Below 2^-43 the truth is under 2^-1094, and 0.0 is returned. Arrays read
-the same table with the same operations (np.exp2 for 2.0**s), within
-2 ulp of the scalar values.
+The table (_s_table.py, written by tools/make_s_table.py from mpmath) cuts
+each octave t = m 2^-j, m in [1/2, 1), j = 0..42, into eight pieces
+m in [1/2 + p/16, 1/2 + (p + 1)/16). Row 8 j + p holds an integer E and the
+16 monomial coefficients c_k of the degree-15 polynomial that interpolates
+log2 P(S <= t) - E at 16 Chebyshev points of the piece, in
+y = 2 (16 m - 8 - p) - 1, which runs over [-1, 1). _table_cdf(t) takes
+(m, -j) = math.frexp(t), u = 16 m, p + 8 = int(u) and y = 2 (u - int(u)) - 1,
+all exact, sums s = sum_k c_k y^k by Horner's rule and returns
+math.ldexp(2.0**s, E): the exponent E is exact, so the error does not grow
+with |log2 P|, and |s| stays under 5 on every piece, so its rounding stays
+small. Against mpmath the value is within 4 eps relative (2.1 eps measured
+over every piece), and within half the least subnormal where it rounds into
+the subnormal range. Below 2^-43 the truth is under 2^-1094, and 0.0 is
+returned. Arrays read the same table with the same operations (np.exp2 for
+2.0**s), within 2 ulp of the scalar values.
 The table serves s_infinity_cdf(t) and q_tail for t < 1, q_cdf's
 complement 1 - P(S <= c) for c < _MEDIAN_C, and q_pmf as
 P(S <= 2c) - P(S <= c) while 2c < 1, where the first term dominates and
@@ -62,10 +62,12 @@ The discretized family is Q_eta = L(floor(-log2 S + eta)) for eta in [0, 1]:
 
     P(Q_eta <= x) = sum_k a_k exp(-2^k c),  c = 2^(eta - 1 - x),  x integer.
 
-The two endpoints are translates: Q_1({j}) = Q_0({j-1}), and every value
-reproduces that identity exactly in floating point because the exponents
-eta - 1 - x at (0, x) and at (1, x + 1) are the same integer, so both give
-the same c.
+c is formed as math.ldexp(2.0**eta, -1 - floor(x)), one rounding whatever
+the size of x; forming eta - 1 - x first would drop low bits of eta as |x|
+grows. Where c overflows, x is so far below the support that the value is
+the one at x = -inf. The two endpoints are translates: Q_1({j}) = Q_0({j-1}),
+and every value reproduces that identity exactly in floating point because
+2.0**0 and 2.0**1 are exact, so (0, x) and (1, x + 1) give the same c.
 """
 
 from __future__ import annotations
@@ -170,35 +172,27 @@ def _checked(t, name: str = "t") -> float:
     return t
 
 
-def _split(c: float) -> tuple[float, float]:
-    """(h, c - h) with h = c rounded to 2 significant bits. A table y = 4m - 3
-    has at most 51 significant bits, so h * y is exact, and so is c - h."""
-    m, e = math.frexp(c)
-    h = math.ldexp(round(4.0 * m) / 4.0, e)
-    return h, c - h
-
-
-# The octaves of _table_cdf: row j = (E_j, c_0, c_1 split, (c_23, ..., c_2)),
-# and the same numbers as arrays indexed by octave for _table_cdf_array.
-_S_ROWS = tuple((e, c[0], *_split(c[1]), c[:1:-1]) for e, c in ROWS)
-_S_EXP, _S_C0, _S_HI, _S_LO = map(np.array, zip(*(r[:4] for r in _S_ROWS)))
-_S_REST = np.array([r[4] for r in _S_ROWS]).T
-_TABLE_LO = 2.0 ** -len(ROWS)
+# The pieces of _table_cdf, row 8 j + p: (E, c_15, (c_14, ..., c_0)) in
+# Horner order, and the same numbers as arrays indexed by row for
+# _table_cdf_array.
+_S_ROWS = tuple((e, c[-1], c[-2::-1]) for e, c in ROWS)
+_S_EXP = np.array([e for e, _ in ROWS])
+_S_COEF = np.array([c[::-1] for _, c in ROWS]).T
+_TABLE_LO = 2.0 ** -(len(ROWS) // 8)
 
 
 def _table_cdf(t: float) -> float:
-    """P(S <= t) for t < 1 from the octave table; see the module notes."""
+    """P(S <= t) for t < 1 from the piece table; see the module notes."""
     if t < _TABLE_LO:
         return 0.0
     m, e = math.frexp(t)
-    e_j, c0, hi, lo, rest = _S_ROWS[-e]
-    y = 4.0 * m - 3.0
-    y2 = y + y
-    b1 = b2 = 0.0
-    for c in rest:      # Clenshaw's recurrence down to b_2 (b1) and b_3 (b2)
-        b1, b2 = y2 * b1 - b2 + c, b1
-    s = hi * y + (lo * y + c0 + y * (y2 * b1 - b2) - b1)
-    return math.ldexp(2.0 ** s, e_j)
+    u = 16.0 * m
+    p = int(u)
+    y = 2.0 * (u - p) - 1.0
+    e_row, s, coeffs = _S_ROWS[p - 8 - 8 * e]
+    for c in coeffs:
+        s = s * y + c
+    return math.ldexp(2.0 ** s, e_row)
 
 
 def _table_cdf_array(t: np.ndarray) -> np.ndarray:
@@ -206,19 +200,19 @@ def _table_cdf_array(t: np.ndarray) -> np.ndarray:
     operations; np.exp2 may differ from the scalar 2.0**s by an ulp."""
     m, e = np.frexp(t)
     inside = t >= _TABLE_LO
-    j = np.where(inside, -e, 0)
-    y = 4.0 * m - 3.0
-    y2 = y + y
-    b1 = b2 = np.zeros_like(y)
-    for c in _S_REST:
-        b1, b2 = y2 * b1 - b2 + c[j], b1
-    s = _S_HI[j] * y + (_S_LO[j] * y + _S_C0[j] + y * (y2 * b1 - b2) - b1)
-    return np.where(inside, np.ldexp(np.exp2(s), _S_EXP[j]), 0.0)
+    u = 16.0 * m
+    p = np.floor(u)
+    y = 2.0 * (u - p) - 1.0
+    row = np.where(inside, p.astype(np.intp) - 8 - 8 * e, 0)
+    s = _S_COEF[0][row]
+    for c in _S_COEF[1:]:
+        s = s * y + c[row]
+    return np.where(inside, np.ldexp(np.exp2(s), _S_EXP[row]), 0.0)
 
 
 def _cdf(t, a, table: bool = False):
     """P(S <= t) for the coefficients a: a float, or an array for array t.
-    With table (a is the limit law's mixture) t < 1 reads the octave table."""
+    With table (a is the limit law's mixture) t < 1 reads the piece table."""
     if isinstance(t, (float, int)) or np.ndim(t) == 0:  # np.float64 is a float
         t = _checked(t)
         return _table_cdf(t) if table and t < 1.0 else _cdf_terms(t, a)
@@ -236,13 +230,8 @@ def _cdf(t, a, table: bool = False):
     return out
 
 
-def _pow2(e: float) -> float:
-    """2**e, or inf where that overflows."""
-    return 2.0 ** e if e < 1024 else math.inf
-
-
 def s_infinity_cdf(t):
-    """P(S <= t): the octave table for t < 1, where the value decays
+    """P(S <= t): the piece table for t < 1, where the value decays
     superexponentially (P(S <= 2^(-j)) <= 2^(-j(j-1)/2)), and
     sum_k a_k (1 - exp(-2^k t)) clamped to [0, 1] from t = 1 on.
 
@@ -281,10 +270,9 @@ def q_cdf(eta: float, x) -> float:
     """
     _check_eta(eta)
     try:
-        e = eta - (math.floor(x) + 1)
-    except (OverflowError, ValueError):     # x is infinite or NaN
-        return _limit(x, "x", 0.0, 1.0)
-    c = _pow2(e)
+        c = math.ldexp(2.0 ** eta, -1 - math.floor(x))
+    except (OverflowError, ValueError):     # x is -inf, +inf or NaN, or c is
+        return _limit(x, "x", 0.0, 1.0)     # past the float range (x << 0)
     if c < _MEDIAN_C:
         return 1.0 - _table_cdf(c)
     return _sf_terms(c, mixture_coefficients())
@@ -299,10 +287,9 @@ def q_pmf(eta: float, j) -> float:
     """
     _check_eta(eta)
     try:
-        e = eta - (math.floor(j) + 1)
-    except (OverflowError, ValueError):     # j is infinite or NaN
+        c = math.ldexp(2.0 ** eta, -1 - math.floor(j))
+    except (OverflowError, ValueError):     # as in q_cdf
         return _limit(j, "j", 0.0, 0.0)
-    c = _pow2(e)
     if c + c < 1.0:
         return _table_cdf(c + c) - _table_cdf(c)
     return _sf_terms(c, _pmf_coefficients())
@@ -316,10 +303,9 @@ def q_tail(eta: float, j) -> float:
     """
     _check_eta(eta)
     try:
-        e = eta - math.floor(j)
-    except (OverflowError, ValueError):     # j is infinite or NaN
+        t = math.ldexp(2.0 ** eta, -math.floor(j))
+    except (OverflowError, ValueError):     # as in q_cdf
         return _limit(j, "j", 1.0, 0.0)
-    t = _pow2(e)
     return _table_cdf(t) if t < 1.0 else _cdf_terms(t, mixture_coefficients())
 
 

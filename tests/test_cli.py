@@ -345,7 +345,7 @@ def test_byte_identical_reruns(tmp_path, argv):
 # is in the bytes.
 @pytest.mark.parametrize("argv, digest", [
     (("simulate", "--n-grid", "16:256:x4", "--samples", "3000"),
-     "7260a7ae48d783d62064f02194af74854e80f606251ca69821bf195739907aa1"),
+     "e0db5bf5f63af1eaefe1e2fadff23d3128b8b762735b86fe581c060d4ab85718"),
     (("simulate", "--alpha", "2.7", "--n-grid", "16:64:x2",
       "--samples", "2000"),
      "ac1a8cc3e2d8c6f118e090c6f27ea60a3bf6a783bcc3186cad8be71f3d51bba4"),
@@ -354,11 +354,11 @@ def test_byte_identical_reruns(tmp_path, argv):
     # eta = 0.80364 puts c = 0.872750 (x = 0) 1.2e-5 below the median
     # crossing limit_law._MEDIAN_C, and 2c of q_pmf at j = 1 there too
     (("limit-law", "--eta", "0.80364"),
-     "d5782ed1a722e71fc0b5b762d0cc98f39f68e03aec23b778cfce2e9b7f4e4d2f"),
+     "0cd1ece1c515fb064d8a603695a56df04fc0adf36d0a3c11b752c2bef7f6fc11"),
     (("limit-law", "--eta", "0.5"),
-     "9d988ef753793d77f32d95773c919119e8de3a4cfede26fbf3a22050ef4041d8"),
+     "40f616555505cb5da4b1d4fd712edce2813802c208671066b7fc3ef105546f74"),
     (("depth-dist", "--n", "1024"),
-     "f4ae3e1d2fb356326c72f3612b67c524abe7043813e754c8dff07bb650d7e29f"),
+     "ca5297da2492cf7b3ab567f43f2de38f1245b9d07b21177b188a902b4ea1bb53"),
 ], ids=["simulate-dyadic", "simulate-alpha-2.7", "dst-demo-probe",
         "limit-law-median-band", "limit-law-half", "depth-dist-1024"])
 def test_output_matches_recorded_digest(tmp_path, argv, digest):

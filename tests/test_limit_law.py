@@ -29,6 +29,7 @@ from renewal_dst.limit_law import (
     _pmf_coefficients,
     _q_table,
     _sf_terms,
+    _table_cdf,
     euler_b,
     exp_convolution_cdf,
     partial_fraction_coefficients,
@@ -302,8 +303,8 @@ def _ref_sf(x, a):
 
 
 def _ref_q_tail(eta, j, a):
-    e = eta - j
-    return _ref_cdf(2.0 ** e if e < 1024 else math.inf, a)
+    # t = 2^(eta - j) formed as q_tail forms it, rounded once
+    return _ref_cdf(_c(eta, j - 1), a)
 
 
 def _ref_q_cdf(eta, x, a):
@@ -340,7 +341,7 @@ def test_saturation_exit_is_exact():
 def test_scalar_s_infinity_bit_identical_to_termwise_loop(order):
     # the kernels on prefixes of the one coefficient tuple; the full tuple
     # is what s_infinity_sf uses, and s_infinity_cdf from t = 1 on (below 1
-    # it reads the octave table, checked against mpmath)
+    # it reads the piece table, checked against mpmath)
     a = mixture_coefficients()[:order]
     for t in T_GRID + [0.0, 5e-324, 1e-300, 1e300, math.inf]:
         assert _cdf_terms(t, a) == _ref_cdf(t, a), t
@@ -361,11 +362,11 @@ def test_exp_convolution_scalar_bit_identical_to_termwise_loop():
 
 
 def test_q_tail_bit_identical_to_termwise_loop():
-    # the series from t = 2^(eta - j) = 1 on, the octave table below
+    # the series from t = 2^(eta - j) = 1 on, the piece table below
     a = mixture_coefficients()
     for eta in ETA_GRID:
         for j in J_GRID:
-            t = 2.0 ** (eta - j)
+            t = _c(eta, j - 1)
             if t >= 1.0:
                 assert q_tail(eta, j) == _ref_q_tail(eta, j, a), (eta, j)
             else:
@@ -390,8 +391,11 @@ def test_q_cdf_and_pmf_match_termwise_loop():
 # computed direct value, and q_pmf from three separate series past the median.
 
 def _c(eta, x):
-    e = eta - (math.floor(x) + 1)
-    return 2.0 ** e if e < 1024 else math.inf
+    # c = 2^(eta - 1 - floor(x)), rounded once, as the Q_eta functions form it
+    try:
+        return math.ldexp(2.0 ** eta, -1 - math.floor(x))
+    except OverflowError:
+        return math.inf
 
 
 def _two_pass_q_cdf(eta, x, a):
@@ -611,10 +615,10 @@ def test_limit_pmf_window_outside_mass_is_negligible():
         assert 0.0 <= outside < 1e-14, eta
 
 
-# ---- the octave table of P(S <= t) on (0, 1) -------------------------------
+# ---- the piece table of P(S <= t) on (0, 1) --------------------------------
 
 EPS = 2.0 ** -52
-TABLE_RTOL = 20 * EPS
+TABLE_RTOL = 4 * EPS
 
 
 @lru_cache(maxsize=None)
@@ -648,7 +652,7 @@ def _mp_cdf(t: float, dps: int = 0):
 
 
 def _table_close(got: float, ref) -> bool:
-    """|got - ref| <= 20 eps ref, plus half the least subnormal for a value
+    """|got - ref| <= 4 eps ref, plus half the least subnormal for a value
     that rounds into (or under) the subnormal range."""
     mp = pytest.importorskip("mpmath")
     return abs(mp.mpf(got) - ref) <= TABLE_RTOL * abs(ref) + mp.ldexp(1, -1075)
@@ -723,13 +727,16 @@ def test_s_infinity_cdf_nondecreasing_on_fine_grids(log2_start, steps):
 
 
 def test_s_infinity_cdf_nondecreasing_across_octave_edges():
-    # 41 points 2^-40 apart in ratio around every edge 2^-j, j = -1..43
-    for j in range(-1, 44):
-        start = 2.0 ** -j * (1.0 - 20 * 2.0 ** -40)
+    # 41 points 2^-40 apart in ratio around every piece edge
+    # (1/2 + p/16) 2^-j, j = 0..43, the octave edges among them, and around
+    # t = 1 and 2
+    edges = [math.ldexp(8 + p, -4 - j) for j in range(44) for p in range(8)]
+    for edge in edges + [1.0, 2.0]:
+        start = edge * (1.0 - 20 * 2.0 ** -40)
         t = _monotone_grid(start, [1.0 + 2.0 ** -40] * 40)
         vals = [s_infinity_cdf(x) for x in t]
-        assert all(a <= b for a, b in zip(vals, vals[1:])), j
-        assert np.all(np.diff(s_infinity_cdf(np.array(t))) >= 0), j
+        assert all(a <= b for a, b in zip(vals, vals[1:])), edge
+        assert np.all(np.diff(s_infinity_cdf(np.array(t))) >= 0), edge
 
 
 def test_array_reads_the_table_within_2_ulp():
@@ -752,8 +759,40 @@ def _table_generator():
 
 @pytest.mark.parametrize("j", [0, 12, 40])
 def test_table_rows_match_their_generator(j):
+    # the eight pieces of octaves 0, 12 and 40, rows 8 j .. 8 j + 7
     pytest.importorskip("mpmath")
-    exponent, coeffs = _table_generator().octave(j)
-    assert len(ROWS) == 43 and len(ROWS[j][1]) == 24
-    assert ROWS[j][0] == exponent
-    assert [c.hex() for c in ROWS[j][1]] == [c.hex() for c in coeffs]
+    generator = _table_generator()
+    assert len(ROWS) == 43 * 8
+    for p in range(8):
+        exponent, coeffs = generator.piece(j, p)
+        row = ROWS[8 * j + p]
+        assert len(row[1]) == 16
+        assert row[0] == exponent
+        assert [c.hex() for c in row[1]] == [c.hex() for c in coeffs], p
+
+
+@pytest.mark.parametrize("eta, j", [(0.3, 20), (0.3, 40), (0.77, 12),
+                                    (0.5, 33), (1e-20, 25)])
+def test_deep_q_values_round_c_once(eta, j):
+    # t = 2^(eta - j) is 2.0**eta scaled by an exact power of two, one
+    # rounding of relative size at most 2^-53; F moves by kappa = t F'(t) /
+    # F(t) (about j + 4: 45 at j = 40) times that. So the value is within
+    # the table's 4 eps of F at the float t, and within 4 eps plus
+    # kappa 2^-53 of F at the exact 2^(eta - j). Rounding eta - j first
+    # drops low bits of eta: q_tail(0.3, 40) was 395 eps off that way.
+    mp = pytest.importorskip("mpmath")
+    t = math.ldexp(2.0 ** eta, -j)
+    assert q_tail(eta, j) == _table_cdf(t) and q_cdf(eta, j) == 1.0
+    assert q_pmf(eta, j) == _table_cdf(t) - _table_cdf(t / 2)
+    dps = 60 + math.ceil(0.16 * j * j + 0.4 * j)
+    with mp.workdps(dps):
+        exact = mp.mpf(2) ** (mp.mpf(eta) - j)
+        a = _mp_mixture(dps)
+        f = mp.fsum(ak * -mp.expm1(-mp.ldexp(exact, k))
+                    for k, ak in enumerate(a, start=1))
+        density = mp.fsum(ak * mp.ldexp(1, k) * mp.exp(-mp.ldexp(exact, k))
+                          for k, ak in enumerate(a, start=1))
+        kappa = exact * density / f
+        assert _table_close(q_tail(eta, j), _mp_cdf(t))
+        assert abs(q_tail(eta, j) - f) <= (TABLE_RTOL + kappa * 2.0 ** -53) * f
+        assert kappa < j + 6

@@ -81,6 +81,46 @@ def test_depth_distribution_matches_single_step_dp(n):
     np.testing.assert_allclose(got, ref, rtol=1e-11, atol=1e-300)
 
 
+def _unscaled_powering(n: int) -> IntPmf:
+    """Reference law: depth_distribution_exact's squarings on the unscaled
+    T^m, whose tiny entries underflow into subnormals."""
+    width = min(n, n.bit_length() + 60)
+    up = 2.0 ** -np.arange(width + 1)
+    stay = 1.0 - up
+    log_stay = np.log1p(-up[53:])
+    power = np.diag(stay) + np.diag(up[:-1], 1)
+    p = np.zeros(width + 1)
+    p[0] = 1.0
+    for bit in range(n.bit_length()):
+        if n >> bit & 1:
+            p = p @ power
+        if n >> (bit + 1):
+            m = 2 << bit
+            power = power @ power
+            np.fill_diagonal(power, np.concatenate(
+                (stay[:53] ** m, np.exp(m * log_stay))))
+    law = IntPmf(0, p).trim(1e-300)
+    return IntPmf(law.offset, law.masses,
+                  law.truncation + abs(1.0 - law.total()))
+
+
+_SCALED_DP_N = sorted(
+    {0, 1, 2, 3, 5, 31, 777, 1024, 5000, 2 ** 18 + 1001, 2 ** 20,
+     3 * 2 ** 20, 2 ** 22 - 1, 4000037, 2 ** 26 - 1, 2 ** 26}
+    | set(np.random.default_rng(29).integers(1, 2 ** 26, 50).tolist()))
+
+
+def test_scaled_powering_keeps_every_mass_bit_for_bit():
+    # the scaling by 2^500 is exact, and what the flush and the unscaled
+    # subnormals change reaches no stored mass; truncation may move in the
+    # subnormal range
+    for n in _SCALED_DP_N:
+        law, ref = depth_distribution_exact(n), _unscaled_powering(n)
+        assert law.offset == ref.offset, n
+        assert law.masses.tobytes() == ref.masses.tobytes(), n
+        assert abs(law.truncation - ref.truncation) < 1e-300, n
+
+
 # both laws reach levels 53..60, where 1 - 2^(-k) rounds to 1 in binary64
 @pytest.mark.parametrize("n", [3 * 2 ** 16 + 1, 2 ** 20 + 1])
 def test_depth_distribution_matches_mpmath_closed_form(n):
