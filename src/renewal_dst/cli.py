@@ -30,11 +30,12 @@ from .lifetimes import GeometricDst, ScaledBase
 from .limit_law import q_cdf, q_pmf, q_tail
 from .metrics import (
     REPORT_COLUMNS,
-    _tv_and_window,
+    _limit_window,
     check_rate_report,
     rate_report,
     rate_rows,
     tv_distance,
+    tv_to_limit,
     tv_vs_limit,
     MAX_TV_N,
 )
@@ -56,6 +57,7 @@ _GRID_DEFAULTS = {
     "converge-ks": "4:18:1",
 }
 _MAX_GRID_POINTS = 10 ** 6
+_MAX_DEPTH_DIST_N = 2 ** 22    # depth-dist's exact DP
 
 
 class UsageError(Exception):
@@ -154,10 +156,12 @@ def cmd_limit_law(args) -> int:
 def cmd_depth_dist(args) -> int:
     if args.n is None:
         raise UsageError("--n is required")
-    if not 1 <= args.n <= MAX_TV_N:
-        raise UsageError(f"--n must be in [1, {MAX_TV_N}] for the exact DP")
+    if not 1 <= args.n <= _MAX_DEPTH_DIST_N:
+        raise UsageError(f"--n must be in [1, {_MAX_DEPTH_DIST_N}] for the "
+                         f"exact DP")
     law, eta = centered_count_distribution(args.n)
-    tv, _, lo, qmasses = _tv_and_window(law, eta)
+    lo, qmasses, _ = _limit_window(law, eta)
+    tv = tv_to_limit(args.n)[0]
     rows = []
     for i, qm in enumerate(qmasses):
         j = lo + i

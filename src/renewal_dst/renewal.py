@@ -29,6 +29,12 @@ second-derivative bound pairs each limit term exp(-2^(k-n) j) with the
 partial-sum term whose p_i is 2^(k-n), so the two tails' curvatures cancel in
 it as they do in the gap; the search evaluates a few hundred jump points
 up to n = 19 instead of all 8 2^n.
+The TV distance between the centred count and Q_eta reads the same closed
+forms along the level instead of along j: with k = floor(log2 n),
+Delta_l = P(X_n >= l) - P(Q_eta >= l - k) = P(S > n 2^-l) - P(S_l > n) is
+the KS gap at level l and jump point n. Each mixture term k is paired with
+the partial-sum term whose p_i is 2^(k-l), and the pair is one expm1 of a
+sum of terms of one sign, so no level cancels (``_level_gaps``).
 Everything else (general growth rates, sanity cross-checks) is seeded Monte
 Carlo.
 """
@@ -41,7 +47,7 @@ import operator
 import numpy as np
 
 from .lifetimes import GeometricDst, ScaledBase, sample_lifetime
-from .limit_law import mixture_coefficients, s_infinity_sf
+from .limit_law import mixture_coefficients, s_infinity_cdf, s_infinity_sf
 from .pmf import IntPmf
 
 MAX_EXACT_N = 2 ** 26      # checked range of the DP's reported rounding slack
@@ -52,6 +58,26 @@ _SCALE = 2.0 ** 500        # the DP's powers of T are kept times _SCALE
 _FLUSH = 2.0 ** (500 - 1074)   # scaled entries below it unscale under 2^-1074
 _KS_SPLIT = 16             # sub-blocks per block at each KS search level
 _KS_CHUNK = 1 << 14        # exps per KS evaluation array; memory is O(chunk)
+_LEVELS_ABOVE = 16         # _level_gaps' levels past floor(log2 n)
+_EPS = 2.0 ** -52
+
+# _level_gaps' tables, one row per level l = 0..69 and one column per mixture
+# term k = 1..32, d = l - k: the rate 2^(k-l); for a pair (d >= 1),
+# ell = sum_{m >= d+1} log1p(-2^-m), summed from the smallest term up over
+# m <= 160, and delta = sum_{m >= 2} 2^-(d m) / m (= -log1p(-rho) - rho at
+# rho = 2^-d, which cancels), summed from m = 65 down; for an unpaired term
+# ell = -inf and delta = 0, so that -expm1(ell - delta n) is 1; and each
+# term's error bound in eps.
+_D = np.arange(70)[:, None] - np.arange(1, 33)
+_PAIRED = _D > 0
+_RATE = np.ldexp(1.0, -_D)
+_ELL = np.where(_PAIRED, np.cumsum(np.log1p(-np.ldexp(
+    1.0, -np.arange(160, 0, -1))))[::-1][np.maximum(_D, 0)], -np.inf)
+_POWERS = np.arange(65, 1, -1)
+_DELTA = np.where(_PAIRED, np.cumsum(
+    np.ldexp(1.0, -np.arange(1, 70)[:, None] * _POWERS) / _POWERS,
+    axis=1)[np.maximum(_D, 1) - 1, -1], 0.0)
+_TERM_ERR = np.where(_PAIRED, 17.0, 7.0)
 
 
 def depth_distribution_exact(n: int) -> IntPmf:
@@ -389,3 +415,67 @@ def ks_scaled_sum_exact(n: int, cap_multiplier: int = 8) -> tuple[float, float]:
         width = sub
     truncation = max(float(edges[2, 1]), s_infinity_sf(float(cap_multiplier)))
     return ks, truncation
+
+
+def _level_gaps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Delta_l, e_l), l = 0..floor(log2 n) + 16: level gaps and error bounds.
+
+    Delta_l = P(X_n >= l) - P(Q_eta >= l - k), with k = floor(log2 n) and
+    eta = frac(log2 n), and |float Delta_l - Delta_l| <= e_l. As
+    P(X_n >= l) = P(S_l <= n) and P(Q_eta >= l - k) = P(S <= n 2^-l),
+    Delta_l = L - T with L = P(S > n 2^-l) = sum_k a_k exp(-rho_k n),
+    rho_k = 2^(k-l), and, for l <= n + 1, T = P(S_l > n) =
+    sum_{i=2..l} B_i q_i^(n-l+1) (``_partial_sum_terms``; T = 0 at l <= 1).
+    Mixture term k < l is paired with partial-sum term i = l + 1 - k, whose
+    p_i is rho = rho_k. The partial-fraction products give
+    B_i q_i^(1-l) = a_k exp(ell), ell = sum_{m >= l-k+1} log1p(-2^-m), and
+    with lambda = -ln q_i = rho + delta, delta = sum_{m >= 2} rho^m / m, the
+    pair is
+      a_k exp(-rho n) - B_i q_i^(n-l+1)
+        = -a_k exp(-rho n) expm1(ell - delta n),
+    where ell and -delta n are both at most 0: no term cancels. Mixture
+    terms k >= l stay unpaired. All levels are one (levels x 32) array of
+    terms, each row summed in order by np.cumsum. Levels l > n + 1, where
+    S_l >= l > n and the closed form of T does not hold, are
+    Delta_l = -P(S <= n 2^-l) from the table of ``s_infinity_cdf``.
+
+    The bound, with eps = 2^-52 (a rounding is at most eps/2 of its result):
+    - a term a_k exp(-rho n) F (F = -expm1(x) for a pair, 1 otherwise):
+      a_k is within 2 eps of its exact value (``mixture_coefficients``);
+      rho n is exact (n <= 2^53) and exp within 4 ulp: 4 eps. ell from
+      _ELL carries each log1p's 4 ulp and at most eps |ell| from
+      summing one-signed terms that at least halve, smallest first (the
+      partial sums add to under 2 |ell|), and the terms past m = 160 are
+      below 2^-89 |ell|: 5.01 eps. delta from _DELTA is halving terms
+      rounded once and summed smallest first, the terms past m = 65 below
+      eps/1000 of it, 1.51 eps, and delta n 2.01 eps. ell and -delta n have
+      one sign, so x = ell - delta n is within 5.51 eps |x|; since
+      |x| e^x <= 1 - e^x for x <= 0, F moves by at most as much relative to
+      itself, and expm1 adds 4 ulp: 9.51 eps. With the two products a pair
+      is within 16.51 eps of itself and an unpaired term within 6.5 eps,
+      taken as 17 and 7 eps of the float term's size, which covers the
+      second-order terms;
+    - the row sum: the running bound eps/2 sum_{i >= 2} |s_i| over the
+      float partial sums s_i (Higham, Accuracy and Stability of Numerical
+      Algorithms, section 3.3), taken at eps, which also covers the
+      rounding of the bound's own arithmetic;
+    - terms left out: mixture terms k > 32 (sum |a_k| < 1.5e-158) and, at
+      l > 33, their partners i < l - 31 (|B_i q_i^(1-l)| <= 2 |a_k|), and
+      underflow below 2^-1022 in the exps and products: under 2^-520 per
+      level;
+    - a table level: the table's 4 eps (``limit_law``), taken as
+      5 eps |Delta_l|.
+    """
+    top = n.bit_length() - 1 + _LEVELS_ABOVE
+    levels = slice(0, top + 1)
+    terms = (np.array(mixture_coefficients())
+             * np.exp(-float(n) * _RATE[levels])
+             * -np.expm1(_ELL[levels] - _DELTA[levels] * float(n)))
+    sums = np.cumsum(terms, axis=1)
+    gaps = sums[:, -1]
+    err = _EPS * ((_TERM_ERR[levels] * np.abs(terms)).sum(axis=1)
+                  + np.abs(sums[:, 1:]).sum(axis=1)) + 2.0 ** -520
+    for level in range(n + 2, top + 1):     # only n <= 18 has such levels
+        gaps[level] = -s_infinity_cdf(math.ldexp(n, -level))
+        err[level] = 5 * _EPS * -gaps[level]
+    return gaps, err

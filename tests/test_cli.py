@@ -270,6 +270,9 @@ def test_converge_grid_errors(tmp_path):
     assert run(tmp_path, "converge", "--n-grid", "64:16:1")[0] == 2
     assert run(tmp_path, "converge", "--n-grid", "16:64")[0] == 2
     assert run(tmp_path, "converge", "--kind", "ks", "--n-grid", "4:40:1")[0] == 2
+    # the TV rows reach n = 2^53, one past it is refused
+    assert run(tmp_path, "converge", "--kind", "tv", "--n-grid",
+               f"{2 ** 53 - 2}:{2 ** 53 + 1}:1")[0] == 2
 
 
 # a grid end the machine cannot allocate a list for: refused at its bound,
@@ -345,7 +348,7 @@ def test_byte_identical_reruns(tmp_path, argv):
 # is in the bytes.
 @pytest.mark.parametrize("argv, digest", [
     (("simulate", "--n-grid", "16:256:x4", "--samples", "3000"),
-     "e0db5bf5f63af1eaefe1e2fadff23d3128b8b762735b86fe581c060d4ab85718"),
+     "c8a4280a08c75b14a34bd19f5703d0c8082caec578b1c35abafd1e805734dfc6"),
     (("simulate", "--alpha", "2.7", "--n-grid", "16:64:x2",
       "--samples", "2000"),
      "ac1a8cc3e2d8c6f118e090c6f27ea60a3bf6a783bcc3186cad8be71f3d51bba4"),
@@ -358,7 +361,7 @@ def test_byte_identical_reruns(tmp_path, argv):
     (("limit-law", "--eta", "0.5"),
      "40f616555505cb5da4b1d4fd712edce2813802c208671066b7fc3ef105546f74"),
     (("depth-dist", "--n", "1024"),
-     "ca5297da2492cf7b3ab567f43f2de38f1245b9d07b21177b188a902b4ea1bb53"),
+     "87e78578aa2bb7877d2987caeddd43445b516309009e278af52f45cb851c5eb9"),
 ], ids=["simulate-dyadic", "simulate-alpha-2.7", "dst-demo-probe",
         "limit-law-median-band", "limit-law-half", "depth-dist-1024"])
 def test_output_matches_recorded_digest(tmp_path, argv, digest):

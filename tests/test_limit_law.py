@@ -65,6 +65,16 @@ def test_mixture_coefficients():
     assert math.fsum(a) == pytest.approx(1.0, abs=1e-13)
 
 
+def test_mixture_coefficients_within_2_eps():
+    # the rounding bounds of the TV rows take each float a_k within 2 eps of
+    # the exact one; 1.6 eps is the largest seen
+    mp = pytest.importorskip("mpmath")
+    exact = _mp_mixture(100)    # a_1..a_37 or more
+    with mp.workdps(100):
+        for k, ak in enumerate(mixture_coefficients()):
+            assert abs(mp.mpf(ak) - exact[k]) <= 2 * EPS * abs(exact[k]), k
+
+
 def test_partial_fraction_coefficients():
     assert np.allclose(partial_fraction_coefficients(1), [1.0])
     assert np.allclose(partial_fraction_coefficients(2), [2.0, -1.0])
@@ -527,6 +537,25 @@ def test_q_pmf_against_mpmath_including_left_tail():
             assert abs(q_pmf(eta, j) - float(ref)) <= 2e-15, (eta, j)
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.80364, 1.0])
+def test_tv_vs_limit_slack_covers_the_window_rounding(eta):
+    # a law on [-2, 3] against Q_eta: the bound is at least the 80-digit TV
+    # (Q_eta masses on [-30, 40], the rest below 1e-40) and within twice
+    # its slack, which counts 24 eps per window mass
+    mp = pytest.importorskip("mpmath")
+    pmf = IntPmf(-2, np.array([0.05, 0.25, 0.35, 0.2, 0.1, 0.05]))
+    bound, slack = tv_vs_limit(pmf, eta)
+    lo, masses, outside = limit_pmf_window(eta, -8, 10)
+    assert slack == 0.5 * (outside + masses.size * 24 * EPS)
+    with mp.workdps(80):
+        c = {j: mp.mpf(2) ** (mp.mpf(eta) - 1 - j) for j in range(-31, 41)}
+        truth = mp.fsum(abs(mp.mpf(pmf.prob(j)) - _mp_law(c[j])[1]
+                            + _mp_law(c[j - 1])[1])
+                        for j in range(-30, 41)) / 2
+        assert mp.mpf(bound) >= truth
+        assert mp.mpf(bound) - truth <= 2 * mp.mpf(slack)
+
+
 def test_median_c_is_the_crossing():
     # c < _MEDIAN_C picks the side _sf_terms(c) > 1/2 would: at the
     # crossing, at every float within 10^4 ulps of it, and at ONE_PASS_C
@@ -737,6 +766,23 @@ def test_s_infinity_cdf_nondecreasing_across_octave_edges():
         vals = [s_infinity_cdf(x) for x in t]
         assert all(a <= b for a, b in zip(vals, vals[1:])), edge
         assert np.all(np.diff(s_infinity_cdf(np.array(t))) >= 0), edge
+
+
+def test_table_cdf_is_the_horner_loop_bit_for_bit():
+    # the written-out Horner sum repeats the loop's operations in order, at
+    # both ends and 6 random points of every one of the 344 pieces
+    rng = np.random.default_rng(11)
+    for row, (exponent, coeffs) in enumerate(ROWS):
+        j, p = divmod(row, 8)
+        lo = math.ldexp(0.5 + p / 16, -j)
+        hi = math.nextafter(math.ldexp(0.5 + (p + 1) / 16, -j), 0.0)
+        for t in [lo, hi, *rng.uniform(lo, hi, 6)]:
+            m, _ = math.frexp(t)
+            y = 2.0 * (16.0 * m - int(16.0 * m)) - 1.0
+            s = coeffs[-1]
+            for c in coeffs[-2::-1]:
+                s = s * y + c
+            assert _table_cdf(t) == math.ldexp(2.0 ** s, exponent), (row, t)
 
 
 def test_array_reads_the_table_within_2_ulp():

@@ -1,4 +1,6 @@
 import math
+import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renewal_dst.metrics
+import renewal_dst.renewal
 from renewal_dst import (
     IntPmf,
     check_rate_report,
@@ -15,7 +18,12 @@ from renewal_dst import (
     tv_distance,
     tv_to_limit,
 )
-from renewal_dst.metrics import empirical_cdf_jumps, ks_discrete_vs_continuous
+from renewal_dst.metrics import (
+    _tv_with_slack,
+    empirical_cdf_jumps,
+    ks_discrete_vs_continuous,
+)
+from renewal_dst.renewal import _gap_terms, ks_scaled_sum_exact
 
 
 def pmf_of(d):
@@ -158,7 +166,7 @@ def test_tv_to_limit_domain():
     with pytest.raises(ValueError):
         tv_to_limit(0)
     with pytest.raises(ValueError):
-        tv_to_limit(2 ** 22 + 1)
+        tv_to_limit(2 ** 53 + 1)
 
 
 def test_pmf_gap_bound_holds():
@@ -167,6 +175,16 @@ def test_pmf_gap_bound_holds():
         assert lhs <= rhs
     rhs_vals = [pmf_gap_bound_check(2 ** 10, j)[1] for j in range(1, 6)]
     assert all(b < a for a, b in zip(rhs_vals, rhs_vals[1:]))
+
+
+def test_pmf_gap_bound_counts_ks_rounding():
+    # the right side adds the a priori float error r of both KS evaluations
+    t, j = 2 ** 10, 2
+    (phi1, tb1), (phi2, tb2) = (ks_scaled_sum_exact(m) for m in (12, 13))
+    rhs = pmf_gap_bound_check(t, j)[1]
+    r = _gap_terms(12)[3] + _gap_terms(13)[3]
+    assert rhs == pytest.approx(phi1 + phi2 + tb1 + tb2 + r, rel=1e-15)
+    assert rhs - (phi1 + phi2 + tb1 + tb2) >= 0.99 * r > 0
 
 
 def test_pmf_gap_bound_domain():
@@ -233,3 +251,117 @@ def test_int_pmf_validation_and_helpers():
     assert shifted.prob(2) == 0.75
     trimmed = IntPmf(0, np.array([0.0, 1.0, 1e-320])).trim(1e-300)
     assert trimmed.offset == 1 and len(trimmed.masses) == 1
+
+
+# ---- TV rows from the paired level gaps -------------------------------------
+
+@lru_cache(maxsize=None)
+def _mp_products(dps):
+    """rise[m] = prod_{i<=m} (1 - 2^-i)^-1, fall[m] = prod_{i<=m} (1 - 2^i)^-1
+    and the limit's a_k = b fall[k-1], b = rise[oo], in dps digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        rise, fall = [mp.mpf(1)], [mp.mpf(1)]
+        for m in range(1, 4 * dps):
+            rise.append(rise[-1] / (1 - mp.ldexp(1, -m)))
+            fall.append(fall[-1] / (1 - mp.ldexp(1, m)))
+        return rise, fall, [rise[-1] * f for f in fall[:40]]
+
+
+def _mp_level_sum_tv(n, dps=60):
+    """d_TV(X_n - floor(log2 n), Q_eta) as a dps-digit sum over levels.
+
+    Built from the product formulas alone: Delta_l = L - T with
+    L = P(S > n 2^-l) = sum_k a_k exp(-2^(k-l) n) and T = P(S_l > n) =
+    sum_{i=2..l} B_i q_i^(n-l+1), where B_i = q_i^(l-2) rise[i-2] fall[l-i]
+    (so B_i q_i^(n-l+1) = rise[i-2] fall[l-i] q_i^(n-1)), and T = 1 past
+    l = n + 1. Levels run to floor(log2 n) + 25; the pmf gaps beyond carry
+    under 2^-250.
+    """
+    mp = pytest.importorskip("mpmath")
+    rise, fall, a = _mp_products(dps)
+    top = n.bit_length() + 24
+    with mp.workdps(dps):
+        powers = {i: (1 - mp.ldexp(1, 1 - i)) ** (n - 1)
+                  for i in range(2, top + 1)}
+        gaps = []
+        for l in range(top + 1):
+            lim = mp.fsum(ak * mp.exp(-mp.ldexp(n, k - l))
+                          for k, ak in enumerate(a, start=1))
+            tail = 1 if l > n + 1 else mp.fsum(
+                rise[i - 2] * fall[l - i] * powers[i] for i in range(2, l + 1))
+            gaps.append(lim - tail)
+        return (abs(gaps[0])
+                + mp.fsum(abs(x - y) for x, y in zip(gaps, gaps[1:]))) / 2
+
+
+def test_level_sum_oracle_uses_the_partial_fraction_coefficients():
+    # B_i = q_i^(l-2) rise[i-2] fall[l-i] against the quotient form
+    # prod_{m != i} p_m q_i / (p_m - p_i) at level 12
+    mp = pytest.importorskip("mpmath")
+    rise, fall, _ = _mp_products(60)
+    level = 12
+    with mp.workdps(60):
+        p = {i: mp.ldexp(1, 1 - i) for i in range(2, level + 1)}
+        for i in p:
+            quotient = mp.fprod(p[m] * (1 - p[i]) / (p[m] - p[i])
+                                for m in p if m != i)
+            product = (1 - p[i]) ** (level - 2) * rise[i - 2] * fall[level - i]
+            assert abs(quotient - product) <= mp.mpf(10) ** -50 * abs(product)
+
+
+@pytest.mark.parametrize("n", [1, 16, 777, 12345, 99999, 3 * 2 ** 20,
+                               2 ** 22 - 1, 4000037, 2 ** 40, 2 ** 53 - 1])
+def test_tv_bound_against_60_digit_level_sum(n):
+    # the bound is at least the truth and within twice its slack of it;
+    # the slack is a rounding bound, tiny next to the value
+    mp = pytest.importorskip("mpmath")
+    bound, slack = _tv_with_slack(n)
+    assert tv_to_limit(n)[0] == bound
+    truth = _mp_level_sum_tv(n)
+    with mp.workdps(60):
+        assert mp.mpf(bound) >= truth, n
+        assert mp.mpf(bound) - truth <= 2 * mp.mpf(slack), n
+    assert slack <= 1e-12 * bound + 1e-30
+
+
+def test_tv_rows_need_no_depth_law_and_no_window(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the TV rows built a depth law or a Q_eta window")
+
+    for module, name in ((renewal_dst.renewal, "depth_distribution_exact"),
+                         (renewal_dst.metrics, "depth_distribution_exact"),
+                         (renewal_dst.metrics, "limit_pmf_window")):
+        monkeypatch.setattr(module, name, refused)
+    tv, eta = tv_to_limit(3 * 2 ** 20)
+    assert 0.0 < tv < 1e-6 and eta == pytest.approx(math.log2(3) - 1)
+    rows = rate_report([16, 1000, 2 ** 40], "tv_limit")
+    assert [row[0] for row in rows] == [16, 1000, 2 ** 40]
+    assert check_rate_report(rows) == []
+
+
+def test_scaled_tv_at_eta_zero_settles():
+    # N TV(N) -> C(0) = 1.1383414793, with a correction of about 0.64 / N
+    for e in (30, 40, 50):
+        tv, eta = tv_to_limit(2 ** e)
+        assert eta == 0.0
+        assert abs(2.0 ** e * tv - 1.1383414793) <= 1e-8, e
+
+
+def test_tv_trunc_bound_column_stays_small():
+    rows = rate_report([2 ** e for e in range(0, 54, 3)] + [2 ** 53],
+                       "tv_limit")
+    for n, _, _, value, slack in rows:
+        assert 0.0 <= slack <= 1e-11, n
+        assert slack <= 1e-12 * value + 1e-30, n
+
+
+def test_tv_grid_to_2_40_is_fast():
+    # 19 TV rows up to n = 2^40 take a few ms; the bound leaves room for a
+    # loaded machine
+    grid = [16 * 4 ** i for i in range(19)]
+    rate_report(grid, "tv_limit")
+    t0 = time.perf_counter()
+    rows = rate_report(grid, "tv_limit")
+    assert time.perf_counter() - t0 < 0.5
+    assert check_rate_report(rows) == []

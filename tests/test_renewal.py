@@ -27,8 +27,8 @@ from renewal_dst import (
     tv_to_limit,
 )
 from renewal_dst.metrics import (
-    MAX_TV_N,
     empirical_cdf_jumps,
+    limit_pmf_window,
     ks_discrete_vs_continuous,
 )
 from renewal_dst.renewal import (
@@ -36,8 +36,10 @@ from renewal_dst.renewal import (
     _gap,
     _gap_terms,
     _gap_values,
+    _level_gaps,
     _partial_sum_terms,
     floor_log2,
+    frac_log2,
 )
 from renewal_dst.lifetimes import sample_lifetime
 from renewal_dst.rng import stream_rng
@@ -251,7 +253,7 @@ def test_centered_count_distribution():
     assert eta == 0.0
     law, eta = centered_count_distribution(3)
     assert eta == pytest.approx(math.log2(3) - 1)
-    for n in (2 ** 10, 2 ** 16, 2 ** 20, MAX_TV_N):
+    for n in (2 ** 10, 2 ** 16, 2 ** 20, 2 ** 22):  # to depth-dist's limit
         law, eta = centered_count_distribution(n)
         assert eta == 0.0
         assert law.total() == pytest.approx(1.0, abs=1e-12)
@@ -593,6 +595,50 @@ def test_ks_search_evaluates_few_points(n, cap, most, monkeypatch):
     got = ks_scaled_sum_exact(n, cap)[0]
     assert sum(count) <= most
     assert got == pytest.approx(want, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 13, 18])
+def test_level_gaps_match_the_ks_evaluator(n):
+    # Delta_n(j) = L(j) - T(j) of the KS evaluator: the paired closed form at
+    # level n and the termwise sums over B_i and a_k agree to 1e-15 from
+    # x = j / 2^n = 1/4 on, across the KS peak (x = 0.91) and the tail.
+    # Closer to j = n the termwise T(j) sits at 1 - tiny and cancels (up to
+    # 2.9e-15 off at n = 13)
+    js = np.unique(np.array([max(n, 1 << n >> 2), 1 << n >> 1,
+                             int(0.91 * 2 ** n), 1 << n, (1 << n) + 7,
+                             (3 << n) // 2, 5 << n, (8 << n) - 1]))
+    values = _gap_values(n, _gap_terms(n), js, np.array([0]))[:, 0]
+    for j, (limit, tail, _, _) in zip(js, values):
+        gaps = _level_gaps(int(j))[0]
+        assert abs(gaps[n] - (limit - tail)) <= 1e-15, (n, j)
+
+
+def _mean_gap(n):
+    """sum over every level of Delta_l: E[X_n] - floor(log2 n) - E[Q_eta];
+    the levels below 0 are P(S > n 2^m), m >= 1."""
+    return (math.fsum(_level_gaps(n)[0].tolist())
+            + math.fsum(s_infinity_sf(math.ldexp(n, m)) for m in range(1, 12)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 777, 1024, 2 ** 12 - 1,
+                               2 ** 12])
+def test_level_gaps_sum_to_the_mean_gap(n):
+    eta = frac_log2(n)
+    lo, masses, _ = limit_pmf_window(eta, -40, 60)
+    q_mean = math.fsum(j * m for j, m in enumerate(masses.tolist(), lo))
+    law = depth_distribution_exact(n)
+    dp_gap = law.mean() - floor_log2(n) - q_mean
+    assert _mean_gap(n) == pytest.approx(dp_gap, rel=0, abs=1e-13)
+
+
+def test_scaled_mean_gap_is_near_its_average():
+    # n (E[X_n] - floor(log2 n) - E[Q_eta]) wobbles about 3 / (2 ln 2) with
+    # an amplitude under 1e-4 (6.3e-5 seen), at every eta
+    target = 3 / (2 * math.log(2))
+    for e in range(24, 49):
+        for f in (0.0, 0.25, 0.5, 0.75):
+            n = round(2.0 ** (e + f))
+            assert abs(n * _mean_gap(n) - target) <= 1e-4, (e, f)
 
 
 def test_import_leaves_scipy_out():
