@@ -40,8 +40,8 @@ the difference keeps relative accuracy.
 The law has one coefficient sequence, the 32 numbers a_1..a_32 that
 mixture_coefficients() builds once and returns as a cached tuple; a_32 is
 about -6e-149, far past binary64 precision. Every scalar value off the
-table takes one pass of exp or expm1 values over it (or over the n-fold
-partial fractions):
+table takes one pass of exp or expm1 values over it (or over the d_k of
+a Q_eta mass, below):
 _cdf_terms(t, a) = fsum a_k * -expm1(-2^k t) = P(S <= t) and
 _sf_terms(c, a) = fsum a_k * exp(-2^k c) = P(S > c). Both double u = 2^k t
 once per term; doubling only raises the binary exponent, so u equals
@@ -112,24 +112,6 @@ def _pmf_coefficients() -> tuple[float, ...]:
     """d for the Q_eta mass series: d_k = 2^(k-1) a_k, d_33 = -a_32."""
     a = mixture_coefficients()
     return tuple(math.ldexp(ak, k) for k, ak in enumerate(a)) + (-a[-1],)
-
-
-def partial_fraction_coefficients(n: int) -> np.ndarray:
-    """Coefficients a_{n,1}..a_{n,n} of the n-fold convolution expansion.
-
-    Exp(2) * ... * Exp(2^n) = sum_k a_{n,k} Exp(2^k) with
-    a_{n,k} = prod_{j=1}^{k-1} (1 - 2^j)^(-1) * prod_{j=1}^{n-k} (1 - 2^(-j))^(-1).
-    The coefficients sum to 1 for every n.
-    """
-    if not 1 <= n <= 32:
-        raise ValueError(f"n must be in [1, 32], got {n}")
-    head = np.ones(n)   # head[k-1] = prod_{j<k} (1 - 2^j)^(-1)
-    for k in range(1, n):
-        head[k] = head[k - 1] / (1.0 - 2.0 ** k)
-    tail = np.ones(n)   # tail[m] = prod_{j<=m} (1 - 2^(-j))^(-1)
-    for m in range(1, n):
-        tail[m] = tail[m - 1] / (1.0 - 2.0 ** -m)
-    return head * tail[::-1]
 
 
 def _check_eta(eta: float) -> None:
@@ -217,26 +199,6 @@ def _table_cdf_array(t: np.ndarray) -> np.ndarray:
     return np.where(inside, np.ldexp(np.exp2(s), _S_EXP[row]), 0.0)
 
 
-def _cdf(t, a, table: bool = False):
-    """P(S <= t) for the coefficients a: a float, or an array for array t.
-    With table (a is the limit law's mixture) t < 1 reads the piece table."""
-    if isinstance(t, (float, int)) or np.ndim(t) == 0:  # np.float64 is a float
-        t = _checked(t)
-        return _table_cdf(t) if table and t < 1.0 else _cdf_terms(t, a)
-    tv = np.asarray(t, dtype=float)
-    if not np.all(tv >= 0):     # also rejects NaN
-        raise ValueError("t must be >= 0 and not NaN at every point")
-    low = tv < 1.0 if table else np.zeros(tv.shape, dtype=bool)
-    high = tv[~low]
-    series = np.zeros_like(high)
-    for k, ak in enumerate(a, start=1):
-        series += ak * -np.expm1(-(2.0 ** k) * high)
-    out = np.empty_like(tv)
-    out[~low] = np.clip(series, 0.0, 1.0)
-    out[low] = _table_cdf_array(tv[low])
-    return out
-
-
 def s_infinity_cdf(t):
     """P(S <= t): the piece table for t < 1, where the value decays
     superexponentially (P(S <= 2^(-j)) <= 2^(-j(j-1)/2)), and
@@ -245,17 +207,27 @@ def s_infinity_cdf(t):
     Accepts scalars or arrays; arrays read the same table (to within 2 ulp)
     and sum the series without fsum.
     """
-    return _cdf(t, mixture_coefficients(), table=True)
+    if isinstance(t, (float, int)) or np.ndim(t) == 0:  # np.float64 is a float
+        t = _checked(t)
+        return (_table_cdf(t) if t < 1.0
+                else _cdf_terms(t, mixture_coefficients()))
+    tv = np.asarray(t, dtype=float)
+    if not np.all(tv >= 0):     # also rejects NaN
+        raise ValueError("t must be >= 0 and not NaN at every point")
+    low = tv < 1.0
+    high = tv[~low]
+    series = np.zeros_like(high)
+    for k, ak in enumerate(mixture_coefficients(), start=1):
+        series += ak * -np.expm1(-(2.0 ** k) * high)
+    out = np.empty_like(tv)
+    out[~low] = np.clip(series, 0.0, 1.0)
+    out[low] = _table_cdf_array(tv[low])
+    return out
 
 
 def s_infinity_sf(x: float) -> float:
     """Upper tail P(S > x) = sum_k a_k exp(-2^k x), stable for large x."""
     return _sf_terms(_checked(x, "x"), mixture_coefficients())
-
-
-def exp_convolution_cdf(n: int, t):
-    """CDF of Exp(2) + Exp(4) + ... + Exp(2^n) via the signed expansion."""
-    return _cdf(t, partial_fraction_coefficients(n).tolist())
 
 
 def _limit(x, name: str, low: float, high: float) -> float:

@@ -24,7 +24,6 @@ import numpy as np
 from .limit_law import q_cdf, q_pmf, q_tail
 from .pmf import IntPmf
 from .renewal import (
-    _gap_terms,
     _level_gaps,
     depth_distribution_exact,
     floor_log2,
@@ -188,10 +187,9 @@ def pmf_gap_bound_check(t: int, j: int) -> tuple[float, float]:
     """Pointwise gap |P(N_t - k(t) = j) - Q_eta({j})| and its KS bound.
 
     The bound is phi(k+j) + phi(k+j+1) with phi(m) the exact KS distance of
-    the scaled sum at m, plus both reported truncation bounds and the a
-    priori float error r of both KS evaluations (``renewal._gap_terms``:
-    each returned KS is the largest float gap, within r of the exact one),
-    so the comparison is certified. Callers assert lhs <= rhs.
+    the scaled sum at m, plus both reported truncation bounds, which count
+    the mass past the cap and the float error of the KS value, so the
+    comparison is certified. Callers assert lhs <= rhs.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -203,8 +201,7 @@ def pmf_gap_bound_check(t: int, j: int) -> tuple[float, float]:
     lhs = abs(law.prob(k + j) - q_pmf(eta, j))
     phi1, tb1 = ks_scaled_sum_exact(k + j)
     phi2, tb2 = ks_scaled_sum_exact(k + j + 1)
-    rounding = _gap_terms(k + j)[3] + _gap_terms(k + j + 1)[3]
-    return lhs, phi1 + phi2 + tb1 + tb2 + rounding
+    return lhs, phi1 + phi2 + tb1 + tb2
 
 
 KINDS = ("tv_limit", "ks_scaled")

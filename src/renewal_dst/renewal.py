@@ -17,24 +17,22 @@ diagonal reach 2^-1072, and unscaled a product underflows once it is under
 2^-1022, each paying a slow floating-point assist; scaled it must be under
 2^-2022, which cuts the underflowing products of a chain 150- to 170-fold,
 and the masses are the same bit for bit.
-The exact KS distance between 2^(-n) S_n and its limit uses closed forms
-instead: partial fractions write P(S_n > j) as a sum of geometric terms
-B_i q_i^(j-n+1) with exactly computed coefficients, and the limit tail is
-the signed exponential mixture. The largest gap over the jump points is
-found by a certified block search: one block over the jump points is split
-into sixteenths level by level, and a block is dropped once a bound on its
-gaps (the larger end value plus a second-derivative term), widened by twice
-an a priori float error bound r, falls to the incumbent maximum. The
-second-derivative bound pairs each limit term exp(-2^(k-n) j) with the
-partial-sum term whose p_i is 2^(k-n), so the two tails' curvatures cancel in
-it as they do in the gap; the search evaluates a few hundred jump points
-up to n = 19 instead of all 8 2^n.
-The TV distance between the centred count and Q_eta reads the same closed
-forms along the level instead of along j: with k = floor(log2 n),
-Delta_l = P(X_n >= l) - P(Q_eta >= l - k) = P(S > n 2^-l) - P(S_l > n) is
-the KS gap at level l and jump point n. Each mixture term k is paired with
-the partial-sum term whose p_i is 2^(k-l), and the pair is one expm1 of a
-sum of terms of one sign, so no level cancels (``_level_gaps``).
+The KS and TV distances to the limits read one closed form, the level gap
+Delta_l(j) = P(S > j 2^-l) - P(S_l > j): partial fractions write P(S_l > j)
+as a sum of geometric terms and P(S > t) is the signed exponential mixture,
+and each mixture term k is paired with the partial-sum term whose p_i is
+2^(k-l), a pair being one expm1 of a sum of terms of one sign, so no gap
+cancels (``_pair_terms``). The KS distance between 2^(-n) S_n and S reads
+it along j at level n. Its largest gap over the jump points is found by a
+certified block search: one block over the jump points is split into
+sixteenths level by level, and a block is dropped once a bound on its
+gaps (the larger end value plus a second-derivative term that pairs the
+two tails' terms as the gap does), widened by twice an a priori float
+error bound r, falls to the incumbent maximum; the search evaluates a few
+hundred jump points up to n = 22 instead of all 8 2^n. The TV distance
+between the centred count and Q_eta reads it along the level at j = n:
+with k = floor(log2 n), Delta_l(n) = P(X_n >= l) - P(Q_eta >= l - k)
+(``_level_gaps``).
 Everything else (general growth rates, sanity cross-checks) is seeded Monte
 Carlo.
 """
@@ -57,17 +55,17 @@ _EXACT_STAY = 53           # 1 - 2^(-k) is exact in binary64 for k < 53
 _SCALE = 2.0 ** 500        # the DP's powers of T are kept times _SCALE
 _FLUSH = 2.0 ** (500 - 1074)   # scaled entries below it unscale under 2^-1074
 _KS_SPLIT = 16             # sub-blocks per block at each KS search level
-_KS_CHUNK = 1 << 14        # exps per KS evaluation array; memory is O(chunk)
+_KS_CHUNK = 1 << 14        # 32 x points per KS evaluation; memory is O(chunk)
 _LEVELS_ABOVE = 16         # _level_gaps' levels past floor(log2 n)
 _EPS = 2.0 ** -52
 
-# _level_gaps' tables, one row per level l = 0..69 and one column per mixture
+# _pair_terms' tables, one row per level l = 0..69 and one column per mixture
 # term k = 1..32, d = l - k: the rate 2^(k-l); for a pair (d >= 1),
 # ell = sum_{m >= d+1} log1p(-2^-m), summed from the smallest term up over
 # m <= 160, and delta = sum_{m >= 2} 2^-(d m) / m (= -log1p(-rho) - rho at
 # rho = 2^-d, which cancels), summed from m = 65 down; for an unpaired term
-# ell = -inf and delta = 0, so that -expm1(ell - delta n) is 1; and each
-# term's error bound in eps.
+# ell = -inf and delta = 0, so that -expm1(ell - delta n) is 1; each
+# term's error bound in eps (``_level_gaps``); and a_k, in every row.
 _D = np.arange(70)[:, None] - np.arange(1, 33)
 _PAIRED = _D > 0
 _RATE = np.ldexp(1.0, -_D)
@@ -78,6 +76,7 @@ _DELTA = np.where(_PAIRED, np.cumsum(
     np.ldexp(1.0, -np.arange(1, 70)[:, None] * _POWERS) / _POWERS,
     axis=1)[np.maximum(_D, 1) - 1, -1], 0.0)
 _TERM_ERR = np.where(_PAIRED, 17.0, 7.0)
+_MIX = np.broadcast_to(mixture_coefficients(), _D.shape)
 
 
 def depth_distribution_exact(n: int) -> IntPmf:
@@ -198,146 +197,133 @@ def sample_scaled_limit(family: ScaledBase, rng: np.random.Generator,
     return float(out[0]) if size is None else out
 
 
-def _partial_sum_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B_i, p_i), i = 2..n, with P(S_n > j) = sum_i B_i q_i^(j-n+1).
+def _pair_terms(cells, j, lag=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(terms, heads): the terms of Delta_l(j) = P(S > j 2^-l) - P(S_l > j),
+    one per k, and their heads a_k exp(-rho_k j).
 
-    S_n - n is a sum of independent Geom(p_i) - 1 with p_i = 2^(1-i) and
-    q_i = 1 - p_i; partial fractions give B_i = prod_{l != i} p_l q_i /
-    (p_l - p_i). Every difference of powers of two is exact, so the B_i do
-    not cancel: sum |B_i| < 8.3 and max |B_i| < 3.5 for every n. Each B_i
-    is n - 2 rounded quotients multiplied together: 2n - 4 roundings.
+    ``cells`` indexes the (level l x term k) tables: a slice of levels, or
+    one level and some of its terms as a column; j, a float or an array,
+    and ``lag`` broadcast against them. P(S > j 2^-l) =
+    sum_k a_k exp(-rho_k j) with rho_k = 2^(k-l), and P(S_l > j) =
+    sum_{i=2..l} B_i q_i^(j-l+1) (partial fractions of the geometric
+    lifetimes: p_i = 2^(1-i), q_i = 1 - p_i and
+    B_i = prod_{m != i} p_m q_i / (p_m - p_i)) for j >= l - 1 at l >= 2;
+    at l = 1 the sum is empty and holds from j = 1 on. Mixture term k < l
+    is paired with partial-sum term i = l + 1 - k, whose p_i is
+    rho = rho_k. The partial-fraction products give
+    B_i q_i^(1-l) = a_k exp(ell), ell = sum_{m >= l-k+1} log1p(-2^-m), and
+    with lambda = -ln q_i = rho + delta, delta = sum_{m >= 2} rho^m / m,
+    the pair is
+      a_k exp(-rho j) - B_i q_i^(j-l+1) = -a_k exp(-rho j) expm1(x),
+    x = ell - delta j, where ell and -delta j are both at most 0: no term
+    cancels. Mixture terms k >= l stay unpaired: ell = -inf and delta = 0,
+    so that -expm1(x) is 1. x is formed as ell + lag - delta j: lag =
+    lambda gives the terms of P(S > j 2^-l) - P(S_l > j - 1), whose
+    partial-sum terms are larger by 1/q_i = exp(lambda) (x is still at
+    most 0 for j >= 1).
     """
-    p = 2.0 ** (1 - np.arange(2, n + 1))
-    q = 1.0 - p
-    diff = p - p[:, None]
-    np.fill_diagonal(diff, 1.0)
-    ratio = p * q[:, None] / diff
-    np.fill_diagonal(ratio, 1.0)
-    return ratio.prod(axis=1), p
+    heads = _MIX[cells] * np.exp(-_RATE[cells] * j)
+    return heads * -np.expm1(_ELL[cells] + lag - _DELTA[cells] * j), heads
 
 
-def _gap_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(rates, shifts, weights, r) of the KS gap evaluator at n.
+def _ks_level(n: int) -> tuple:
+    """(cells, lags, g0, g1, r): the terms, the lags of G+ and G-, the
+    curvature coefficients and the error bound of the KS search at level n.
 
-    Term i is exp((j - n) rates_i + shifts_i): q_i^(j-n) for the n - 1
-    partial-sum terms, then exp(-rho_k j), rho_k = 2^(k-n), for the 32
-    mixture terms. The columns of ``weights`` (a_k; B_i q_i; B_i; c0_k;
-    c1_k) turn the terms into L(j), T(j), T(j - 1) and the two sums whose
-    combination M(j) = sum_k (c0_k + c1_k j) exp(-rho_k j) bounds both
-    |G+''| and |G-''| on [j, oo) (``_gap_values``).
-
-    M pairs the two tails. With lambda_i = -ln q_i and beta_(i,s) =
-    B_i q_i^(-s), T(j) and T(j - 1) are sum_i beta_(i,s) exp(-lambda_i j)
-    for s = n - 1 and n. Mixture term k < n is paired with partial-sum term
-    i = n + 1 - k, for which p_i = rho_k <= lambda_i <= 1.39 rho_k; their
-    share of G'' is
+    The cells are the terms k with rho_k n < 746; every other term is
+    below 2^-1076 |a_k| at every j >= n and is left out, as the terms past
+    k = 32 are. The lags are 0 and lambda (``_pair_terms``).
+    M(j) = sum_k |a_k exp(-rho_k j)| (g0_k + g1_k j), rho_k = 2^(k-n),
+    bounds both |G+''| and |G-''| on [j, oo) (``_ks_values``), pairing
+    the two tails as ``_pair_terms`` does. With beta_s = B_i q_i^(-s),
+    T(j) and T(j - 1) are sum_i beta_s exp(-lambda j) for s = n - 1 and
+    n, and the pair's beta_(n-1) = a_k e^ell, beta_n = a_k e^(ell + lambda).
+    Pair k's share of G'' is
       (a_k - beta) rho^2 e^(-rho j) + beta (rho^2 e^(-rho j)
-                                            - lambda^2 e^(-lambda j)),
-    and by the mean value theorem in the rate (x^2 e^(-x j) has derivative
-    at most (2x + x^2 j) e^(-x j) in size) the second part is at most
-    |beta| (lambda - rho)(2 lambda + lambda^2 j) e^(-rho j). So
-      c0_k = max_s |a_k - beta_(i,s)| rho^2 + 2 |beta_(i,n)| d lam,
-      c1_k = |beta_(i,n)| d lam^2                      (k < n),
-      c0_k = |a_k| rho_k^2, c1_k = 0                   (k >= n),
-    with d = rho^2 / (2 - 2 rho) >= lambda - rho (the series of
-    -ln(1 - rho) - rho against a geometric one) and lam = rho + d >=
-    lambda; |beta_(i,n)| is the larger of the two |beta| as q_i < 1. Since
-    lam <= 1.5 rho, c1_k <= rho_k c0_k and every term of M falls as j
-    grows, so M(u) bounds |G+''| and |G-''| on every block [u, v]. The
-    bound must hold for the exact coefficients: |a_k - beta| gets the
-    coefficient rounding as an absolute slack, 46 eps |a_k| + (n + 4) eps
-    |beta| (beta is B_i's 2n - 4 roundings, q_i^(-n)'s 4 ulp and two
-    products), and c0 and c1 are inflated by 1 + (n + 50) eps, which
-    covers a_k's 46 eps, beta's n + 4 and the five roundings that build
-    each.
+                                            - lambda^2 e^(-lambda j)).
+    |a_k - beta_s| = |a_k| |expm1(ell_s)| is at most |a_k| (1 - e^ell), as
+    e^ell (1 + 1/q_i) <= e^-rho (2 - rho) / (1 - rho) <= 2 for rho <= 1/2;
+    by the mean value theorem in the rate (x^2 e^(-x j) has derivative at
+    most (2x + x^2 j) e^(-x j) in size) the second part is at most
+    |beta_n| delta (2 lambda + lambda^2 j) e^(-rho j). So
+      g0_k = -expm1(ell) rho^2 + 2 e^(ell + lambda) delta lambda,
+      g1_k = e^(ell + lambda) delta lambda^2,
+    which is rho^2 and 0 for an unpaired term (ell = -inf, delta = 0).
+    Since lambda <= 1.39 rho, g1_k <= rho_k g0_k and every term of M falls
+    as j grows, so M(u) bounds |G+''| and |G-''| on every block [u, v].
+    M is built from the float tables, so g0 and g1 are inflated by
+    1 + 40 eps: against the exact values, -expm1(ell) is within 9.01 eps,
+    e^(ell + lambda) within 8.15 eps (ell's 5.01 eps of |ell| < 0.55 and
+    lambda's 2.01 eps of lambda < 0.7 in the exponent, whose sum is exact,
+    see below, and exp's 4), delta within 1.51 eps and lambda within
+    2.01 eps, so g0 and g1, with their products and sum, are within
+    15.2 eps; each term of M adds 8 eps (a_k's 2, exp's 4 and three
+    roundings), the sum of the nonnegative terms 15.5 eps, and the
+    inflation its own rounding.
 
-    r bounds the float error of one gap |L - T| and of the block bound built
-    from such values. With eps = 2^-52 (a rounding is at most eps/2 of its
-    result), S_B = sum |B_i|, S_a = sum |a_k| and K = n + 31 terms, every
-    exp at most 1, the error of L(j) or T(j) has four sources:
-    - the rounding of the coefficients: B_i q_i carries 2n - 3 roundings,
-      at most n eps relative; a_k carries the 59 of b (whose truncated
-      factors are below eps/64) and k - 1 <= 31 quotients, below 46 eps;
-    - the exponent products: a partial-sum exponent x = (j - n) ln q_i is
-      rounded twice after log1p's 1 ulp, so exp(x) moves by at most
-      1.5 eps |x| e^(-|x|) <= 0.6 eps; the mixture exponents are exact:
-      -2^(k-n) u at a block start u <= 2^53 is a power of two times an
-      integer below 2^53, as are its two parts (u - n) and n, and a step
-      is at most 16 times a power of two;
-    - exp itself: two exps per term (at the block start and at the step),
-      each allowed 4 ulp (NumPy's is within 1), and two products: 9 eps;
-    - the summation of K terms in one matrix product: K/2 eps of sum |term|.
-    That gives S_B (n + 10 + K/2) eps + S_a (55 + K/2) eps; the subtraction
-    L - T adds eps/2. A block bound that can prune is at most 1, and its
-    curvature term is a sum of nonnegative terms: the two columns carry the
-    exps' and products' 9 eps and the summation's K/2 eps, and u c1, the
-    sum, the exact width factor's product and the addition of the end gap
-    add eps/2 each, (11 + K/2) eps in all; underflow adds below 2^-1000.
-    r is the sum of these, rounded up.
+    r bounds the float error of one gap value and of a block bound built
+    from such values. With eps = 2^-52, every term of G+(j) and G-(j) is
+    within 21 eps of s_k(j) = |a_k| e^(-rho_k j) min(1, |ell_k| + delta_k j):
+    - a G+ pair is within 17 eps of its size and an unpaired term within
+      7 eps (``_level_gaps``, with j for n), and the size is at most s_k, as
+      1 - e^x <= min(1, -x) for x <= 0;
+    - a G- pair's x' = ell + lambda - delta j is within 7.81 eps
+      (|ell| + delta j) of its exact value: ell's 5.01 eps |ell| and
+      lambda's 2.01 eps (at most 2.8 eps |ell|, as lambda <= 1.39 rho and
+      rho <= |ell| < 0.55), their sum exact (Sterbenz: |ell| / lambda lies
+      in [1/2, 2]), delta j's 2.01 eps and the difference's eps/2 |x'|
+      (|x'| <= delta j). That moves -expm1(x') by at most e^x' times as
+      much, and e^x' (|ell| + delta j) <= min(1, |ell| + delta j) (for
+      y = |ell| + delta j >= 1 it is e^lambda y e^-y <= 2/e). With a_k's
+      2 eps, exp's and expm1's 4 each and two products: 18.81 eps.
+    The sum of at most 32 terms, in any order, is within 15.5 eps of the
+    sum of their sizes (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 4.2). As |ell| >= rho and delta <= rho^2, each s_k
+    falls as j grows, so a gap value is within 37 eps S of its exact
+    value, S = sum_k s_k(n), plus 2^-520 for the terms left out and
+    underflow (``_level_gaps``), which also covers the curvature of the
+    terms left out in a block bound. No gap exceeds S (at n = 1, where
+    nothing pairs, |G-(1)| = P(S <= 1/2) = 0.17 and S = 1.76), so a block
+    bound that can prune, at most the incumbent, rounds by at most eps S:
+    its end gap and its curvature term (v - u)^2 / 8 M(u), whose factor
+    is a power of two, are added once. r = 40 eps S + 2^-520 covers these
+    with the float S, which is within 29 eps of S.
     """
-    coeffs, p = _partial_sum_terms(n)
-    mix = np.array(mixture_coefficients())
-    sum_rates = np.log1p(-p)
-    mix_rates = -np.ldexp(1.0, np.arange(1, mix.size + 1) - n)  # -rho_k
-    rates = np.concatenate((sum_rates, mix_rates))
-    shifts = np.concatenate((np.zeros(n - 1), n * mix_rates))
-    eps = 2.0 ** -52
-    rho, beta, head = p[::-1], (coeffs * (1.0 - p) ** -n)[::-1], mix[:n - 1]
-    mismatch = np.maximum(np.abs(head - beta),
-                          np.abs(head - beta * (1.0 - rho)))
-    mismatch += (46 * np.abs(head) + (n + 4) * np.abs(beta)) * eps
-    d = rho * rho / (2.0 - 2.0 * rho)
-    lam = rho + d
-    c0, c1 = np.abs(mix) * mix_rates * mix_rates, np.zeros(mix.size)
-    c0[:n - 1] = mismatch * rho * rho + 2.0 * np.abs(beta) * d * lam
-    c1[:n - 1] = np.abs(beta) * d * lam * lam
-    weights = np.zeros((rates.size, 5))
-    weights[n - 1:, 0] = mix
-    weights[:n - 1, 1] = coeffs * (1.0 - p)
-    weights[:n - 1, 2] = coeffs
-    grow = 1 + (n + 50) * eps  # up to the exact coefficients' c0 and c1
-    weights[n - 1:, 3] = c0 * grow
-    weights[n - 1:, 4] = c1 * grow
-    half_k = (n + 31) / 2
-    r = eps * (np.abs(coeffs).sum() * (n + 10 + half_k)
-               + np.abs(mix).sum() * (55 + half_k) + 12 + half_k)
-    return rates, shifts, weights, float(r)
+    cells = n, slice(0, int(np.count_nonzero(_RATE[n] * n < 746))), None
+    rho, ell, delta = _RATE[cells], _ELL[cells], _DELTA[cells]
+    lam = rho + delta
+    beta = np.exp(ell + lam)
+    grow = 1 + 40 * _EPS
+    g0 = (-np.expm1(ell) * rho * rho + 2.0 * beta * delta * lam) * grow
+    g1 = beta * delta * lam * lam * grow
+    sizes = (np.abs(_MIX[cells]) * np.exp(-rho * n)
+             * np.minimum(1.0, delta * n - ell))
+    r = 40 * _EPS * sizes.sum() + 2.0 ** -520
+    return cells, np.stack((np.zeros_like(lam), lam)), g0, g1, float(r)
 
 
-def _gap_values(n: int, terms, starts: np.ndarray,
-                steps: np.ndarray) -> np.ndarray:
-    """[L(j), T(j), T(j - 1), M(j)] at j = starts[m] + steps[t], (m, t, 4).
-
-    One exp per term at each start and one per term at each step; the
-    values are one matrix product of the two, and M(j) = c0(j) + j c1(j)
-    combines its last two columns.
-    """
-    rates, shifts, weights, _ = terms
-    heads = np.exp(np.multiply.outer(starts - n, rates) + shifts)
-    rungs = (np.exp(np.multiply.outer(rates, steps))[:, :, None]
-             * weights[:, None, :])
-    values = (heads @ rungs.reshape(rates.size, -1)).reshape(
-        starts.size, steps.size, 5)
-    values[..., 3] += np.add.outer(starts, steps) * values[..., 4]
-    return values[..., :4]
-
-
-def _gap(values: np.ndarray) -> np.ndarray:
-    """max(|G+|, |G-|) = max(|L - T|, |L - T(. - 1)|) of ``_gap_values``."""
-    limit = values[..., 0]
-    return np.maximum(np.abs(limit - values[..., 1]),
-                      np.abs(limit - values[..., 2]))
+def _ks_values(level, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max(|G+(j)|, |G-(j)|), M(j)) at an integer array of jump points j,
+    with ``level`` = ``_ks_level(n)``: one (lag x term x point) array of
+    ``_pair_terms`` for both gaps."""
+    cells, lags, g0, g1, _ = level
+    j = points.ravel()
+    terms, heads = _pair_terms(cells, j, lags)
+    gaps = np.abs(terms.sum(axis=1)).max(axis=0)
+    curvature = (np.abs(heads) * (g0 + g1 * j)).sum(axis=0)
+    return gaps.reshape(points.shape), curvature.reshape(points.shape)
 
 
 def _block_bound(gaps: np.ndarray, curvature: np.ndarray,
                  width) -> np.ndarray:
     """U >= max |G+(j)|, |G-(j)| over the integers j of each block.
 
-    ``gaps`` (``_gap``) and ``curvature`` (M) are taken along the last axis
-    at split points u_t = u_0 + t width; block t is [u_t, u_t+1]. A function
-    whose second derivative is at most M on [u, v] exceeds the larger end
-    value by at most M (v - u)^2 / 8, and M(u) bounds both |G''| on the
-    block because each of its terms falls as j grows (``_gap_terms``).
+    ``gaps`` and ``curvature`` (M) of ``_ks_values`` are taken along the
+    last axis at split points u_t, at most ``width`` apart; block t is
+    [u_t, u_t+1]. A function whose second derivative is at most M on
+    [u, v] exceeds the larger end value by at most M (v - u)^2 / 8, and
+    M(u) bounds both |G''| on the block because each of its terms falls as
+    j grows (``_ks_level``).
     """
     return (np.maximum(gaps[..., :-1], gaps[..., 1:])
             + width * width / 8 * curvature[..., :-1])
@@ -348,33 +334,31 @@ def ks_scaled_sum_exact(n: int, cap_multiplier: int = 8) -> tuple[float, float]:
 
     The scaled sum is a step CDF with jumps at j 2^(-n); against the
     continuous limit CDF the supremum is attained at jump points, checking
-    both one-sided gaps G+(j) = L(j) - T(j) and G-(j) = L(j) - T(j - 1).
-    Both laws are closed forms in j: T(j) = P(S_n > j) =
-    sum_i B_i q_i^(j-n+1) (partial fractions of the geometric lifetimes,
-    T(n - 1) = 1) and L(j) = P(S > j 2^(-n)) = sum_k a_k exp(-2^(k-n) j)
-    (the limit mixture), so no pmf is built.
+    both one-sided gaps G+(j) = L(j) - T(j) and G-(j) = L(j) - T(j - 1),
+    with L(j) = P(S > j 2^(-n)) and T(j) = P(S_n > j). Both gaps are sums
+    of the pair terms of ``_pair_terms`` at level n, so no pmf is built.
 
     The maximum over j = n .. cap_multiplier * 2^n is found by a certified
     block search instead of a scan. One block of 4 16^L jump points covers
     the range; blocks are split into sixteenths, level by level, down to
     blocks of 4 and then single points, and every split point is evaluated
-    and raises the incumbent maximum. The incumbent starts from G-(n) and
-    the gap at j = 2^n, near the peak at x = 0.91, so the far tail of a
-    large cap_multiplier is dropped as soon as it is split off: each factor
-    16 in cap_multiplier adds one level. A block [u, v] is dropped once its
-    bound U (``_block_bound``: the larger end gap plus (v - u)^2 / 8 times
-    M(u), a bound on |G''| that pairs the two tails' terms, ``_gap_terms``)
-    satisfies U + 2r <= incumbent, where r bounds the float error of one gap
-    value a priori. A dropped block therefore holds no jump point whose
-    float gap beats the incumbent, and the result is the maximum of the
-    float gaps over every jump point, as a scan would find it, from a few
-    hundred evaluated points up to n = 19 instead of cap_multiplier * 2^n
-    (1.2e4 at n = 22, where the gap stays within 2r of its maximum over
-    thousands of points, which no bound can drop). cap_multiplier * 2^n is
-    limited to 2^53, past which not every jump point is a float and the
-    exponents of r's derivation stop being exact. Returns (ks,
-    truncation_bound) where the bound covers all mass either law carries
-    beyond cap_multiplier * 2^n.
+    (at the cap, past it) and raises the incumbent maximum. The incumbent
+    starts from G-(n) = -P(S <= n 2^(-n)), as T(n - 1) = 1, read from the
+    table, and the gap at j = 2^n, near the peak at x = 0.91, so the far
+    tail of a large cap_multiplier is dropped as soon as it is split off:
+    each factor 16 in cap_multiplier adds one level. A block [u, v] is
+    dropped once its bound U (``_block_bound``: the larger end gap plus
+    (v - u)^2 / 8 times M(u), a bound on |G''| that pairs the two tails'
+    terms) satisfies U + 2r <= incumbent, where r (``_ks_level``) bounds
+    the float error of one gap value a priori. A dropped block therefore
+    holds no jump point whose float gap beats the incumbent, and the
+    result is the maximum of the float gaps over every jump point, within
+    r of the exact KS, from a few hundred evaluated points instead of
+    cap_multiplier * 2^n. cap_multiplier * 2^n is limited to 2^53, past
+    which not every jump point is a float and the exponents of r's
+    derivation stop being exact. Returns (ks, truncation_bound): the bound
+    is the larger mass either law carries beyond cap_multiplier * 2^n,
+    plus r, so that ks + truncation_bound bounds the exact distance.
     """
     n = operator.index(n)
     cap_multiplier = operator.index(cap_multiplier)
@@ -385,14 +369,13 @@ def ks_scaled_sum_exact(n: int, cap_multiplier: int = 8) -> tuple[float, float]:
     if cap_multiplier << n > 1 << 53:  # keeps the gap exponents exact
         raise ValueError(f"cap_multiplier * 2^n must be at most 2^53, got "
                          f"{cap_multiplier} * 2^{n}")
-    terms = _gap_terms(n)
-    rates, *_, r = terms
+    level = _ks_level(n)
+    r = level[-1]
     j_max = cap_multiplier << n
-    edges = _gap_values(n, terms, np.array([n, 1 << n, j_max]),
-                        np.array([0]))[:, 0]
-    # G-(n) against T(n - 1) = 1 exactly, and the gap at x = 1, near the peak
-    ks = max(float(abs(edges[0, 0] - 1.0)), float(_gap(edges[1])))
-    per_chunk = _KS_CHUNK // rates.size
+    # G-(n) from the table: at n = 1 the lagged closed form holds from
+    # j = 2 on, and at j = 1 it reads G+(1) again
+    ks = max(s_infinity_cdf(math.ldexp(n, -n)),
+             float(_ks_values(level, np.array([1 << n]))[0][0]))
     width = 4  # one block of 4 16^L points; the last level steps 4 by 1
     while width < j_max - n:
         width *= _KS_SPLIT
@@ -400,21 +383,22 @@ def ks_scaled_sum_exact(n: int, cap_multiplier: int = 8) -> tuple[float, float]:
     while width > 1 and starts.size:  # until no live block is left
         sub = max(width // _KS_SPLIT, 1)
         steps = np.arange(0, width + 1, sub)
+        per_chunk = _KS_CHUNK // (_RATE.shape[1] * steps.size)
         kept, bounds = [], []
         for at in range(0, starts.size, per_chunk):
-            chunk = starts[at:at + per_chunk]
-            values = _gap_values(n, terms, chunk, steps)
-            gaps = _gap(values)
-            points = chunk[:, None] + steps
-            ks = max(ks, float(gaps[points <= j_max].max()))
-            bound = _block_bound(gaps, values[..., 3], sub)
+            points = np.minimum(starts[at:at + per_chunk, None] + steps, j_max)
+            gaps, curvature = _ks_values(level, points)
+            ks = max(ks, float(gaps.max()))
+            bound = _block_bound(gaps, curvature, sub)
             live = (bound + 2 * r > ks) & (points[:, :-1] < j_max)
             kept.append(points[:, :-1][live])
             bounds.append(bound[live])
         starts = np.concatenate(kept)[np.concatenate(bounds) + 2 * r > ks]
         width = sub
-    truncation = max(float(edges[2, 1]), s_infinity_sf(float(cap_multiplier)))
-    return ks, truncation
+    # the tails past the cap: L(j_max) and T(j_max) = L(j_max) - G+(j_max)
+    limit = s_infinity_sf(float(cap_multiplier))
+    tail = limit - float(_pair_terms(level[0], float(j_max))[0].sum())
+    return ks, max(tail, limit) + r
 
 
 def _level_gaps(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -423,21 +407,11 @@ def _level_gaps(n: int) -> tuple[np.ndarray, np.ndarray]:
     Delta_l = P(X_n >= l) - P(Q_eta >= l - k), with k = floor(log2 n) and
     eta = frac(log2 n), and |float Delta_l - Delta_l| <= e_l. As
     P(X_n >= l) = P(S_l <= n) and P(Q_eta >= l - k) = P(S <= n 2^-l),
-    Delta_l = L - T with L = P(S > n 2^-l) = sum_k a_k exp(-rho_k n),
-    rho_k = 2^(k-l), and, for l <= n + 1, T = P(S_l > n) =
-    sum_{i=2..l} B_i q_i^(n-l+1) (``_partial_sum_terms``; T = 0 at l <= 1).
-    Mixture term k < l is paired with partial-sum term i = l + 1 - k, whose
-    p_i is rho = rho_k. The partial-fraction products give
-    B_i q_i^(1-l) = a_k exp(ell), ell = sum_{m >= l-k+1} log1p(-2^-m), and
-    with lambda = -ln q_i = rho + delta, delta = sum_{m >= 2} rho^m / m, the
-    pair is
-      a_k exp(-rho n) - B_i q_i^(n-l+1)
-        = -a_k exp(-rho n) expm1(ell - delta n),
-    where ell and -delta n are both at most 0: no term cancels. Mixture
-    terms k >= l stay unpaired. All levels are one (levels x 32) array of
-    terms, each row summed in order by np.cumsum. Levels l > n + 1, where
-    S_l >= l > n and the closed form of T does not hold, are
-    Delta_l = -P(S <= n 2^-l) from the table of ``s_infinity_cdf``.
+    Delta_l = P(S > n 2^-l) - P(S_l > n): for l <= n + 1, the sum of the
+    pair terms of ``_pair_terms`` at level l and j = n. All levels are one
+    (levels x 32) array of terms, each row summed in order by np.cumsum.
+    Levels l > n + 1, where S_l >= l > n and the closed form does not hold,
+    are Delta_l = -P(S <= n 2^-l) from the table of ``s_infinity_cdf``.
 
     The bound, with eps = 2^-52 (a rounding is at most eps/2 of its result):
     - a term a_k exp(-rho n) F (F = -expm1(x) for a pair, 1 otherwise):
@@ -468,9 +442,7 @@ def _level_gaps(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     top = n.bit_length() - 1 + _LEVELS_ABOVE
     levels = slice(0, top + 1)
-    terms = (np.array(mixture_coefficients())
-             * np.exp(-float(n) * _RATE[levels])
-             * -np.expm1(_ELL[levels] - _DELTA[levels] * float(n)))
+    terms = _pair_terms(levels, float(n))[0]
     sums = np.cumsum(terms, axis=1)
     gaps = sums[:, -1]
     err = _EPS * ((_TERM_ERR[levels] * np.abs(terms)).sum(axis=1)

@@ -8,6 +8,8 @@ tolerances are pinned here and nowhere else. Monte Carlo checks run on fixed
 import math
 import time
 
+import numpy as np
+
 from renewal_dst import (
     IntPmf,
     build,
@@ -23,10 +25,6 @@ from renewal_dst import (
     tv_to_limit,
 )
 from renewal_dst.cli import main
-from renewal_dst.limit_law import (
-    exp_convolution_cdf,
-    partial_fraction_coefficients,
-)
 from renewal_dst.metrics import (
     empirical_cdf_jumps,
     ks_discrete_vs_continuous,
@@ -37,6 +35,14 @@ from renewal_dst.rng import stream_rng
 
 def report(num, name, detail=""):
     print(f"ACCEPTANCE {num} {name}: PASS {detail}")
+
+
+def _partial_fractions(n):
+    """a_(n,1..n) of Exp(2) * ... * Exp(2^n) = sum_k a_(n,k) Exp(2^k):
+    prod_{j<k} (1 - 2^j)^-1 prod_{j<=n-k} (1 - 2^-j)^-1."""
+    return [math.prod(1 / (1 - 2.0 ** j) for j in range(1, k))
+            * math.prod(1 / (1 - 2.0 ** -j) for j in range(1, n - k + 1))
+            for k in range(1, n + 1)]
 
 
 def test_criterion_1_corpus_reproduction():
@@ -57,7 +63,12 @@ def test_criterion_2_coefficient_identities():
     assert a[1] == -a[0]
     assert abs(a[2] - a[0] / 3.0) <= 1e-15
     for n in range(1, 13):
-        assert abs(partial_fraction_coefficients(n).sum() - 1.0) <= 1e-12
+        assert abs(math.fsum(_partial_fractions(n)) - 1.0) <= 1e-12
+    # the n-fold coefficients tend to the mixture's: a_(n,k) / a_k =
+    # prod_{j>n-k} (1 - 2^-j) is within 2^(k-n) of 1, plus the rounding of
+    # the products
+    for k, (ank, ak) in enumerate(zip(_partial_fractions(60), a), start=1):
+        assert abs(ank / ak - 1.0) <= 2.0 ** (k - 60) + 1e-14, k
     elapsed = time.perf_counter() - t0
     assert elapsed < 0.1
     report(2, "mixture and partial-fraction identities",
@@ -69,8 +80,11 @@ def test_criterion_3_mixture_vs_convolution():
     draws = (rng.exponential(1 / 2, 10 ** 6)
              + rng.exponential(1 / 4, 10 ** 6)
              + rng.exponential(1 / 8, 10 ** 6))
-    ks = ks_discrete_vs_continuous(*empirical_cdf_jumps(draws),
-                                   lambda x: exp_convolution_cdf(3, x))
+    a = _partial_fractions(3)
+    ks = ks_discrete_vs_continuous(
+        *empirical_cdf_jumps(draws),
+        lambda x: 1.0 - sum(ak * np.exp(-(2.0 ** k) * x)
+                            for k, ak in enumerate(a, start=1)))
     assert ks <= 0.002
     report(3, "signed mixture vs convolution sample", f"(KS={ks:.5f})")
 

@@ -381,8 +381,7 @@ def test_package_exports_resolve():
 _MODULE_ONLY = {
     "dst": ["bits_from_unit_interval", "parse_corpus"],
     "lifetimes": ["geometric_pmf"],
-    "limit_law": ["euler_b", "exp_convolution_cdf",
-                  "partial_fraction_coefficients"],
+    "limit_law": ["euler_b"],
     "metrics": ["empirical_cdf_jumps", "ks_discrete_vs_continuous"],
 }
 

@@ -31,8 +31,6 @@ from renewal_dst.limit_law import (
     _sf_terms,
     _table_cdf,
     euler_b,
-    exp_convolution_cdf,
-    partial_fraction_coefficients,
 )
 from renewal_dst.metrics import (
     empirical_cdf_jumps,
@@ -73,18 +71,6 @@ def test_mixture_coefficients_within_2_eps():
     with mp.workdps(100):
         for k, ak in enumerate(mixture_coefficients()):
             assert abs(mp.mpf(ak) - exact[k]) <= 2 * EPS * abs(exact[k]), k
-
-
-def test_partial_fraction_coefficients():
-    assert np.allclose(partial_fraction_coefficients(1), [1.0])
-    assert np.allclose(partial_fraction_coefficients(2), [2.0, -1.0])
-    for n in range(1, 13):
-        assert partial_fraction_coefficients(n).sum() == pytest.approx(
-            1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        partial_fraction_coefficients(0)
-    with pytest.raises(ValueError):
-        partial_fraction_coefficients(33)
 
 
 def test_s_infinity_cdf_endpoints():
@@ -364,13 +350,6 @@ def test_scalar_s_infinity_bit_identical_to_termwise_loop(order):
                 assert _table_close(s_infinity_cdf(t), _mp_cdf(t)), t
 
 
-def test_exp_convolution_scalar_bit_identical_to_termwise_loop():
-    for n in (1, 2, 3, 9, 32):
-        a = partial_fraction_coefficients(n)
-        for t in T_GRID:
-            assert exp_convolution_cdf(n, t) == _ref_cdf(t, a), (n, t)
-
-
 def test_q_tail_bit_identical_to_termwise_loop():
     # the series from t = 2^(eta - j) = 1 on, the piece table below
     a = mixture_coefficients()
@@ -593,8 +572,6 @@ def test_scalar_inputs_numpy_scalars_and_0d_arrays():
         assert type(v) is float and v == s_infinity_cdf(0.75)
         w = s_infinity_sf(t)
         assert type(w) is float and w == s_infinity_sf(0.75)
-        u = exp_convolution_cdf(3, t)
-        assert type(u) is float and u == exp_convolution_cdf(3, 0.75)
     assert (s_infinity_cdf(np.int64(2)) == s_infinity_cdf(2)
             == s_infinity_cdf(2.0))
     assert q_cdf(np.float64(0.3), np.int64(2)) == q_cdf(0.3, 2)
@@ -611,8 +588,6 @@ def test_scalar_series_reject_negative_and_nan(bad):
         s_infinity_cdf(bad)
     with pytest.raises(ValueError):
         s_infinity_sf(bad)
-    with pytest.raises(ValueError):
-        exp_convolution_cdf(3, bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, np.float64(math.nan)])
@@ -631,8 +606,6 @@ def test_q_series_reject_nan_naming_the_argument(bad):
 def test_array_series_reject_negative_and_nan(bad):
     with pytest.raises(ValueError, match="^t "):
         s_infinity_cdf(bad)
-    with pytest.raises(ValueError, match="^t "):
-        exp_convolution_cdf(3, bad)
 
 
 def test_limit_pmf_window_outside_mass_is_negligible():

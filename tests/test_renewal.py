@@ -32,12 +32,12 @@ from renewal_dst.metrics import (
     ks_discrete_vs_continuous,
 )
 from renewal_dst.renewal import (
+    MAX_EXACT_KS_N,
     _block_bound,
-    _gap,
-    _gap_terms,
-    _gap_values,
+    _ks_level,
+    _ks_values,
     _level_gaps,
-    _partial_sum_terms,
+    _pair_terms,
     floor_log2,
     frac_log2,
 )
@@ -209,6 +209,24 @@ def test_depth_distribution_monotone_in_n():
     for prev, cur in zip(laws, laws[1:]):
         for k in range(0, cur.support_max + 1):
             assert cur.tail_ge(k) >= prev.tail_ge(k) - 1e-12
+
+
+def _partial_sum_terms(n):
+    """(B_i, p_i), i = 2..n, with P(S_n > j) = sum_i B_i q_i^(j-n+1).
+
+    S_n - n is a sum of independent Geom(p_i) - 1 with p_i = 2^(1-i) and
+    q_i = 1 - p_i; partial fractions give B_i = prod_{l != i} p_l q_i /
+    (p_l - p_i), each n - 2 rounded quotients multiplied together. The
+    termwise oracle of the paired closed form: it shares no formula with
+    ``renewal._pair_terms``.
+    """
+    p = 2.0 ** (1 - np.arange(2, n + 1))
+    q = 1.0 - p
+    diff = p - p[:, None]
+    np.fill_diagonal(diff, 1.0)
+    ratio = p * q[:, None] / diff
+    np.fill_diagonal(ratio, 1.0)
+    return ratio.prod(axis=1), p
 
 
 def _closed_form_cdf(n, t):
@@ -392,12 +410,13 @@ def test_ks_scaled_sum_matches_mpmath_full_grid(n):
         trunc = max(before, limit_tail(cap))
     got, got_trunc = ks_scaled_sum_exact(n, cap_multiplier=cap)
     assert got == pytest.approx(float(ks), rel=0, abs=1e-14)
-    assert got_trunc == pytest.approx(float(trunc), rel=1e-12, abs=0)
+    # the tail past the cap plus the KS value's rounding bound r
+    assert got_trunc == pytest.approx(float(trunc) + _ks_level(n)[-1],
+                                      rel=1e-12, abs=0)
 
 
 def test_ks_scaled_sum_top_of_range():
-    # 8 2^22 jump points: the gap stays within 2r of its maximum over
-    # thousands of them, so the search keeps its most blocks and chunks here
+    # 8 2^22 jump points, the most the search takes
     ks22, trunc22 = ks_scaled_sum_exact(22)
     ks21, trunc21 = ks_scaled_sum_exact(21)
     assert 0 < ks22 < ks21
@@ -437,6 +456,18 @@ def _scan_batches(n, cap, batch=1 << 16):
         before = float(sum_tail[-1])
 
 
+def _scan_error(n):
+    """A priori float error of one gap of the scan: the termwise bound
+    S_B (n + 10 + K/2) eps + S_a (55 + K/2) eps + (12 + K/2) eps over
+    K = n + 31 terms, S_B = sum |B_i| and S_a = sum |a_k|, which counts the
+    coefficients' rounding, the exponent products, two exps and a product
+    per term and the summation."""
+    half_k = (n + 31) / 2
+    return 2.0 ** -52 * (
+        np.abs(_partial_sum_terms(n)[0]).sum() * (n + 10 + half_k)
+        + np.abs(mixture_coefficients()).sum() * (55 + half_k) + 12 + half_k)
+
+
 def _scan_ks(n, cap):
     """(ks, trunc) of the exhaustive scan over j = n..cap 2^n."""
     ks = 0.0
@@ -456,27 +487,31 @@ def _scanned_gaps(n, cap):
 
 @pytest.mark.parametrize("cap", [2, 3, 8])
 def test_ks_search_matches_scan(cap):
-    # the search returns the scan's maximum of the float gaps at every n:
-    # both evaluators round, so they agree to 1e-15 abs; trunc is the scan's
+    # the search returns the maximum of the paired float gaps at every n,
+    # and the termwise scan agrees with it to 1e-15 abs; trunc is the scan's
+    # tail past the cap plus the paired evaluation's rounding bound r
     for n in range(1, 19):
         want, want_trunc = _scan_ks(n, cap)
         got, got_trunc = ks_scaled_sum_exact(n, cap_multiplier=cap)
         assert got == pytest.approx(want, rel=0, abs=1e-15), n
-        assert got_trunc == want_trunc, n
+        assert got_trunc == pytest.approx(want_trunc + _ks_level(n)[-1],
+                                          rel=1e-12, abs=0), n
 
 
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(2, 14), cap=st.sampled_from([2, 8]), data=st.data())
 def test_block_bound_covers_scanned_gaps(n, cap, data):
-    # the certificate itself: U + r bounds every scanned gap of the block,
-    # for blocks up to the whole range, as wide as the search's first ones
+    # the certificate itself: U + 2r bounds every exact gap of the block,
+    # for blocks up to the whole range, as wide as the search's first ones,
+    # and so every scanned gap within the scan's own error bound
     j_max = cap << n
     u = data.draw(st.integers(n, j_max - 1), label="u")
     v = data.draw(st.integers(u + 1, j_max), label="v")
-    terms = _gap_terms(n)
-    ends = _gap_values(n, terms, np.array([u]), np.array([0, v - u]))[0]
-    bound = _block_bound(_gap(ends), ends[:, 3], v - u)[0]
-    assert bound + terms[3] >= _scanned_gaps(n, cap)[u - n:v - n + 1].max()
+    level = _ks_level(n)
+    gaps, curvature = _ks_values(level, np.array([u, v]))
+    bound = _block_bound(gaps, curvature, v - u)[0] + 2 * level[-1]
+    assert (bound + _scan_error(n)
+            >= _scanned_gaps(n, cap)[u - n:v - n + 1].max())
 
 
 @pytest.mark.parametrize("width", [2, 8, 64, 1024])
@@ -485,9 +520,7 @@ def test_block_bound_curvature_term_is_sharp(width):
     # M width^2 / 8 at the middle jump point: no smaller factor is sound.
     # Falling tails realise it: T = 1 - (x - u) / width and L = T + G.
     m = 3.0 * 2.0 ** -20
-    ends = np.array([[1.0, 1.0, 1.0, m],       # L = T = T(. - 1): zero gaps
-                     [0.0, 0.0, 0.0, 0.0]])    # L = T = T(. - 1) = 0
-    bound = _block_bound(_gap(ends), ends[:, 3], width)[0]
+    bound = _block_bound(np.zeros(2), np.array([m, 0.0]), width)[0]
     assert bound >= m * width * width / 8
 
 
@@ -527,7 +560,7 @@ def test_curvature_bound_covers_mpmath(n):
     us = np.unique(np.concatenate((
         [n, n + 1], np.geomspace(n, j_max - 1, 8).astype(int),
         rng.integers(n, j_max, 4))))
-    bounds = _gap_values(n, _gap_terms(n), us, np.array([0]))[:, 0, 3]
+    bounds = _ks_values(_ks_level(n), us)[1]
     for u, bound in zip(us, bounds):
         v = rng.integers(u + 1, j_max + 1)
         for x in np.linspace(u, v, 7):
@@ -544,7 +577,7 @@ def test_curvature_bound_is_sharp(n):
     # on blocks that start at j = n up to 151x
     us = (np.array([0.75, 0.91, 1, 1.25, 1.6, 2, 3, 4, 6]) * 2 ** n)
     us = us.astype(int)
-    bounds = _gap_values(n, _gap_terms(n), us, np.array([0]))[:, 0, 3]
+    bounds = _ks_values(_ks_level(n), us)[1]
     for u, bound in zip(us, bounds):
         sup = max(_mp_curvature(n, x)
                   for x in np.linspace(u, u + (1 << n - 2), 9))
@@ -553,64 +586,54 @@ def test_curvature_bound_is_sharp(n):
 
 @pytest.mark.parametrize("n", [6, 12, 18, 22])
 def test_gap_rounding_bound_against_mpmath(n):
-    # |float gap - 30-digit gap| <= r at sampled jump points, each reached
-    # through a block start and a step as in the search
+    # |float gap - 30-digit gap| <= r for G+ and G- at sampled jump points:
+    # near j = n, across the peak and past the cap, up to 23 2^n
     mp = pytest.importorskip("mpmath")
     b, q, mix = _mp_gap_terms(n)
     rng = np.random.default_rng(n)
     starts = np.concatenate(([n, n + 1], rng.integers(n, 7 << n, 10),
                              rng.integers(n, 4 << n // 2, 6)))
     steps = np.array([0, 1, 3, 64, 1 << n // 2, 1 << n, 16 << n])
-    terms = _gap_terms(n)
-    values = _gap_values(n, terms, starts, steps)
+    js = np.add.outer(starts, steps).ravel()
+    cells, lags, _, _, r = _ks_level(n)
+    gaps = _pair_terms(cells, js, lags)[0].sum(axis=1)    # G+ and G- rows
     with mp.workdps(30):
-        for start, row in zip(starts, values):
-            for step, (limit, tail, prev, _) in zip(steps, row):
-                j = int(start + step)
-                lim = mp.fsum(a * mp.exp(-mp.ldexp(j, k - n))
-                              for k, a in enumerate(mix, start=1))
-                exact = [lim - mp.fsum(bi * qi ** (j - n + 1 - shift)
-                                       for bi, qi in zip(b, q))
-                         for shift in (0, 1)]
-                for got, want in zip((limit - tail, limit - prev), exact):
-                    assert abs(got - want) <= terms[3], (j, got, want)
+        for j, got in zip(js.tolist(), gaps.T.tolist()):
+            lim = mp.fsum(a * mp.exp(-mp.ldexp(j, k - n))
+                          for k, a in enumerate(mix, start=1))
+            exact = [lim - mp.fsum(bi * qi ** (j - n + 1 - shift)
+                                   for bi, qi in zip(b, q))
+                     for shift in (0, 1)]
+            for g, want in zip(got, exact):
+                assert abs(g - want) <= r, (j, g, want)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_EXACT_KS_N + 1))
+def test_ks_rounding_bound_is_small_next_to_ks(n):
+    # the a priori r of the paired evaluation stays under 1e-11 of the KS
+    # value at every n (2.6e-13 at most); the termwise bound, summed over
+    # |B_i| and |a_k|, passed it from n = 7 and was 9.7e-7 of KS(22)
+    assert _ks_level(n)[-1] <= 1e-11 * ks_scaled_sum_exact(n)[0]
 
 
 @pytest.mark.parametrize("n, cap, most", [
-    (10, 8, 1000), (16, 8, 1000), (19, 8, 1000), (22, 8, 20000),
+    (10, 8, 1000), (16, 8, 1000), (19, 8, 1000), (22, 8, 1000),
     (12, 2 ** 41, 1000)])
 def test_ks_search_evaluates_few_points(n, cap, most, monkeypatch):
-    # a few hundred jump points instead of cap 2^n; at n = 22 the gap stays
-    # within 2r of its maximum over thousands, which no bound can drop. Each
+    # a few hundred jump points instead of cap 2^n, 361 at n = 22. Each
     # factor 16 in cap past the mass adds one level of 17 points, up to the
     # largest cap, 2^53 / 2^n, and moves ks by at most the scan's 1e-15
     want = ks_scaled_sum_exact(n)[0]
     count = []
 
-    def counted(n, terms, starts, steps):
-        count.append(starts.size * steps.size)
-        return _gap_values(n, terms, starts, steps)
+    def counted(level, points):
+        count.append(points.size)
+        return _ks_values(level, points)
 
-    monkeypatch.setattr(renewal_dst.renewal, "_gap_values", counted)
+    monkeypatch.setattr(renewal_dst.renewal, "_ks_values", counted)
     got = ks_scaled_sum_exact(n, cap)[0]
     assert sum(count) <= most
     assert got == pytest.approx(want, rel=0, abs=1e-15)
-
-
-@pytest.mark.parametrize("n", [2, 5, 9, 13, 18])
-def test_level_gaps_match_the_ks_evaluator(n):
-    # Delta_n(j) = L(j) - T(j) of the KS evaluator: the paired closed form at
-    # level n and the termwise sums over B_i and a_k agree to 1e-15 from
-    # x = j / 2^n = 1/4 on, across the KS peak (x = 0.91) and the tail.
-    # Closer to j = n the termwise T(j) sits at 1 - tiny and cancels (up to
-    # 2.9e-15 off at n = 13)
-    js = np.unique(np.array([max(n, 1 << n >> 2), 1 << n >> 1,
-                             int(0.91 * 2 ** n), 1 << n, (1 << n) + 7,
-                             (3 << n) // 2, 5 << n, (8 << n) - 1]))
-    values = _gap_values(n, _gap_terms(n), js, np.array([0]))[:, 0]
-    for j, (limit, tail, _, _) in zip(js, values):
-        gaps = _level_gaps(int(j))[0]
-        assert abs(gaps[n] - (limit - tail)) <= 1e-15, (n, j)
 
 
 def _mean_gap(n):
