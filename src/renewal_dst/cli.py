@@ -57,7 +57,6 @@ _GRID_DEFAULTS = {
     "converge-ks": "4:18:1",
 }
 _MAX_GRID_POINTS = 10 ** 6
-_MAX_DEPTH_DIST_N = 2 ** 22    # depth-dist's exact DP
 
 
 class UsageError(Exception):
@@ -156,9 +155,6 @@ def cmd_limit_law(args) -> int:
 def cmd_depth_dist(args) -> int:
     if args.n is None:
         raise UsageError("--n is required")
-    if not 1 <= args.n <= _MAX_DEPTH_DIST_N:
-        raise UsageError(f"--n must be in [1, {_MAX_DEPTH_DIST_N}] for the "
-                         f"exact DP")
     law, eta = centered_count_distribution(args.n)
     lo, qmasses, _ = _limit_window(law, eta)
     tv = tv_to_limit(args.n)[0]

@@ -30,9 +30,7 @@ with |log2 P|, and |s| stays under 5 on every piece, so its rounding stays
 small. Against mpmath the value is within 4 eps relative (2.1 eps measured
 over every piece), and within half the least subnormal where it rounds into
 the subnormal range. Below 2^-43 the truth is under 2^-1094, and 0.0 is
-returned. Arrays read the same table with the same operations (np.exp2 for
-2.0**s), within 2 ulp of the scalar values.
-The table serves s_infinity_cdf(t) and q_tail for t < 1, q_cdf's
+returned. The table serves s_infinity_cdf(t) and q_tail for t < 1, q_cdf's
 complement 1 - P(S <= c) for c < _MEDIAN_C, and q_pmf as
 P(S <= 2c) - P(S <= c) while 2c < 1, where the first term dominates and
 the difference keeps relative accuracy.
@@ -158,11 +156,8 @@ def _checked(t, name: str = "t") -> float:
 
 
 # The pieces of _table_cdf, row 8 j + p: flat (E, c_15, c_14, ..., c_0) in
-# Horner order, and the same numbers as arrays indexed by row for
-# _table_cdf_array.
+# Horner order.
 _S_ROWS = tuple((e, *c[::-1]) for e, c in ROWS)
-_S_EXP = np.array([e for e, _ in ROWS])
-_S_COEF = np.array([c[::-1] for _, c in ROWS]).T
 _TABLE_LO = 2.0 ** -(len(ROWS) // 8)
 
 
@@ -184,19 +179,9 @@ def _table_cdf(t: float) -> float:
     return math.ldexp(2.0 ** s, e_row)
 
 
-def _table_cdf_array(t: np.ndarray) -> np.ndarray:
-    """_table_cdf at every point of an array of t < 1, in the same order of
-    operations; np.exp2 may differ from the scalar 2.0**s by an ulp."""
-    m, e = np.frexp(t)
-    inside = t >= _TABLE_LO
-    u = 16.0 * m
-    p = np.floor(u)
-    y = 2.0 * (u - p) - 1.0
-    row = np.where(inside, p.astype(np.intp) - 8 - 8 * e, 0)
-    s = _S_COEF[0][row]
-    for c in _S_COEF[1:]:
-        s = s * y + c[row]
-    return np.where(inside, np.ldexp(np.exp2(s), _S_EXP[row]), 0.0)
+def _cdf(t: float) -> float:
+    """P(S <= t) for a checked t: the table below 1, the series from 1 on."""
+    return _table_cdf(t) if t < 1.0 else _cdf_terms(t, mixture_coefficients())
 
 
 def s_infinity_cdf(t):
@@ -204,25 +189,15 @@ def s_infinity_cdf(t):
     superexponentially (P(S <= 2^(-j)) <= 2^(-j(j-1)/2)), and
     sum_k a_k (1 - exp(-2^k t)) clamped to [0, 1] from t = 1 on.
 
-    Accepts scalars or arrays; arrays read the same table (to within 2 ulp)
-    and sum the series without fsum.
+    Accepts scalars or arrays; an array's values are the scalar values at
+    its points, bit for bit, in an array of its shape.
     """
     if isinstance(t, (float, int)) or np.ndim(t) == 0:  # np.float64 is a float
-        t = _checked(t)
-        return (_table_cdf(t) if t < 1.0
-                else _cdf_terms(t, mixture_coefficients()))
+        return _cdf(_checked(t))
     tv = np.asarray(t, dtype=float)
     if not np.all(tv >= 0):     # also rejects NaN
         raise ValueError("t must be >= 0 and not NaN at every point")
-    low = tv < 1.0
-    high = tv[~low]
-    series = np.zeros_like(high)
-    for k, ak in enumerate(mixture_coefficients(), start=1):
-        series += ak * -np.expm1(-(2.0 ** k) * high)
-    out = np.empty_like(tv)
-    out[~low] = np.clip(series, 0.0, 1.0)
-    out[low] = _table_cdf_array(tv[low])
-    return out
+    return np.array([_cdf(x) for x in tv.ravel().tolist()]).reshape(tv.shape)
 
 
 def s_infinity_sf(x: float) -> float:

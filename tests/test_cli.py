@@ -102,10 +102,23 @@ def test_depth_dist_point_mass(tmp_path):
     assert obj["tv"] == tv_to_limit(1)[0]
 
 
-def test_depth_dist_usage_errors(tmp_path):
+def test_depth_dist_at_the_dp_limit(tmp_path):
+    # n = 2^26 is the exact DP's MAX_EXACT_N, the one n limit depth-dist has
+    code, data = run(tmp_path, "depth-dist", "--n", str(2 ** 26))
+    assert code == 0
+    trailer = [line for line in data.decode().split("\n")
+               if line.startswith("tv")]
+    assert len(trailer) == 1
+    assert float(trailer[0].split(",")[3]) == tv_to_limit(2 ** 26)[0]
+
+
+def test_depth_dist_usage_errors(tmp_path, capsys):
     assert run(tmp_path, "depth-dist")[0] == 2
-    assert run(tmp_path, "depth-dist", "--n", "0")[0] == 2
-    assert run(tmp_path, "depth-dist", "--n", str(2 ** 23))[0] == 2
+    for n in (0, -3, 2 ** 26 + 1):
+        assert run(tmp_path, "depth-dist", "--n", str(n))[0] == 2, n
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 4
+    assert all(e.startswith("error:") for e in errors)
 
 
 def test_dst_demo_builtin(tmp_path):

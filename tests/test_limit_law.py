@@ -83,7 +83,7 @@ def test_s_infinity_cdf_endpoints():
     assert np.all(np.diff(vals) >= 0)
     assert np.all((vals >= 0) & (vals <= 1))
     scalar = np.array([s_infinity_cdf(float(x)) for x in xs])
-    assert np.abs(vals - scalar).max() <= 1e-15
+    assert np.array_equal(vals, scalar)
 
 
 def test_s_infinity_upper_tail_geometric_decay():
@@ -758,14 +758,22 @@ def test_table_cdf_is_the_horner_loop_bit_for_bit():
             assert _table_cdf(t) == math.ldexp(2.0 ** s, exponent), (row, t)
 
 
-def test_array_reads_the_table_within_2_ulp():
+def test_array_is_the_scalar_values_bit_for_bit():
     rng = np.random.default_rng(3)
     t = np.concatenate([
         np.ldexp(rng.uniform(0.5, 1.0, 20000), rng.integers(-43, 1, 20000)),
-        2.0 ** -np.arange(1.0, 46.0), [0.0, 5e-324, math.nextafter(1.0, 0.0)]])
+        2.0 ** -np.arange(1.0, 46.0), [0.0, 5e-324, math.nextafter(1.0, 0.0)],
+        [1.0, 1.5, 2.0, 19.9, 20.0, 40.0, 1e300, math.inf],
+        rng.uniform(1.0, 64.0, 200)])
     arr = s_infinity_cdf(t)
-    scalar = np.array([s_infinity_cdf(float(x)) for x in t])
-    assert np.all(np.abs(arr - scalar) <= 2 * np.spacing(scalar))
+    assert arr.shape == t.shape and arr.dtype == np.float64
+    assert arr.tobytes() == np.array([s_infinity_cdf(x)
+                                      for x in t.tolist()]).tobytes()
+    grid = t[:600].reshape(20, 30)
+    assert s_infinity_cdf(grid).tobytes() == arr[:600].tobytes()
+    for empty in (np.empty(0), np.empty((0, 3))):
+        out = s_infinity_cdf(empty)
+        assert out.shape == empty.shape and out.dtype == np.float64
 
 
 def _table_generator():
