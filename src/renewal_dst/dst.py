@@ -148,23 +148,6 @@ def knuth_corpus() -> tuple[tuple[str, str], ...]:
     return tuple((f"x_{i}", bits) for i, bits in enumerate(_KNUTH_BITS, 1))
 
 
-def bits_from_unit_interval(x: float, length: int) -> str:
-    """First ``length`` binary digits of x in [0, 1), by repeated doubling."""
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"x must lie in [0, 1), got {x!r}")
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    out = []
-    for _ in range(length):
-        x *= 2.0
-        if x >= 1.0:
-            out.append("1")
-            x -= 1.0
-        else:
-            out.append("0")
-    return "".join(out)
-
-
 def parse_corpus(text: str) -> list[tuple[str, str]]:
     """Parse `label whitespace bitstring` records, one per line.
 

@@ -53,25 +53,14 @@ class ScaledBase:
         return max(4, math.ceil(12 * math.log(10) / math.log(self.alpha)))
 
 
-def geometric_pmf(k: int, j: int) -> float:
-    """P(Y_k = j) = (1 - 2^(1-k))^(j-1) * 2^(1-k); for k = 1, the unit mass at 1."""
-    if k < 1:
-        raise ValueError(f"lifetime index must be >= 1, got {k}")
-    if j < 1:
-        raise ValueError(f"geometric support starts at 1, got {j}")
-    if k == 1:
-        return 1.0 if j == 1 else 0.0
-    p = 2.0 ** (1 - k)
-    return (1.0 - p) ** (j - 1) * p
-
-
 def sample_lifetime(family: GeometricDst | ScaledBase, k: int,
                     rng: np.random.Generator, size: int | None = None):
     """Draw from the k-th lifetime law.
 
     Geometric draws use CDF inversion, j = ceil(log(1-u) / log(1-p)), one
     uniform per draw regardless of k, so streams stay reproducible and cheap
-    even when the mean is 2^(k-1).
+    even when the mean is 2^(k-1). A lifetime past the float range is +inf,
+    past every horizon, as in exact arithmetic.
     """
     if k < 1:
         raise ValueError(f"lifetime index must be >= 1, got {k}")
@@ -79,10 +68,10 @@ def sample_lifetime(family: GeometricDst | ScaledBase, k: int,
         if k == 1:
             return 1.0 if size is None else np.ones(size)
         u = rng.random(size)
-        j = np.ceil(np.log1p(-u) / math.log1p(-(2.0 ** (1 - k))))
+        with np.errstate(over="ignore"):    # log1p(-p) ~ -p is subnormal
+            j = np.ceil(np.log1p(-u) / math.log1p(-(2.0 ** (1 - k))))
         return np.maximum(j, 1.0)
-    # A lifetime past the float range is +inf, past every horizon, as in
-    # exact arithmetic; numpy's power saturates where float ** k raises.
+    # numpy's power saturates where float ** k raises
     with np.errstate(over="ignore"):
         scale = np.float64(family.alpha) ** k * 0.5
         return scale * rng.standard_exponential(size)

@@ -1,9 +1,9 @@
 """Distances between laws and the convergence-rate verification harness.
 
 Total variation between integer pmfs is half the l1 gap over the union
-support; the Kolmogorov-Smirnov distance between a step CDF and a continuous
-CDF is exact when evaluated at jump points only. The TV between the exact
-centred count law at n and Q_eta is read off the level gaps
+support. The KS distance between the scaled partial sums and S comes from
+``renewal.ks_scaled_sum_exact``. The TV between the exact centred count
+law at n and Q_eta is read off the level gaps
 Delta_l = P(X_n >= l) - P(Q_eta >= l - k) of ``renewal._level_gaps``, a
 closed form with a rounding bound per level, as
 (1/2) sum_l |Delta_l - Delta_(l+1)|: no depth law and no Q_eta masses, for
@@ -70,37 +70,6 @@ def tv_distance(p: IntPmf, q: IntPmf) -> float:
     ap[p.offset - lo: p.offset - lo + len(p.masses)] = p.masses
     aq[q.offset - lo: q.offset - lo + len(q.masses)] = q.masses
     return min(1.0, 0.5 * float(np.abs(ap - aq).sum()))
-
-
-def ks_discrete_vs_continuous(points, after, cdf) -> float:
-    """Exact KS distance between a step CDF and a continuous CDF.
-
-    The step CDF jumps at the strictly increasing ``points`` and equals
-    ``after`` just past each of them, as ``empirical_cdf_jumps`` returns;
-    ``cdf`` must accept an array. Both one-sided gaps are checked at every
-    jump, which attains the supremum for step-vs-continuous pairs.
-    """
-    pts = np.asarray(points, dtype=float)
-    after = np.asarray(after, dtype=float)
-    if pts.ndim != 1 or pts.shape != after.shape:
-        raise ValueError("points and after must be 1-D and of equal length")
-    if pts.size == 0:
-        raise ValueError("need at least one jump")
-    if np.any(np.diff(pts) <= 0):
-        raise ValueError("jump points must be sorted strictly increasing")
-    if np.any(np.diff(after) < 0) or after[-1] > 1.0 + 1e-12:
-        raise ValueError("cdf-after values must be nondecreasing and <= 1")
-    vals = np.asarray(cdf(pts), dtype=float)
-    before = np.concatenate(([0.0], after[:-1]))
-    return max(float(np.abs(after - vals).max()),
-               float(np.abs(before - vals).max()))
-
-
-def empirical_cdf_jumps(sample) -> tuple[np.ndarray, np.ndarray]:
-    """Jump representation (points, cdf-after) of an empirical CDF."""
-    s = np.sort(np.asarray(sample, dtype=float))
-    pts = np.unique(s)
-    return pts, np.searchsorted(s, pts, side="right") / s.size
 
 
 def limit_pmf_window(eta: float, lo: int,

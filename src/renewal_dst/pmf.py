@@ -42,14 +42,6 @@ class IntPmf:
         object.__setattr__(self, "masses", m)
 
     @classmethod
-    def from_dict(cls, d: dict[int, float], truncation: float = 0.0) -> "IntPmf":
-        lo, hi = min(d), max(d)
-        m = np.zeros(hi - lo + 1)
-        for j, p in d.items():
-            m[j - lo] = p
-        return cls(lo, m, truncation)
-
-    @classmethod
     def from_samples(cls, values, truncation: float = 0.0) -> "IntPmf":
         """Empirical pmf of an integer sample; truncation counts mass held
         back by the producer (dropped replicates), not sampling error."""
@@ -74,10 +66,6 @@ class IntPmf:
 
     def total(self) -> float:
         return float(self.masses.sum())
-
-    def mean(self) -> float:
-        js = np.arange(self.offset, self.offset + len(self.masses))
-        return float(js @ self.masses)
 
     def shift(self, d: int) -> "IntPmf":
         return IntPmf(self.offset + d, self.masses, self.truncation)

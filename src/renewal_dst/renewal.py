@@ -49,7 +49,7 @@ from .limit_law import mixture_coefficients, s_infinity_cdf, s_infinity_sf
 from .pmf import IntPmf
 
 MAX_EXACT_N = 2 ** 26      # checked range of the DP's reported rounding slack
-MAX_EXACT_KS_N = 22        # KS range: here the cap-8 tail (3.9e-7) passes KS
+MAX_EXACT_KS_N = 22        # KS range; the cap-8 tail (3.9e-7) exceeds KS at 22
 _STATE_SLACK = 60          # levels above ceil(log2(n+1)) carry mass < 1e-300
 _EXACT_STAY = 53           # 1 - 2^(-k) is exact in binary64 for k < 53
 _SCALE = 2.0 ** 500        # the DP's powers of T are kept times _SCALE
@@ -168,13 +168,14 @@ def simulate_count(family: GeometricDst | ScaledBase, t: float,
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if not t > 0:
-        raise ValueError(f"horizon must be positive, got {t!r}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {t!r}")
     sums = np.zeros(samples)
     counts = np.zeros(samples, dtype=np.int64)
     k = 1
     while True:
-        sums += sample_lifetime(family, k, rng, size=samples)
+        with np.errstate(over="ignore"):    # a sum past the float range is inf
+            sums += sample_lifetime(family, k, rng, size=samples)
         within = sums <= t
         if not within.any():
             return counts
@@ -358,7 +359,8 @@ def ks_scaled_sum_exact(n: int, cap_multiplier: int = 8) -> tuple[float, float]:
     which not every jump point is a float and the exponents of r's
     derivation stop being exact. Returns (ks, truncation_bound): the bound
     is the larger mass either law carries beyond cap_multiplier * 2^n,
-    plus r, so that ks + truncation_bound bounds the exact distance.
+    plus r, so that ks + truncation_bound bounds the exact distance. That
+    mass, 3.897e-7 at every n at the default cap, is 142% of ks at n = 22.
     """
     n = operator.index(n)
     cap_multiplier = operator.index(cap_multiplier)

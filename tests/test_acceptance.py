@@ -25,12 +25,10 @@ from renewal_dst import (
     tv_to_limit,
 )
 from renewal_dst.cli import main
-from renewal_dst.metrics import (
-    empirical_cdf_jumps,
-    ks_discrete_vs_continuous,
-    tv_vs_limit,
-)
+from renewal_dst.metrics import tv_vs_limit
 from renewal_dst.rng import stream_rng
+
+from _oracles import empirical_cdf_jumps, ks_discrete_vs_continuous
 
 
 def report(num, name, detail=""):

@@ -14,11 +14,7 @@ from renewal_dst import (
     simulate_insertion_depth,
     tv_distance,
 )
-from renewal_dst.dst import (
-    CorpusFormatError,
-    bits_from_unit_interval,
-    parse_corpus,
-)
+from renewal_dst.dst import CorpusFormatError, parse_corpus
 from renewal_dst.pmf import IntPmf
 from renewal_dst.rng import stream_rng
 
@@ -109,25 +105,6 @@ def test_probe_reports_what_insert_then_does(keys):
         assert tree.insert(i, bits) == probed
         placed += 1
     assert len(tree) == placed
-
-
-def test_bits_from_unit_interval():
-    assert bits_from_unit_interval(0.5, 3) == "100"
-    assert bits_from_unit_interval(math.sqrt(2) % 1, 4) == "0110"
-    assert bits_from_unit_interval((1 / math.log(2)) % 1, 6) == "011100"
-    with pytest.raises(ValueError):
-        bits_from_unit_interval(1.0, 4)
-    with pytest.raises(ValueError):
-        bits_from_unit_interval(0.2, 0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(x=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-       length=st.integers(min_value=1, max_value=40))
-def test_bits_round_trip(x, length):
-    bits = bits_from_unit_interval(x, length)
-    lo = int(bits, 2) / 2.0 ** length
-    assert lo <= x < lo + 2.0 ** -length
 
 
 def test_parse_corpus():

@@ -25,20 +25,16 @@ from renewal_dst.limit_law import (
     _MEDIAN_C,
     _Q_HI,
     _Q_LO,
-    _cdf_terms,
     _pmf_coefficients,
     _q_table,
     _sf_terms,
     _table_cdf,
     euler_b,
 )
-from renewal_dst.metrics import (
-    empirical_cdf_jumps,
-    ks_discrete_vs_continuous,
-    limit_pmf_window,
-    tv_vs_limit,
-)
+from renewal_dst.metrics import limit_pmf_window, tv_vs_limit
 from renewal_dst.rng import stream_rng
+
+from _oracles import empirical_cdf_jumps, ks_discrete_vs_continuous
 
 
 def test_euler_b_value():
@@ -281,8 +277,8 @@ def test_s_infinity_draws_floor_to_q_eta(s_infinity_draws, eta):
 
 # ---- scalar series against reference loops and mpmath ----------------------
 
-# The termwise loops the scalar functions used before the two series kernels:
-# every term formed, 2^k t as (2.0**k) * t, no early exit.
+# Termwise reference loops: every term formed, 2^k t as (2.0**k) * t, no
+# early exit.
 
 def _ref_clamp(v):
     return min(max(v, 0.0), 1.0)
@@ -327,37 +323,30 @@ ETA_GRID = [i / 16 for i in range(17)] + [1e-20, 0.3, 1 - 2.0 ** -53]
 J_GRID = range(-10, 15)
 
 
-def test_saturation_exit_is_exact():
-    # _cdf_terms appends a_k unchanged once 2^k t >= 40
-    for u in (40.0, 40.5, 64.0, 745.0, 1e300, math.inf):
-        assert -math.expm1(-u) == 1.0
-
-
 @pytest.mark.parametrize("order", [1, 5, 32])
 def test_scalar_s_infinity_bit_identical_to_termwise_loop(order):
-    # the kernels on prefixes of the one coefficient tuple; the full tuple
-    # is what s_infinity_sf uses, and s_infinity_cdf from t = 1 on (below 1
-    # it reads the piece table, checked against mpmath)
+    # the kernel on prefixes of the one coefficient tuple; the full tuple is
+    # what s_infinity_sf uses, and s_infinity_cdf from t = 1 on, as 1 minus
+    # it (below 1 it reads the piece table, checked against mpmath)
     a = mixture_coefficients()[:order]
     for t in T_GRID + [0.0, 5e-324, 1e-300, 1e300, math.inf]:
-        assert _cdf_terms(t, a) == _ref_cdf(t, a), t
         assert _sf_terms(t, a) == _ref_sf(t, a), t
         if order == 32:
             assert s_infinity_sf(t) == _ref_sf(t, a), t
             if t >= 1.0:
-                assert s_infinity_cdf(t) == _ref_cdf(t, a), t
+                assert s_infinity_cdf(t) == 1.0 - _ref_sf(t, a), t
             else:
                 assert _table_close(s_infinity_cdf(t), _mp_cdf(t)), t
 
 
 def test_q_tail_bit_identical_to_termwise_loop():
-    # the series from t = 2^(eta - j) = 1 on, the piece table below
+    # 1 - P(S > t) from t = 2^(eta - j) = 1 on, the piece table below
     a = mixture_coefficients()
     for eta in ETA_GRID:
         for j in J_GRID:
             t = _c(eta, j - 1)
             if t >= 1.0:
-                assert q_tail(eta, j) == _ref_q_tail(eta, j, a), (eta, j)
+                assert q_tail(eta, j) == 1.0 - _ref_sf(t, a), (eta, j)
             else:
                 assert _table_close(q_tail(eta, j), _mp_cdf(t)), (eta, j)
 
@@ -392,7 +381,7 @@ def _two_pass_q_cdf(eta, x, a):
         return 0.0 if x < 0 else 1.0
     c = _c(eta, x)
     direct = _sf_terms(c, a)
-    return direct if direct <= 0.5 else 1.0 - _cdf_terms(c, a)
+    return direct if direct <= 0.5 else 1.0 - _ref_cdf(c, a)
 
 
 def _three_pass_q_pmf(eta, j, a):
@@ -402,7 +391,7 @@ def _three_pass_q_pmf(eta, j, a):
     left = _sf_terms(c + c, a)
     if left <= 0.5:
         return max(_sf_terms(c, a) - left, 0.0)
-    return max(_cdf_terms(c + c, a) - _cdf_terms(c, a), 0.0)
+    return max(_ref_cdf(c + c, a) - _ref_cdf(c, a), 0.0)
 
 
 def _near(c):
@@ -410,7 +399,7 @@ def _near(c):
 
 
 # c at and beside the median crossing (for q_cdf at c, for q_pmf at 2c) and
-# within 1e-4 either side, at each saturation exit 40 * 2^-k of the expm1 pass
+# within 1e-4 either side, at 40 * 2^-k, where -expm1(-2^k c) reaches 1.0
 # (k = 33, 34 past the 32 coefficients), where 2^k c crosses exp's
 # underflow, and at the ends of the float range
 ONE_PASS_C = sorted({
@@ -504,6 +493,28 @@ def test_scalar_series_against_mpmath():
     assert checked > 600
 
 
+def test_cdf_from_one_on_within_1_eps_of_mpmath():
+    # 1 - P(S > t) against 60 digits, relative, at 321 points of [1, 21]
+    # and at every q_tail of the grids with t = 2^(eta - j) >= 1 (0.57 eps
+    # measured; the expm1 series it replaced reached 4.48 eps)
+    mp = pytest.importorskip("mpmath")
+
+    def within_1_eps(got, t):
+        ref = _mp_cdf(t)
+        return abs(mp.mpf(got) - ref) <= EPS * ref
+
+    for t in (1.0 + i / 16 for i in range(321)):
+        assert within_1_eps(s_infinity_cdf(t), t), t
+    checked = 0
+    for eta in ETA_GRID:
+        for j in J_GRID:
+            t = _c(eta, j - 1)
+            if t >= 1.0:
+                assert within_1_eps(q_tail(eta, j), t), (eta, j)
+                checked += 1
+    assert checked > 200
+
+
 def test_q_pmf_against_mpmath_including_left_tail():
     # absolute error, at every eta of ETA_GRID
     mp = pytest.importorskip("mpmath")
@@ -577,12 +588,14 @@ def test_scalar_inputs_numpy_scalars_and_0d_arrays():
     assert q_cdf(np.float64(0.3), np.int64(2)) == q_cdf(0.3, 2)
     assert q_pmf(np.float64(0.3), np.float64(2.5)) == q_pmf(0.3, 2)
     assert q_tail(np.float64(0.3), np.int32(2)) == q_tail(0.3, 2)
-    assert s_infinity_cdf(1e300) == s_infinity_cdf(math.inf) == 1.0
-    assert s_infinity_sf(math.inf) == 0.0
+    assert (s_infinity_cdf(1e300) == s_infinity_cdf(math.inf)
+            == s_infinity_cdf(10 ** 400) == 1.0)
+    assert s_infinity_sf(math.inf) == s_infinity_sf(10 ** 400) == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, -0.1, -math.inf, np.float64(-1.0),
-                                 np.array(math.nan)])
+                                 np.array(math.nan),
+                                 pytest.param(-10 ** 400, id="-10**400")])
 def test_scalar_series_reject_negative_and_nan(bad):
     with pytest.raises(ValueError):
         s_infinity_cdf(bad)

@@ -26,11 +26,7 @@ from renewal_dst import (
     tv_distance,
     tv_to_limit,
 )
-from renewal_dst.metrics import (
-    empirical_cdf_jumps,
-    limit_pmf_window,
-    ks_discrete_vs_continuous,
-)
+from renewal_dst.metrics import limit_pmf_window
 from renewal_dst.renewal import (
     MAX_EXACT_KS_N,
     _block_bound,
@@ -43,6 +39,8 @@ from renewal_dst.renewal import (
 )
 from renewal_dst.lifetimes import sample_lifetime
 from renewal_dst.rng import stream_rng
+
+from _oracles import empirical_cdf_jumps, ks_discrete_vs_continuous
 
 DST = GeometricDst()
 
@@ -301,6 +299,17 @@ def test_simulate_count_validation():
         simulate_count(DST, 10.0, 0, stream_rng(1))
     with pytest.raises(ValueError):
         simulate_count(DST, 0.0, 10, stream_rng(1))
+
+
+@pytest.mark.parametrize("family", [DST, ScaledBase(2.0)],
+                         ids=["geometric", "scaled-base"])
+def test_simulate_count_rejects_infinite_horizon(family):
+    # an infinite horizon would never end the draws: refused before the first
+    for t in (math.inf, math.nan):
+        rng = stream_rng(1)
+        with pytest.raises(ValueError, match="finite"):
+            simulate_count(family, t, 3, rng)
+        assert rng.random() == stream_rng(1).random()
 
 
 def scaled_sum_sample(family, n, samples, rng):
@@ -650,7 +659,9 @@ def test_level_gaps_sum_to_the_mean_gap(n):
     lo, masses, _ = limit_pmf_window(eta, -40, 60)
     q_mean = math.fsum(j * m for j, m in enumerate(masses.tolist(), lo))
     law = depth_distribution_exact(n)
-    dp_gap = law.mean() - floor_log2(n) - q_mean
+    law_mean = math.fsum(j * m for j, m in enumerate(law.masses.tolist(),
+                                                      law.offset))
+    dp_gap = law_mean - floor_log2(n) - q_mean
     assert _mean_gap(n) == pytest.approx(dp_gap, rel=0, abs=1e-13)
 
 
