@@ -23,13 +23,7 @@ import numpy as np
 
 from .limit_law import q_cdf, q_pmf, q_tail
 from .pmf import IntPmf
-from .renewal import (
-    _level_gaps,
-    depth_distribution_exact,
-    floor_log2,
-    frac_log2,
-    ks_scaled_sum_exact,
-)
+from .renewal import _level_gaps, frac_log2, ks_scaled_sum_exact
 
 MAX_TV_N = 2 ** 53         # n is exact in binary64, and so is n 2^-l
 _EPS = 2.0 ** -52
@@ -153,24 +147,35 @@ def tv_to_limit(n: int) -> tuple[float, float]:
 
 
 def pmf_gap_bound_check(t: int, j: int) -> tuple[float, float]:
-    """Pointwise gap |P(N_t - k(t) = j) - Q_eta({j})| and its KS bound.
+    """Pointwise gap |P(X_t - k = j) - Q_eta({j})| and its KS bound.
 
-    The bound is phi(k+j) + phi(k+j+1) with phi(m) the exact KS distance of
-    the scaled sum at m, plus both reported truncation bounds, which count
-    the mass past the cap and the float error of the KS value, so the
-    comparison is certified. Callers assert lhs <= rhs.
+    With l = k + j, k = floor(log2 t), the gap is exactly
+    |Delta_l - Delta_(l+1)| for the level gaps
+    Delta_l = P(X_t >= l) - P(Q_eta >= l - k) of ``renewal._level_gaps``:
+    no depth law and no Q_eta mass, for any 1 <= t <= 2^53. The right side
+    is phi(l) + phi(l+1), phi(m) the exact KS distance of the scaled sum at
+    m <= 22, plus both reported truncation bounds (the mass past the cap
+    and the KS value's float error) and the levels' error bounds
+    e_l + e_(l+1), which cover the difference's rounding too (their row-sum
+    bound is taken at twice the rounding). A level above the top k + 16
+    (j >= 16 at t < 64) reads 0 with error 2^-104: both tails there are at
+    most 2^-105 (``_tv_with_slack``). So lhs > rhs certifies that the gap
+    exceeds the KS pair; callers assert lhs <= rhs.
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    k = floor_log2(t)
-    eta = frac_log2(t)
-    if k + j < 1:
-        raise ValueError(f"k(t) + j must be >= 1, got {k + j}")
-    law = depth_distribution_exact(t)
-    lhs = abs(law.prob(k + j) - q_pmf(eta, j))
-    phi1, tb1 = ks_scaled_sum_exact(k + j)
-    phi2, tb2 = ks_scaled_sum_exact(k + j + 1)
-    return lhs, phi1 + phi2 + tb1 + tb2
+    t, j = operator.index(t), operator.index(j)
+    if not 1 <= t <= MAX_TV_N:
+        raise ValueError(f"t must be in [1, {MAX_TV_N}], got {t}")
+    level = t.bit_length() - 1 + j
+    if level < 1:
+        raise ValueError(f"k(t) + j must be >= 1, got {level}")
+    phi1, tb1 = ks_scaled_sum_exact(level)
+    phi2, tb2 = ks_scaled_sum_exact(level + 1)
+    gaps, err = _level_gaps(t)
+    above = max(level + 2 - gaps.size, 0)
+    gaps = np.pad(gaps, (0, above))
+    err = np.pad(err, (0, above), constant_values=2.0 ** -104)
+    lhs = abs(float(gaps[level] - gaps[level + 1]))
+    return lhs, phi1 + phi2 + tb1 + tb2 + float(err[level] + err[level + 1])
 
 
 KINDS = ("tv_limit", "ks_scaled")

@@ -55,7 +55,6 @@ _EXACT_STAY = 53           # 1 - 2^(-k) is exact in binary64 for k < 53
 _SCALE = 2.0 ** 500        # the DP's powers of T are kept times _SCALE
 _FLUSH = 2.0 ** (500 - 1074)   # scaled entries below it unscale under 2^-1074
 _KS_SPLIT = 16             # sub-blocks per block at each KS search level
-_KS_CHUNK = 1 << 14        # 32 x points per KS evaluation; memory is O(chunk)
 _LEVELS_ABOVE = 16         # _level_gaps' levels past floor(log2 n)
 _EPS = 2.0 ** -52
 
@@ -107,7 +106,8 @@ def depth_distribution_exact(n: int) -> IntPmf:
     below 1e-300 are trimmed. The result's ``truncation`` is the trimmed mass
     plus |1 - sum| of the stored masses: the clipped mass (below 1e-300 for
     any reachable n) and the rounding drift in either direction (about 1e-15
-    up to 2^26), so the slack that ``tv_vs_limit`` adds counts the drift.
+    up to 2^26). No distance of the package reads this law: the TV rows and
+    ``metrics.pmf_gap_bound_check`` read ``_level_gaps``.
     """
     n = operator.index(n)
     if n < 0:
@@ -384,18 +384,13 @@ def ks_scaled_sum_exact(n: int, cap_multiplier: int = 8) -> tuple[float, float]:
     starts = np.array([n])
     while width > 1 and starts.size:  # until no live block is left
         sub = max(width // _KS_SPLIT, 1)
-        steps = np.arange(0, width + 1, sub)
-        per_chunk = _KS_CHUNK // (_RATE.shape[1] * steps.size)
-        kept, bounds = [], []
-        for at in range(0, starts.size, per_chunk):
-            points = np.minimum(starts[at:at + per_chunk, None] + steps, j_max)
-            gaps, curvature = _ks_values(level, points)
-            ks = max(ks, float(gaps.max()))
-            bound = _block_bound(gaps, curvature, sub)
-            live = (bound + 2 * r > ks) & (points[:, :-1] < j_max)
-            kept.append(points[:, :-1][live])
-            bounds.append(bound[live])
-        starts = np.concatenate(kept)[np.concatenate(bounds) + 2 * r > ks]
+        points = np.minimum(
+            starts[:, None] + np.arange(0, width + 1, sub), j_max)
+        gaps, curvature = _ks_values(level, points)
+        ks = max(ks, float(gaps.max()))
+        bound = _block_bound(gaps, curvature, sub)
+        live = (bound + 2 * r > ks) & (points[:, :-1] < j_max)
+        starts = points[:, :-1][live]
         width = sub
     # the tails past the cap: L(j_max) and T(j_max) = L(j_max) - G+(j_max)
     limit = s_infinity_sf(float(cap_multiplier))

@@ -132,9 +132,12 @@ def test_criterion_6_tail_bounds():
 
 def test_criterion_7_pointwise_gap_sandwich():
     t0 = time.perf_counter()
-    for j in range(-2, 6):
-        lhs, rhs = pmf_gap_bound_check(2 ** 10, j)
-        assert lhs <= rhs, (j, lhs, rhs)
+    cases = ([(2 ** 10, j) for j in range(-2, 6)]
+             + [(2 ** 20 + 1, j) for j in range(-2, 2)]
+             + [(3 * 2 ** 17 + 5, j) for j in range(-4, 4)])
+    for t, j in cases:
+        lhs, rhs = pmf_gap_bound_check(t, j)
+        assert lhs <= rhs, (t, j, lhs, rhs)
     elapsed = time.perf_counter() - t0
     report(7, "pointwise gap bounded by KS pair", f"({elapsed:.1f} s)")
 

@@ -20,7 +20,7 @@ from renewal_dst import (
     tv_to_limit,
 )
 from renewal_dst.metrics import _tv_with_slack
-from renewal_dst.renewal import _ks_level, ks_scaled_sum_exact
+from renewal_dst.renewal import _ks_level, _level_gaps, ks_scaled_sum_exact
 
 from _oracles import empirical_cdf_jumps, ks_discrete_vs_continuous
 
@@ -183,10 +183,12 @@ def test_pmf_gap_bound_holds():
 def test_pmf_gap_bound_counts_ks_rounding():
     # the right side is both KS values plus both trunc_bounds, and each
     # trunc_bound adds the a priori float error r of its KS evaluation to
-    # the tail past the cap
+    # the tail past the cap; the two levels' error bounds come last
     t, j = 2 ** 10, 2
     (phi1, tb1), (phi2, tb2) = (ks_scaled_sum_exact(m) for m in (12, 13))
-    assert pmf_gap_bound_check(t, j)[1] == phi1 + phi2 + tb1 + tb2
+    err = _level_gaps(t)[1]
+    assert pmf_gap_bound_check(t, j)[1] == (phi1 + phi2 + tb1 + tb2
+                                            + float(err[12] + err[13]))
     for m, tb in ((12, tb1), (13, tb2)):
         assert tb - s_infinity_sf(8.0) >= 0.99 * _ks_level(m)[-1] > 0
 
@@ -196,6 +198,57 @@ def test_pmf_gap_bound_domain():
         pmf_gap_bound_check(2 ** 10, -10)
     with pytest.raises(ValueError):
         pmf_gap_bound_check(2 ** 10, 13)  # needs phi(24), past the exact range
+    for t in (0, 2 ** 53 + 1):
+        with pytest.raises(ValueError, match="t must be in"):
+            pmf_gap_bound_check(t, -40)
+    with pytest.raises(ValueError):
+        pmf_gap_bound_check(2 ** 53, -31)  # needs phi(23)
+    for j in (0.5, 1.0, np.float64(0)):
+        with pytest.raises(TypeError):
+            pmf_gap_bound_check(2 ** 10, j)
+    assert pmf_gap_bound_check(2 ** 10, np.int64(1)) == pmf_gap_bound_check(
+        2 ** 10, 1)
+    lhs, rhs = pmf_gap_bound_check(2 ** 53, -32)
+    assert lhs <= rhs
+
+
+# (t, j): closed-form levels, table levels (l > t + 1), levels past the top
+# k + 16, and one level on each side of the top
+_GAP_POINTS = [(1, 1), (1, 15), (1, 18), (3, 19), (5, 4), (40, 15), (40, 16),
+               (777, 1), (2 ** 10, 0), (2 ** 10, -2), (3 * 2 ** 17 + 5, 2),
+               (2 ** 20 + 1, -1), (3 * 2 ** 20 + 7, 0), (2 ** 26 - 1, -4)]
+
+
+@pytest.mark.parametrize("t, j", _GAP_POINTS)
+def test_pmf_gap_lhs_against_110_digit_level_gaps(t, j):
+    # lhs = |Delta_l - Delta_(l+1)|, l = k + j, is within the two levels'
+    # error bounds of the truth; a level past the top reads 0 with error
+    # 2^-104. 60 digits leave about 13 correct digits of Delta at (1, 15).
+    mp = pytest.importorskip("mpmath")
+    lhs, _ = pmf_gap_bound_check(t, j)
+    level = t.bit_length() - 1 + j
+    err = _level_gaps(t)[1]
+    bound = sum(float(err[m]) if m < err.size else 2.0 ** -104
+                for m in (level, level + 1))
+    gaps = _mp_level_gaps(t, 110)
+    with mp.workdps(110):
+        assert abs(mp.mpf(lhs) - abs(gaps[level] - gaps[level + 1])) <= bound
+
+
+def test_pmf_gap_check_needs_no_depth_law_and_no_q_pmf(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the pointwise gap built a depth law or a mass")
+
+    for module, name in ((renewal_dst.renewal, "depth_distribution_exact"),
+                         (renewal_dst.metrics, "q_pmf"),
+                         (renewal_dst.metrics, "frac_log2")):
+        monkeypatch.setattr(module, name, refused)
+    cases = ([(2 ** 10, j) for j in range(-2, 6)]
+             + [(2 ** 20 + 1, j) for j in range(-2, 2)]
+             + [(3 * 2 ** 30, -12), (2 ** 53 - 1, -31)])
+    for t, j in cases:
+        lhs, rhs = pmf_gap_bound_check(t, j)
+        assert 0.0 <= lhs <= rhs, (t, j, lhs, rhs)
 
 
 def test_rate_report_rows_and_checks():
@@ -271,15 +324,15 @@ def _mp_products(dps):
         return rise, fall, [rise[-1] * f for f in fall[:40]]
 
 
-def _mp_level_sum_tv(n, dps=60):
-    """d_TV(X_n - floor(log2 n), Q_eta) as a dps-digit sum over levels.
+def _mp_level_gaps(n, dps=60):
+    """Delta_l = P(X_n >= l) - P(Q_eta >= l - k), l = 0..floor(log2 n) + 25,
+    in dps digits.
 
     Built from the product formulas alone: Delta_l = L - T with
     L = P(S > n 2^-l) = sum_k a_k exp(-2^(k-l) n) and T = P(S_l > n) =
     sum_{i=2..l} B_i q_i^(n-l+1), where B_i = q_i^(l-2) rise[i-2] fall[l-i]
     (so B_i q_i^(n-l+1) = rise[i-2] fall[l-i] q_i^(n-1)), and T = 1 past
-    l = n + 1. Levels run to floor(log2 n) + 25; the pmf gaps beyond carry
-    under 2^-250.
+    l = n + 1.
     """
     mp = pytest.importorskip("mpmath")
     rise, fall, a = _mp_products(dps)
@@ -294,6 +347,15 @@ def _mp_level_sum_tv(n, dps=60):
             tail = 1 if l > n + 1 else mp.fsum(
                 rise[i - 2] * fall[l - i] * powers[i] for i in range(2, l + 1))
             gaps.append(lim - tail)
+        return gaps
+
+
+def _mp_level_sum_tv(n, dps=60):
+    """d_TV(X_n - floor(log2 n), Q_eta) as a dps-digit sum over the levels
+    of ``_mp_level_gaps``; the pmf gaps beyond them carry under 2^-250."""
+    mp = pytest.importorskip("mpmath")
+    gaps = _mp_level_gaps(n, dps)
+    with mp.workdps(dps):
         return (abs(gaps[0])
                 + mp.fsum(abs(x - y) for x, y in zip(gaps, gaps[1:]))) / 2
 
@@ -332,8 +394,8 @@ def test_tv_rows_need_no_depth_law_and_no_window(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the TV rows built a depth law or a Q_eta window")
 
+    assert not hasattr(renewal_dst.metrics, "depth_distribution_exact")
     for module, name in ((renewal_dst.renewal, "depth_distribution_exact"),
-                         (renewal_dst.metrics, "depth_distribution_exact"),
                          (renewal_dst.metrics, "limit_pmf_window")):
         monkeypatch.setattr(module, name, refused)
     tv, eta = tv_to_limit(3 * 2 ** 20)
