@@ -42,7 +42,6 @@ from .metrics import (
 )
 from .pmf import IntPmf
 from .renewal import (
-    centered_count_distribution,
     depth_distribution_exact,
     ks_scaled_sum_exact,
     sample_scaled_limit,
@@ -61,7 +60,6 @@ __all__ = [
     "IntPmf",
     "ScaledBase",
     "build",
-    "centered_count_distribution",
     "check_rate_report",
     "depth_distribution_exact",
     "knuth_corpus",

@@ -30,8 +30,8 @@ from .lifetimes import GeometricDst, ScaledBase
 from .limit_law import q_cdf, q_pmf, q_tail
 from .metrics import (
     REPORT_COLUMNS,
-    _limit_window,
     check_rate_report,
+    limit_pmf_window,
     rate_report,
     rate_rows,
     tv_distance,
@@ -42,7 +42,7 @@ from .metrics import (
 from .pmf import IntPmf
 from .renewal import (
     MAX_EXACT_KS_N,
-    centered_count_distribution,
+    depth_distribution_exact,
     floor_log2,
     frac_log2,
     sample_scaled_limit,
@@ -155,14 +155,16 @@ def cmd_limit_law(args) -> int:
 def cmd_depth_dist(args) -> int:
     if args.n is None:
         raise UsageError("--n is required")
-    law, eta = centered_count_distribution(args.n)
-    lo, qmasses, _ = _limit_window(law, eta)
-    tv = tv_to_limit(args.n)[0]
+    # the centred law: level j + k of the depth law, k = floor(log2 n)
+    k = floor_log2(args.n)
+    law = depth_distribution_exact(args.n)
+    tv, eta = tv_to_limit(args.n)
+    lo, qmasses, _ = limit_pmf_window(eta, min(law.offset - k, -8),
+                                      max(law.support_max - k, 10))
     rows = []
-    for i, qm in enumerate(qmasses):
-        j = lo + i
-        ex = law.prob(j)
-        rows.append((j, ex, float(qm), abs(ex - float(qm))))
+    for j, qm in enumerate(qmasses.tolist(), lo):
+        ex = law.prob(j + k)
+        rows.append((j, ex, qm, abs(ex - qm)))
     meta = {"command": "depth-dist", "version": __version__,
             "seed": args.seed, "n": args.n, "eta": _cell(eta)}
     if args.format == "csv":
@@ -210,8 +212,6 @@ def cmd_dst_demo(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     grid = _parse_grid(args.n_grid or _GRID_DEFAULTS["simulate"])
     try:
         float(grid[-1])
@@ -259,8 +259,6 @@ def cmd_converge(args) -> int:
         raise UsageError(f"tv grid limited to n <= {MAX_TV_N}")
     if kind == "ks_scaled" and grid[-1] > MAX_EXACT_KS_N:
         raise UsageError(f"ks grid limited to n <= {MAX_EXACT_KS_N}")
-    if grid[0] < 1:
-        raise UsageError("grid must start at n >= 1")
     rows = rate_report(grid, kind)
     meta = {"command": "converge", "version": __version__,
             "seed": args.seed, "kind": args.kind,

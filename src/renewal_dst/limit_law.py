@@ -30,8 +30,9 @@ with |log2 P|, and |s| stays under 5 on every piece, so its rounding stays
 small. Against mpmath the value is within 4 eps relative (2.1 eps measured
 over every piece), and within half the least subnormal where it rounds into
 the subnormal range. Below 2^-43 the truth is under 2^-1094, and 0.0 is
-returned. The table serves s_infinity_cdf(t) and q_tail for t < 1, q_cdf's
-complement 1 - P(S <= c) for c < _MEDIAN_C, and q_pmf as
+returned. The table serves s_infinity_cdf(t) and q_tail for t < 1, the
+complement 1 - P(S <= c) for c < _MEDIAN_C that q_cdf and s_infinity_sf
+read through _sf, and q_pmf as
 P(S <= 2c) - P(S <= c) while 2c < 1, where the first term dominates and
 the difference keeps relative accuracy.
 
@@ -47,6 +48,8 @@ to 0.0, which does not change the fsum. From t = 1 on, P(S <= t) is
 1 - _sf_terms(t, a) (_cdf): there P(S > t) < 1/2 < P(S <= t), as the median
 of S is 0.873, so the subtraction adds one rounding and magnifies no error.
 Against 60-digit mpmath it is within 0.57 eps over 321 points in [1, 21].
+P(S > c) mirrors it (_sf, which q_cdf and s_infinity_sf share): the
+series _sf_terms(c, a) from the median on, 1 - the table below it.
 
 A Q_eta mass P(S > c) - P(S > 2c) is one series of the same form,
 sum_{k=1..33} d_k exp(-2^k c) with d_k = a_k - a_{k-1} (a_0 = a_33 = 0).
@@ -78,27 +81,20 @@ from ._s_table import ROWS
 
 
 @lru_cache(maxsize=1)
-def euler_b() -> float:
-    """The normalizer b = prod_{j>=1} (1 - 2^(-j))^(-1) ~ 3.4627466194550636.
-
-    Factors j = 1..53 are multiplied; every later factor rounds to 1.0 in
-    binary64, so the float product is complete.
-    """
-    return 1.0 / math.prod(1.0 - 2.0 ** -j for j in range(1, 54))
-
-
-@lru_cache(maxsize=1)
 def mixture_coefficients() -> tuple[float, ...]:
     """a_1..a_32 of L(S) = sum_k a_k Exp(2^k), built once and cached.
 
-    a_1 = b and a_{k+1} = a_k / (1 - 2^k). Not a probability mixture: signs
-    strictly alternate starting positive, |a_{k+1}| / |a_k| = 1/(2^k - 1),
-    and the coefficients sum to 1. Each float a_k is within 2 eps
-    (eps = 2^-52) of its exact value, 1.6 eps at most against mpmath;
-    every operation is a correctly rounded IEEE one, so that holds on every
-    platform, and the rounding bounds of the TV rows rest on it.
+    a_1 = b = prod_{j>=1} (1 - 2^(-j))^(-1) ~ 3.4627466194550636, a product
+    over j = 1..53: every later factor rounds to 1.0 in binary64, so the
+    float product is complete. a_{k+1} = a_k / (1 - 2^k). Not a probability
+    mixture: signs strictly alternate starting positive,
+    |a_{k+1}| / |a_k| = 1/(2^k - 1), and the coefficients sum to 1. Each
+    float a_k is within 2 eps (eps = 2^-52) of its exact value, 1.6 eps at
+    most against mpmath; every operation is a correctly rounded IEEE one,
+    so that holds on every platform, and the rounding bounds of the TV rows
+    rest on it.
     """
-    a = [euler_b()]
+    a = [1.0 / math.prod(1.0 - 2.0 ** -j for j in range(1, 54))]
     for k in range(1, 32):
         a.append(a[-1] / (1.0 - 2.0 ** k))
     return tuple(a)
@@ -130,7 +126,7 @@ def _sf_terms(c: float, a) -> float:
 
 
 # The least float c with _sf_terms(c) <= 1/2; the median of S is 1.9e-17
-# above it. Below it q_cdf reads the complement from the table.
+# above it. Below it _sf reads the complement from the table.
 _MEDIAN_C = 0.8727617307746323
 
 
@@ -174,6 +170,14 @@ def _cdf(t: float) -> float:
             else 1.0 - _sf_terms(t, mixture_coefficients()))
 
 
+def _sf(c: float) -> float:
+    """P(S > c) for a checked c: the direct series, which has no
+    cancellation, from the median on (c >= _MEDIAN_C, the side where the
+    series is at most 1/2), 1 - the table's P(S <= c) below it."""
+    return (1.0 - _table_cdf(c) if c < _MEDIAN_C
+            else _sf_terms(c, mixture_coefficients()))
+
+
 def s_infinity_cdf(t):
     """P(S <= t): the piece table for t < 1, where the value decays
     superexponentially (P(S <= 2^(-j)) <= 2^(-j(j-1)/2)), and
@@ -191,8 +195,9 @@ def s_infinity_cdf(t):
 
 
 def s_infinity_sf(x: float) -> float:
-    """Upper tail P(S > x) = sum_k a_k exp(-2^k x), stable for large x."""
-    return _sf_terms(_checked(x, "x"), mixture_coefficients())
+    """Upper tail P(S > x): 1 - P(S <= x) from the table below the median
+    0.873, sum_k a_k exp(-2^k x) from it on, where it is at most 1/2."""
+    return _sf(_checked(x, "x"))
 
 
 def _limit(x, name: str, low: float, high: float) -> float:
@@ -206,20 +211,16 @@ def q_cdf(eta: float, x) -> float:
     """P(Q_eta <= x) = sum_k a_k exp(-2^k c), c = 2^(eta - 1 - x), integer x.
 
     Real x is answered at floor(x); the law is integer-supported, and
-    x = -inf / +inf give 0 / 1. Below the median (c >= _MEDIAN_C) one pass
-    of the direct series, which has no cancellation; past it 1 minus the
-    table's P(S <= c), which keeps the CDF nondecreasing in floating point
-    all the way into the flat-at-1 region. The side is the one the direct
-    value would pick (_sf_terms(c) <= 1/2).
+    x = -inf / +inf give 0 / 1. The value is P(S > c) as s_infinity_sf
+    reads it (_sf); its table side past the median keeps the CDF
+    nondecreasing in floating point all the way into the flat-at-1 region.
     """
     _check_eta(eta)
     try:
         c = math.ldexp(2.0 ** eta, -1 - math.floor(x))
     except (OverflowError, ValueError):     # x is -inf, +inf or NaN, or c is
         return _limit(x, "x", 0.0, 1.0)     # past the float range (x << 0)
-    if c < _MEDIAN_C:
-        return 1.0 - _table_cdf(c)
-    return _sf_terms(c, mixture_coefficients())
+    return _sf(c)
 
 
 def q_pmf(eta: float, j) -> float:

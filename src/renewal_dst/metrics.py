@@ -78,17 +78,13 @@ def limit_pmf_window(eta: float, lo: int,
     return lo, masses, q_cdf(eta, lo - 1) + q_tail(eta, hi + 1)
 
 
-def _limit_window(pmf: IntPmf, eta: float) -> tuple[int, np.ndarray, float]:
-    """``limit_pmf_window`` over pmf's support and at least [-8, 10]."""
-    return limit_pmf_window(eta, min(pmf.support_min, -8),
-                            max(pmf.support_max, 10))
-
-
 def tv_vs_limit(pmf: IntPmf, eta: float) -> tuple[float, float]:
     """Certified d_TV(pmf, Q_eta): (upper bound, slack included in it).
 
-    The slack is half of: the mass Q_eta carries off the window, the pmf's
-    own truncation, and _MASS_ERR = 24 eps (eps = 2^-52) per window mass.
+    Q_eta is read on the window of ``limit_pmf_window`` that spans pmf's
+    support and at least [-8, 10]. The slack is half of: the mass Q_eta
+    carries off the window, the pmf's own truncation, and
+    _MASS_ERR = 24 eps (eps = 2^-52) per window mass.
     A mass q_pmf(eta, j) is within 23 eps of Q_eta({j}). Its argument
     c = 2^(eta - 1 - j) carries the rounding of 2.0**eta, at most eps
     relative, which moves P(S > c) - P(S > 2c) by at most
@@ -103,7 +99,8 @@ def tv_vs_limit(pmf: IntPmf, eta: float) -> tuple[float, float]:
     the mass's share of the rounding of the l1 sum: n - 1 roundings of a
     sum at most 2.
     """
-    lo, qm, outside = _limit_window(pmf, eta)
+    lo, qm, outside = limit_pmf_window(eta, min(pmf.offset, -8),
+                                       max(pmf.support_max, 10))
     slack = 0.5 * (outside + pmf.truncation + qm.size * _MASS_ERR)
     tv = tv_distance(pmf, IntPmf(lo, qm, truncation=outside)) + slack
     return tv, slack

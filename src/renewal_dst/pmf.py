@@ -51,10 +51,6 @@ class IntPmf:
         return cls(lo, counts / (v.size / (1.0 - truncation)), truncation)
 
     @property
-    def support_min(self) -> int:
-        return self.offset
-
-    @property
     def support_max(self) -> int:
         return self.offset + len(self.masses) - 1
 
@@ -66,16 +62,6 @@ class IntPmf:
 
     def total(self) -> float:
         return float(self.masses.sum())
-
-    def shift(self, d: int) -> "IntPmf":
-        return IntPmf(self.offset + d, self.masses, self.truncation)
-
-    def tail_ge(self, j: int) -> float:
-        """P(X >= j), exact over the stored support."""
-        i = max(j - self.offset, 0)
-        if i >= len(self.masses):
-            return 0.0
-        return float(self.masses[i:].sum())
 
     def trim(self, eps: float = 0.0) -> "IntPmf":
         """Drop edge masses <= eps, folding them into ``truncation``."""

@@ -4,8 +4,8 @@ The DST lifetime family admits an exact engine: the renewal count observed at
 integer times is a pure-birth Markov chain on levels, started at 0, moving up
 from level k with probability 2^(-k) per step. Forward dynamic programming
 over that chain yields the exact law of the count after n steps, and through
-the identity P(S_j <= t) = P(X_t >= j) the exact partial-sum CDFs:
-``depth_distribution_exact(t).tail_ge(j)``.
+the identity P(S_j <= t) = P(X_t >= j) the exact partial-sum CDFs, the
+mass ``depth_distribution_exact(t)`` puts on levels j and up.
 The n-step law is read off the one-step matrix T raised to the n-th power
 by binary powering, about 2 log2(n) small matrix products instead of n
 steps. The diagonal of each square T^m is reset to its closed form
@@ -146,15 +146,8 @@ def floor_log2(n: int) -> int:
 
 def frac_log2(n: int) -> float:
     """Fractional part of log2 n; exactly 0.0 for powers of two."""
-    return math.log2(n) - floor_log2(n)
-
-
-def centered_count_distribution(n: int) -> tuple[IntPmf, float]:
-    """Exact law of X_n - floor(log2 n), with eta = frac(log2 n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    law = depth_distribution_exact(n)
-    return law.shift(-floor_log2(n)), frac_log2(n)
+    k = floor_log2(n)   # checks n before log2 can fail on it
+    return math.log2(n) - k
 
 
 def simulate_count(family: GeometricDst | ScaledBase, t: float,

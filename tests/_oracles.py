@@ -1,8 +1,9 @@
 """Reference oracles the tests compare the package against.
 
 None of these is used by a command: the empirical KS distance checks
-samplers against s_infinity_cdf, and the geometric pmf checks the DST
-lifetime sampler.
+samplers against s_infinity_cdf, the geometric pmf checks the DST
+lifetime sampler, and the upper tail of an IntPmf reads the partial-sum
+CDFs off the exact depth law.
 """
 
 import numpy as np
@@ -37,6 +38,14 @@ def empirical_cdf_jumps(sample) -> tuple[np.ndarray, np.ndarray]:
     s = np.sort(np.asarray(sample, dtype=float))
     pts = np.unique(s)
     return pts, np.searchsorted(s, pts, side="right") / s.size
+
+
+def tail_ge(pmf, j: int) -> float:
+    """P(X >= j) of an IntPmf, exact over its stored support."""
+    i = max(j - pmf.offset, 0)
+    if i >= len(pmf.masses):
+        return 0.0
+    return float(pmf.masses[i:].sum())
 
 
 def geometric_pmf(k: int, j: int) -> float:

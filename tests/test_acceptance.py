@@ -154,7 +154,7 @@ def test_criterion_8_monte_carlo_agreement():
                                    stream_rng(20070201, 14))
     assert emp.truncation == 0.0
     exact = depth_distribution_exact(100)
-    lo = min(emp.support_min, exact.support_min)
+    lo = min(emp.offset, exact.offset)
     hi = max(emp.support_max, exact.support_max)
     for j in range(lo, hi + 1):
         p = exact.prob(j)

@@ -332,6 +332,22 @@ def test_request_too_big_one_error_line(tmp_path, capsys, argv):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# a bad first grid point or sample count: the library refuses it at the
+# first row, before any output is written
+@pytest.mark.parametrize("argv", [
+    ("depth-dist", "--n", "0"),
+    ("simulate", "--samples", "0"),
+    ("converge", "--kind", "tv", "--n-grid", "0:3:1"),
+    ("converge", "--kind", "ks", "--n-grid", "0:3:1"),
+], ids=["depth-dist-n", "simulate-samples", "converge-tv", "converge-ks"])
+def test_bad_first_point_one_error_line(tmp_path, capsys, argv):
+    code, data = run(tmp_path, *argv)
+    assert code == 2 and data == b""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_unknown_command_exits_2(tmp_path):
     assert main(["frobnicate"]) == 2
 
@@ -409,12 +425,11 @@ def test_package_exports_resolve():
 # names no command needs: reachable from their modules, not the package
 _MODULE_ONLY = {
     "dst": ["parse_corpus"],
-    "limit_law": ["euler_b"],
 }
 
 
 def test_module_only_names_stay_off_the_package():
-    assert len(renewal_dst.__all__) == 30
+    assert len(renewal_dst.__all__) == 29
     for module, names in _MODULE_ONLY.items():
         mod = importlib.import_module(f"renewal_dst.{module}")
         for name in names:

@@ -29,7 +29,6 @@ from renewal_dst.limit_law import (
     _q_table,
     _sf_terms,
     _table_cdf,
-    euler_b,
 )
 from renewal_dst.metrics import limit_pmf_window, tv_vs_limit
 from renewal_dst.rng import stream_rng
@@ -37,8 +36,8 @@ from renewal_dst.rng import stream_rng
 from _oracles import empirical_cdf_jumps, ks_discrete_vs_continuous
 
 
-def test_euler_b_value():
-    b = euler_b()
+def test_b_value():
+    b = mixture_coefficients()[0]
     assert 3.4627466 < b < 3.4627467
     assert b > 1.0
     recip = math.prod(1 - 2.0 ** -j for j in range(1, 65))
@@ -47,9 +46,10 @@ def test_euler_b_value():
 
 def test_mixture_coefficients():
     a = mixture_coefficients()
-    b = euler_b()
+    b = a[0]
     assert len(a) == 32 and mixture_coefficients() is a
-    assert a[0] == b
+    # b = a_1 is the float product over j = 1..53, bit for bit
+    assert b == 1.0 / math.prod(1.0 - 2.0 ** -j for j in range(1, 54))
     assert a[1] == -b
     assert a[2] == pytest.approx(b / 3, rel=1e-15)
     for k in range(1, 32):
@@ -326,13 +326,15 @@ J_GRID = range(-10, 15)
 @pytest.mark.parametrize("order", [1, 5, 32])
 def test_scalar_s_infinity_bit_identical_to_termwise_loop(order):
     # the kernel on prefixes of the one coefficient tuple; the full tuple is
-    # what s_infinity_sf uses, and s_infinity_cdf from t = 1 on, as 1 minus
-    # it (below 1 it reads the piece table, checked against mpmath)
+    # what s_infinity_sf uses from the median on (below it, 1 minus the
+    # piece table), and s_infinity_cdf from t = 1 on, as 1 minus it (below
+    # 1 it reads the piece table, checked against mpmath)
     a = mixture_coefficients()[:order]
     for t in T_GRID + [0.0, 5e-324, 1e-300, 1e300, math.inf]:
         assert _sf_terms(t, a) == _ref_sf(t, a), t
         if order == 32:
-            assert s_infinity_sf(t) == _ref_sf(t, a), t
+            sf = 1.0 - _table_cdf(t) if t < _MEDIAN_C else _ref_sf(t, a)
+            assert s_infinity_sf(t) == sf, t
             if t >= 1.0:
                 assert s_infinity_cdf(t) == 1.0 - _ref_sf(t, a), t
             else:
@@ -513,6 +515,36 @@ def test_cdf_from_one_on_within_1_eps_of_mpmath():
                 assert within_1_eps(q_tail(eta, j), t), (eta, j)
                 checked += 1
     assert checked > 200
+
+
+def test_sf_within_1_eps_of_mpmath():
+    # P(S > t) against 60 digits, relative, at t = 2^(e/8), e = -240..64:
+    # 1 minus the piece table below the median, the series from it on
+    # (0.88 eps measured; the series alone reached 2.74 eps at t = 0.0241)
+    mp = pytest.importorskip("mpmath")
+    a = _mp_mixture(60)
+    with mp.workdps(60):
+        for e in range(-240, 65):
+            t = 2.0 ** (e / 8)
+            ref = mp.fsum(ak * mp.exp(-mp.ldexp(t, k))
+                          for k, ak in enumerate(a, start=1))
+            assert abs(mp.mpf(s_infinity_sf(t)) - ref) <= EPS * ref, t
+
+
+def test_q_cdf_is_s_infinity_sf_at_its_c():
+    # one source for P(S > c): q_cdf(eta, x) is s_infinity_sf at its own
+    # c = 2^(eta - 1 - floor(x)), bit for bit, on both sides of the median
+    rng = np.random.default_rng(28)
+    pairs = [(eta, x) for eta in ETA_GRID for x in J_GRID]
+    pairs += [(eta, 0) for eta in _near(1.0 + math.log2(_MEDIAN_C))]
+    pairs += zip(rng.random(2000).tolist(),
+                 (rng.integers(-12, 60, 2000) + rng.random(2000)).tolist())
+    sides = set()
+    for eta, x in pairs:
+        c = _c(eta, x)
+        assert q_cdf(eta, x).hex() == s_infinity_sf(c).hex(), (eta, x)
+        sides.add(c < _MEDIAN_C)
+    assert sides == {True, False}
 
 
 def test_q_pmf_against_mpmath_including_left_tail():

@@ -301,10 +301,7 @@ def test_int_pmf_validation_and_helpers():
         IntPmf(0, np.array([0.4, 0.4]))
     p = IntPmf(2, np.array([0.25, 0.0, 0.75]))
     assert p.prob(3) == 0.0 and p.prob(4) == 0.75
-    assert p.support_min == 2 and p.support_max == 4
-    assert p.tail_ge(4) == 0.75
-    shifted = p.shift(-2)
-    assert shifted.prob(2) == 0.75
+    assert p.offset == 2 and p.support_max == 4
     trimmed = IntPmf(0, np.array([0.0, 1.0, 1e-320])).trim(1e-300)
     assert trimmed.offset == 1 and len(trimmed.masses) == 1
 

@@ -14,7 +14,6 @@ from renewal_dst import (
     GeometricDst,
     IntPmf,
     ScaledBase,
-    centered_count_distribution,
     depth_distribution_exact,
     ks_scaled_sum_exact,
     mixture_coefficients,
@@ -40,7 +39,7 @@ from renewal_dst.renewal import (
 from renewal_dst.lifetimes import sample_lifetime
 from renewal_dst.rng import stream_rng
 
-from _oracles import empirical_cdf_jumps, ks_discrete_vs_continuous
+from _oracles import empirical_cdf_jumps, ks_discrete_vs_continuous, tail_ge
 
 DST = GeometricDst()
 
@@ -152,17 +151,15 @@ def test_exact_entry_points_accept_numpy_integers(cast):
     ref = depth_distribution_exact(1024)
     assert law.offset == ref.offset and law.truncation == ref.truncation
     assert np.array_equal(law.masses, ref.masses)
-    centered, eta = centered_count_distribution(cast(1024))
-    assert np.array_equal(centered.masses, ref.masses) and eta == 0.0
-    assert floor_log2(cast(1024)) == 10
+    assert floor_log2(cast(1024)) == 10 and frac_log2(cast(1024)) == 0.0
     assert tv_to_limit(cast(1024)) == tv_to_limit(1024)
     assert pmf_gap_bound_check(cast(64), 0) == pmf_gap_bound_check(64, 0)
 
 
 @pytest.mark.parametrize("call", [
     depth_distribution_exact,
-    centered_count_distribution,
     floor_log2,
+    frac_log2,
     tv_to_limit,
     lambda t: pmf_gap_bound_check(t, 0),
 ])
@@ -182,13 +179,13 @@ def test_depth_distribution_mass_and_support(n):
     # clipping threshold, so the support floor is only visible up to there
     law = depth_distribution_exact(n)
     assert law.total() == pytest.approx(1.0, abs=1e-12)
-    assert law.support_min == 1
+    assert law.offset == 1
     assert np.all(law.masses >= 0)
 
 
 def test_depth_distribution_clips_unrepresentable_left_tail():
     law = depth_distribution_exact(5000)
-    assert law.support_min > 1
+    assert law.offset > 1
     assert law.truncation < 1e-12
     assert law.total() == pytest.approx(1.0, abs=1e-12)
 
@@ -206,7 +203,7 @@ def test_depth_distribution_monotone_in_n():
     laws = [depth_distribution_exact(n) for n in range(0, 40)]
     for prev, cur in zip(laws, laws[1:]):
         for k in range(0, cur.support_max + 1):
-            assert cur.tail_ge(k) >= prev.tail_ge(k) - 1e-12
+            assert tail_ge(cur, k) >= tail_ge(prev, k) - 1e-12
 
 
 def _partial_sum_terms(n):
@@ -236,10 +233,10 @@ def _closed_form_cdf(n, t):
 
 def test_partial_sum_cdf_exact_values():
     # P(S_j <= t) = P(X_t >= j), read off the exact depth law
-    assert depth_distribution_exact(17).tail_ge(0) == pytest.approx(
+    assert tail_ge(depth_distribution_exact(17), 0) == pytest.approx(
         1.0, abs=1e-15)
-    assert depth_distribution_exact(0).tail_ge(1) == 0.0
-    assert depth_distribution_exact(2).tail_ge(2) == pytest.approx(
+    assert tail_ge(depth_distribution_exact(0), 1) == 0.0
+    assert tail_ge(depth_distribution_exact(2), 2) == pytest.approx(
         0.5, abs=1e-15)
 
 
@@ -249,7 +246,7 @@ def test_partial_sum_cdf_grid_matches_dp_identity():
     for n in (2, 3, 5, 8):
         for t in (n, n + 1, n + 3, 50, 200):
             assert _closed_form_cdf(n, t) == pytest.approx(
-                depth_distribution_exact(t).tail_ge(n), abs=1e-12)
+                tail_ge(depth_distribution_exact(t), n), abs=1e-12)
 
 
 def test_renewal_count_identity():
@@ -261,18 +258,28 @@ def test_renewal_count_identity():
         assert law.prob(j) == pytest.approx(gap, abs=1e-12)
 
 
-def test_centered_count_distribution():
-    law, eta = centered_count_distribution(1)
-    assert dict(law.items()) == {1: 1.0} and eta == 0.0
-    law, eta = centered_count_distribution(2)
-    assert law.prob(0) == pytest.approx(0.5) and law.prob(1) == pytest.approx(0.5)
-    assert eta == 0.0
-    law, eta = centered_count_distribution(3)
-    assert eta == pytest.approx(math.log2(3) - 1)
+def test_centred_count_law():
+    # X_n - k, k = floor(log2 n): level j + k of the depth law is atom j
+    law = depth_distribution_exact(1)
+    assert floor_log2(1) == 0 and frac_log2(1) == 0.0
+    assert dict(law.items()) == {1: 1.0}
+    law, k = depth_distribution_exact(2), floor_log2(2)
+    assert (law.prob(0 + k) == pytest.approx(0.5)
+            and law.prob(1 + k) == pytest.approx(0.5))
+    assert frac_log2(2) == 0.0
+    assert frac_log2(3) == pytest.approx(math.log2(3) - 1)
     for n in (2 ** 10, 2 ** 16, 2 ** 20, 2 ** 22):  # to depth-dist's limit
-        law, eta = centered_count_distribution(n)
-        assert eta == 0.0
-        assert law.total() == pytest.approx(1.0, abs=1e-12)
+        assert frac_log2(n) == 0.0
+        assert depth_distribution_exact(n).total() == pytest.approx(
+            1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_log2_helpers_reject_n_below_1(n):
+    # floor_log2 checks n before frac_log2 takes a log of it
+    for call in (floor_log2, frac_log2):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            call(n)
 
 
 def test_simulate_count_degenerate_horizons():
