@@ -32,14 +32,15 @@ over every piece), and within half the least subnormal where it rounds into
 the subnormal range. Below 2^-43 the truth is under 2^-1094, and 0.0 is
 returned. The table serves s_infinity_cdf(t) and q_tail for t < 1, the
 complement 1 - P(S <= c) for c < _MEDIAN_C that q_cdf and s_infinity_sf
-read through _sf, and q_pmf as
-P(S <= 2c) - P(S <= c) while 2c < 1, where the first term dominates and
-the difference keeps relative accuracy.
+read through _sf, and q_pmf as P(S <= 2c) - P(S <= c) while 2c < 1, where
+the first term dominates and the difference keeps relative accuracy; q_pmf
+reads both rows from one frexp of c.
 
 The law has one coefficient sequence, the 32 numbers a_1..a_32 that
 mixture_coefficients() builds once and returns as a cached tuple; a_32 is
-about -6e-149, far past binary64 precision. Every scalar value off the
-table takes one pass of exp values over it (or over the d_k of a Q_eta
+about -6e-149, far past binary64 precision. The scalar evaluators read it
+and the d_k below as the module constants _A and _D. Every scalar value off
+the table takes one pass of exp values over it (or over the d_k of a Q_eta
 mass, below): _sf_terms(c, a) = fsum a_k * exp(-2^k c) = P(S > c). It
 doubles u = 2^k c once per term; doubling only raises the binary exponent,
 so u equals (2.0**k) * c and math.ldexp(c, k) bit for bit, and overflows to
@@ -74,6 +75,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from math import exp, floor, frexp, fsum, ldexp
 
 import numpy as np
 
@@ -104,7 +106,12 @@ def mixture_coefficients() -> tuple[float, ...]:
 def _pmf_coefficients() -> tuple[float, ...]:
     """d for the Q_eta mass series: d_k = 2^(k-1) a_k, d_33 = -a_32."""
     a = mixture_coefficients()
-    return tuple(math.ldexp(ak, k) for k, ak in enumerate(a)) + (-a[-1],)
+    return tuple(ldexp(ak, k) for k, ak in enumerate(a)) + (-a[-1],)
+
+
+# a module constant costs less per scalar value than a cached-function call
+_A = mixture_coefficients()
+_D = _pmf_coefficients()
 
 
 def _check_eta(eta: float) -> None:
@@ -118,11 +125,13 @@ def _sf_terms(c: float, a) -> float:
     u = c
     for ak in a:
         u += u
-        e = math.exp(-u)
+        e = exp(-u)
         if e == 0.0:
             break
         terms.append(ak * e)
-    return min(max(math.fsum(terms), 0.0), 1.0)
+    s = fsum(terms)
+    # min(max(s, 0.0), 1.0), the same float (-0.0 included) without two calls
+    return 0.0 if s < 0.0 else 1.0 if s > 1.0 else s
 
 
 # The least float c with _sf_terms(c) <= 1/2; the median of S is 1.9e-17
@@ -150,32 +159,34 @@ def _table_cdf(t: float) -> float:
     """P(S <= t) for t < 1 from the piece table; see the module notes."""
     if t < _TABLE_LO:
         return 0.0
-    m, e = math.frexp(t)
+    m, e = frexp(t)
     u = 16.0 * m
     p = int(u)
-    y = 2.0 * (u - p) - 1.0
+    return _table_piece(p - 8 - 8 * e, 2.0 * (u - p) - 1.0)
+
+
+def _table_piece(row: int, y: float) -> float:
+    """The value of piece row at y in [-1, 1), as _table_cdf reads it."""
     (e_row, c15, c14, c13, c12, c11, c10, c9, c8, c7, c6, c5, c4, c3, c2,
-     c1, c0) = _S_ROWS[p - 8 - 8 * e]
+     c1, c0) = _S_ROWS[row]
     # Horner's rule from c15 down, written out: a loop over the row costs
     # about a fifth more per call
     s = ((((((((((((((c15 * y + c14) * y + c13) * y + c12) * y + c11) * y
                     + c10) * y + c9) * y + c8) * y + c7) * y + c6) * y + c5)
               * y + c4) * y + c3) * y + c2) * y + c1) * y + c0
-    return math.ldexp(2.0 ** s, e_row)
+    return ldexp(2.0 ** s, e_row)
 
 
 def _cdf(t: float) -> float:
     """P(S <= t) for a checked t: the table below 1, 1 - P(S > t) from 1 on."""
-    return (_table_cdf(t) if t < 1.0
-            else 1.0 - _sf_terms(t, mixture_coefficients()))
+    return _table_cdf(t) if t < 1.0 else 1.0 - _sf_terms(t, _A)
 
 
 def _sf(c: float) -> float:
     """P(S > c) for a checked c: the direct series, which has no
     cancellation, from the median on (c >= _MEDIAN_C, the side where the
     series is at most 1/2), 1 - the table's P(S <= c) below it."""
-    return (1.0 - _table_cdf(c) if c < _MEDIAN_C
-            else _sf_terms(c, mixture_coefficients()))
+    return 1.0 - _table_cdf(c) if c < _MEDIAN_C else _sf_terms(c, _A)
 
 
 def s_infinity_cdf(t):
@@ -217,7 +228,7 @@ def q_cdf(eta: float, x) -> float:
     """
     _check_eta(eta)
     try:
-        c = math.ldexp(2.0 ** eta, -1 - math.floor(x))
+        c = ldexp(2.0 ** eta, -1 - floor(x))
     except (OverflowError, ValueError):     # x is -inf, +inf or NaN, or c is
         return _limit(x, "x", 0.0, 1.0)     # past the float range (x << 0)
     return _sf(c)
@@ -232,12 +243,21 @@ def q_pmf(eta: float, j) -> float:
     """
     _check_eta(eta)
     try:
-        c = math.ldexp(2.0 ** eta, -1 - math.floor(j))
+        c = ldexp(2.0 ** eta, -1 - floor(j))
     except (OverflowError, ValueError):     # as in q_cdf
         return _limit(j, "j", 0.0, 0.0)
-    if c + c < 1.0:
-        return _table_cdf(c + c) - _table_cdf(c)
-    return _sf_terms(c, _pmf_coefficients())
+    if c + c >= 1.0:
+        return _sf_terms(c, _D)
+    if c + c < _TABLE_LO:
+        return 0.0
+    # frexp(2c) = (m, e + 1): 2c reads row r - 8 at c's y, c reads row r
+    m, e = frexp(c)
+    u = 16.0 * m
+    p = int(u)
+    y = 2.0 * (u - p) - 1.0
+    r = p - 8 - 8 * e
+    low = _table_piece(r, y) if c >= _TABLE_LO else 0.0
+    return _table_piece(r - 8, y) - low
 
 
 def q_tail(eta: float, j) -> float:
@@ -248,7 +268,7 @@ def q_tail(eta: float, j) -> float:
     """
     _check_eta(eta)
     try:
-        t = math.ldexp(2.0 ** eta, -math.floor(j))
+        t = ldexp(2.0 ** eta, -floor(j))
     except (OverflowError, ValueError):     # as in q_cdf
         return _limit(j, "j", 1.0, 0.0)
     return _cdf(t)
@@ -280,9 +300,18 @@ def sample_q(eta: float, rng: np.random.Generator, size: int | None = None):
     each atom has exactly C_j - C_{j-1}. size=None returns an int. The
     tables at eta = 1 and eta = 0 are translates (the first entry at eta = 1
     is below 2^-53), so an eta = 1 draw is the eta = 0 draw plus one.
+
+    The index is #{j : C_j < v}, np.searchsorted(C, v, "left") on the
+    nondecreasing C, counted without a search: every C_j < 2^-53 counts,
+    no C_j = 1 does, and each other C_j (12 or 13) adds one comparison.
     """
     _check_eta(eta)
     v = 1.0 - rng.random(1 if size is None else size)
-    q = np.searchsorted(_q_table(eta), v, side="left")
-    q += _Q_LO
-    return int(q[0]) if size is None else q.astype(np.int64, copy=False)
+    table = _q_table(eta)
+    below = table < 2.0 ** -53
+    q = np.full(v.shape, _Q_LO + np.count_nonzero(below), dtype=np.int8)
+    hit = np.empty(v.shape, dtype=bool)
+    for c in table[~below & (table < 1.0)]:
+        q += np.greater(v, c, out=hit)
+    del v, hit      # freed before widening: the peak stays at 16 bytes a draw
+    return int(q[0]) if size is None else q.astype(np.int64)

@@ -2,8 +2,9 @@
 
 None of these is used by a command: the empirical KS distance checks
 samplers against s_infinity_cdf, the geometric pmf checks the DST
-lifetime sampler, and the upper tail of an IntPmf reads the partial-sum
-CDFs off the exact depth law.
+lifetime sampler, the upper tail of an IntPmf reads the partial-sum
+CDFs off the exact depth law, and the binary-search inversion is the
+reference for sample_q's counting one.
 """
 
 import numpy as np
@@ -55,3 +56,12 @@ def geometric_pmf(k: int, j: int) -> float:
         return 1.0 if j == 1 else 0.0
     p = 2.0 ** (1 - k)
     return (1.0 - p) ** (j - 1) * p
+
+
+def search_inversion(table, lo: int, rng, size=None):
+    """The j = lo + i with C_(i-1) < v <= C_i, v = 1 - rng.random(), found
+    by binary search (np.searchsorted) over the nondecreasing table C;
+    sample_q's draw for table = _q_table(eta), lo = _Q_LO."""
+    v = 1.0 - rng.random(1 if size is None else size)
+    q = np.searchsorted(table, v, side="left") + lo
+    return int(q[0]) if size is None else q.astype(np.int64)

@@ -1,5 +1,7 @@
+import hashlib
 import importlib.util
 import math
+import struct
 from functools import lru_cache
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from renewal_dst.limit_law import (
     _MEDIAN_C,
     _Q_HI,
     _Q_LO,
+    _TABLE_LO,
     _pmf_coefficients,
     _q_table,
     _sf_terms,
@@ -33,7 +36,11 @@ from renewal_dst.limit_law import (
 from renewal_dst.metrics import limit_pmf_window, tv_vs_limit
 from renewal_dst.rng import stream_rng
 
-from _oracles import empirical_cdf_jumps, ks_discrete_vs_continuous
+from _oracles import (
+    empirical_cdf_jumps,
+    ks_discrete_vs_continuous,
+    search_inversion,
+)
 
 
 def test_b_value():
@@ -232,6 +239,53 @@ def test_sample_q_shapes_match_flat_draws(size):
     assert np.array_equal(q.reshape(-1), flat)
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.5, 0.999, 1.0])
+@pytest.mark.parametrize("size", [None, 0, (3, 4), 10 ** 6])
+def test_sample_q_is_the_search_inversion_bit_for_bit(eta, size):
+    table = _q_table(eta)
+    for seed, stream in [(20070201, 12), (11, 3), (5, 7)]:
+        got = sample_q(eta, stream_rng(seed, stream), size)
+        ref = search_inversion(table, _Q_LO, stream_rng(seed, stream), size)
+        if size is None:
+            assert type(got) is int and got == ref
+        else:
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got, ref), (seed, stream)
+
+
+class _FixedUniforms:
+    """A generator stub whose random(size) returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return self.u.reshape(size).copy()
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 0.999, 1.0])
+def test_sample_q_ties_at_every_threshold(eta):
+    # v = 1 - u at each C_j and a grid step either side; rng.random() lies
+    # in [0, 1 - 2^-53], so v in [2^-53, 1], both ends included
+    table = _q_table(eta)
+    step = 2.0 ** -53
+    u = np.array([1.0 - c + d for c in table for d in (-step, 0.0, step)]
+                 + [0.0, step, 0.5, 1.0 - step])
+    u = np.clip(u, 0.0, 1.0 - step)
+    got = sample_q(eta, _FixedUniforms(u), u.shape)
+    ref = search_inversion(table, _Q_LO, _FixedUniforms(u), u.shape)
+    assert np.array_equal(got, ref)
+    compared = table[(table >= step) & (table < 1.0)]
+    assert np.isin(compared, 1.0 - u).sum() >= 5     # exact ties present
+
+
+def test_sample_q_refuses_a_decreasing_table(monkeypatch):
+    # counting C_j < v is the search's index only on a nondecreasing table
+    monkeypatch.setattr("renewal_dst.limit_law.q_cdf", lambda eta, j: -j)
+    with pytest.raises(RuntimeError, match="decreases"):
+        sample_q(0.5, stream_rng(1, 1), size=10)
+
+
 def _mp_q_cdf(eta, j):
     """P(Q_eta <= j) = P(S > 2^(eta - 1 - j)) from the mpmath law."""
     mp = pytest.importorskip("mpmath")
@@ -339,6 +393,21 @@ def test_scalar_s_infinity_bit_identical_to_termwise_loop(order):
                 assert s_infinity_cdf(t) == 1.0 - _ref_sf(t, a), t
             else:
                 assert _table_close(s_infinity_cdf(t), _mp_cdf(t)), t
+
+
+def test_sf_terms_clamps_as_min_max():
+    # the clamp's comparisons give min(max(s, 0.0), 1.0) as the same float
+    # below 0, above 1 and at NaN (math.fsum never returns -0.0)
+    for a in [(-1.0,), (-0.0,), (0.5,), (5.0,), (1.0, -1.0), (2.0, -0.5)]:
+        for c in [0.0, 1e-3, 0.5, 3.0, math.inf, math.nan]:
+            u, terms = c, []
+            for ak in a:
+                u += u
+                if math.exp(-u) == 0.0:
+                    break
+                terms.append(ak * math.exp(-u))
+            got, ref = _sf_terms(c, a), _ref_clamp(math.fsum(terms))
+            assert struct.pack("<d", got) == struct.pack("<d", ref), (a, c)
 
 
 def test_q_tail_bit_identical_to_termwise_loop():
@@ -868,3 +937,53 @@ def test_deep_q_values_round_c_once(eta, j):
         assert _table_close(q_tail(eta, j), _mp_cdf(t))
         assert abs(q_tail(eta, j) - f) <= (TABLE_RTOL + kappa * 2.0 ** -53) * f
         assert kappa < j + 6
+
+
+# sha256 of the scalar values below, packed as little-endian binary64: a
+# speed-up of any scalar evaluator must leave every one of them bit for bit
+_SCALAR_DIGEST = (
+    "75cf8cadf4f81d23d0cdc01cacb2590aed54432c6cb48f15cb55be5e34e821df")
+
+
+def test_scalar_values_match_their_recorded_digest():
+    etas = [i / 7 for i in range(8)]
+    xs = [-8 + k / 4 for k in range(84)] + list(range(13, 61))
+    ts = [2.0 ** (e / 8) for e in range(-360, 81)]
+    vals = [f(eta, x) for f in (q_cdf, q_pmf, q_tail)
+            for eta in etas for x in xs]
+    vals += [f(t) for f in (s_infinity_cdf, s_infinity_sf) for t in ts]
+    data = struct.pack(f"<{len(vals)}d", *vals)
+    assert len(vals) == 4050
+    assert hashlib.sha256(data).hexdigest() == _SCALAR_DIGEST
+
+
+def _q_args(c):
+    """(eta, j) whose q_pmf argument ldexp(2.0**eta, -1 - j) is near c."""
+    m, e = math.frexp(c)
+    return math.log2(2.0 * m), -e
+
+
+def test_q_pmf_pair_read_is_two_table_reads():
+    # q_pmf reads P(S <= 2c) and P(S <= c) from one frexp; that must equal
+    # two _table_cdf calls at both ends and 4 random points of every piece
+    # 2c lies in, and across _TABLE_LO for c and for 2c
+    rng = np.random.default_rng(29)
+    targets = []
+    for row in range(len(ROWS)):
+        j, p = divmod(row, 8)
+        lo = math.ldexp(0.5 + p / 16, -j - 1)
+        hi = math.nextafter(math.ldexp(0.5 + (p + 1) / 16, -j - 1), 0.0)
+        targets += [lo, hi, *rng.uniform(lo, hi, 4)]
+    for edge in (_TABLE_LO, _TABLE_LO / 2):
+        targets += [edge * (1.0 + k * 2.0 ** -40) for k in range(-20, 21)]
+    seen = set()
+    for target in targets:
+        eta, j = _q_args(target)
+        for eta in (math.nextafter(eta, 0.0), eta, math.nextafter(eta, 1.0)):
+            c = math.ldexp(2.0 ** eta, -1 - j)
+            if not (0.0 <= eta <= 1.0 and c + c < 1.0):
+                continue
+            ref = _table_cdf(c + c) - _table_cdf(c)
+            assert q_pmf(eta, j) == ref, (eta, j)
+            seen.add((c < _TABLE_LO, c + c < _TABLE_LO))
+    assert seen == {(False, False), (True, False), (True, True)}
