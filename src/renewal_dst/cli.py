@@ -270,13 +270,27 @@ def cmd_converge(args) -> int:
     return 1 if problems else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("limit-law", "depth-dist", "dst-demo", "simulate", "converge")
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI parser; with ``command``, only that subcommand's parser, under
+    a usage line that still names all five. argparse hands a leading
+    subcommand every later word, so a run of it never parses or prints the
+    others, and building their parsers was most of a call's fixed cost."""
     parser = argparse.ArgumentParser(
         prog="renewal-dst",
         description="Limit laws of renewal counts under exponentially "
                     "increasing lifetimes, with the digital-search-tree "
                     "depth chain as the exact engine.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # None on the whole parser, whose errors name this argument "command"
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
+
+    def add(name, help):
+        if command in (None, name):
+            return sub.add_parser(name, help=help)
 
     def common(p):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -284,51 +298,51 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
-    p = sub.add_parser("limit-law",
-                       help="CDF/pmf/tail table of the limit family")
-    p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--n-grid", default=None, metavar="A:B:STEP",
-                   help="x range (default %s); a negative start needs the = "
-                        "form, --n-grid=-3:12:1" % _GRID_DEFAULTS["limit-law"])
-    common(p)
-    p.set_defaults(func=cmd_limit_law)
+    if p := add("limit-law", "CDF/pmf/tail table of the limit family"):
+        p.add_argument("--eta", type=float, default=0.0)
+        p.add_argument("--n-grid", default=None, metavar="A:B:STEP",
+                       help="x range (default %s); a negative start needs "
+                            "the = form, --n-grid=-3:12:1"
+                            % _GRID_DEFAULTS["limit-law"])
+        common(p)
+        p.set_defaults(func=cmd_limit_law)
 
-    p = sub.add_parser("depth-dist",
-                       help="exact centered count law next to its limit")
-    p.add_argument("--n", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_depth_dist)
+    if p := add("depth-dist", "exact centered count law next to its limit"):
+        p.add_argument("--n", type=int, default=None)
+        common(p)
+        p.set_defaults(func=cmd_depth_dist)
 
-    p = sub.add_parser("dst-demo",
-                       help="insertion report for a bit corpus")
-    p.add_argument("--corpus", default=None,
-                   help="path to 'label bits' records (default: builtin)")
-    p.add_argument("--probe", default=None, metavar="BITS",
-                   help="append a non-mutating probe of this direction")
-    common(p)
-    p.set_defaults(func=cmd_dst_demo)
+    if p := add("dst-demo", "insertion report for a bit corpus"):
+        p.add_argument("--corpus", default=None,
+                       help="path to 'label bits' records (default: builtin)")
+        p.add_argument("--probe", default=None, metavar="BITS",
+                       help="append a non-mutating probe of this direction")
+        common(p)
+        p.set_defaults(func=cmd_dst_demo)
 
-    p = sub.add_parser("simulate",
-                       help="Monte Carlo centered counts vs the limit family")
-    p.add_argument("--alpha", type=float, default=2.0)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--n-grid", default=None, metavar="A:B:STEP",
-                   help="horizon grid (default %s)" % _GRID_DEFAULTS["simulate"])
-    common(p)
-    p.set_defaults(func=cmd_simulate)
+    if p := add("simulate", "Monte Carlo centered counts vs the limit family"):
+        p.add_argument("--alpha", type=float, default=2.0)
+        p.add_argument("--samples", type=int, default=10000)
+        p.add_argument("--n-grid", default=None, metavar="A:B:STEP",
+                       help="horizon grid (default %s)"
+                            % _GRID_DEFAULTS["simulate"])
+        common(p)
+        p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("converge",
-                       help="exact convergence-rate report with checks")
-    p.add_argument("--kind", choices=("tv", "ks"), default="tv")
-    p.add_argument("--n-grid", default=None, metavar="A:B:STEP")
-    common(p)
-    p.set_defaults(func=cmd_converge)
+    if p := add("converge", "exact convergence-rate report with checks"):
+        p.add_argument("--kind", choices=("tv", "ks"), default="tv")
+        p.add_argument("--n-grid", default=None, metavar="A:B:STEP")
+        common(p)
+        p.set_defaults(func=cmd_converge)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # any first word but a subcommand name builds the whole parser
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS
+                           else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib
@@ -352,6 +353,45 @@ def test_unknown_command_exits_2(tmp_path):
     assert main(["frobnicate"]) == 2
 
 
+def test_a_run_builds_only_its_own_subcommand(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, _ = run(tmp_path, "dst-demo", "--probe", "011100")
+    assert code == 0
+    assert built == ["renewal-dst", "renewal-dst dst-demo"]
+    built.clear()
+    assert main(["--help"]) == 0      # any other first word builds them all
+    assert len(built) == 1 + len(renewal_dst.cli._COMMANDS) == 6
+
+
+# a run parses with its leading command's parser only, and with the whole
+# parser after any other first word; each must print and exit as the whole
+# parser does
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h", "dst-demo"], ["frobnicate"], ["dst"],
+    ["--", "dst-demo"], ["--foo", "dst-demo"],
+    ["dst-demo", "--probe", "011100"], ["dst-demo", "--prob", "011100"],
+    ["dst-demo", "extra"], ["dst-demo", "--nope"], ["dst-demo", "converge"],
+    ["dst-demo", "--help", "--probe", "1"], ["dst-demo", "--seed", "x"],
+    ["limit-law", "--eta", "x"], ["limit-law", "--n-grid", "-3:12:1"],
+    ["limit-law", "-h"], ["depth-dist", "--n", "0"],
+    ["depth-dist", "--n", "64", "--format", "json"], ["depth-dist", "--help"],
+    ["simulate", "--help"], ["simulate", "--samples", "x"],
+    ["converge", "--help"], ["converge", "--kind", "x"],
+    ["converge", "--n-grid", "1:3"],
+])
+def test_one_command_parser_runs_as_the_whole_parser(argv, monkeypatch):
+    first = _run_captured(argv)
+    monkeypatch.setattr(renewal_dst.cli, "_COMMANDS", ())
+    assert _run_captured(argv) == first
+
+
 def _readme_cli_argvs():
     """argv of each `renewal-dst ...` line in the README's CLI block."""
     text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
@@ -503,6 +543,9 @@ def _run_captured(argv):
 @example(["limit-law", "--n-grid=0:1000000000000000000:1"])
 @example(["simulate", "--samples=10", "--n-grid=16:1000000000000000000:1"])
 @example(["simulate", "--samples=1000000000000000", "--n-grid=16:16:1"])
+@example(["--help"])
+@example(["simulate", "--help"])
+@example(["converge", "--help"])
 def test_cli_grammar_fuzz(argv):
     first = _run_captured(argv)
     code, _, err = first
