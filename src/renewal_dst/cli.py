@@ -37,11 +37,11 @@ from .metrics import (
     tv_distance,
     tv_to_limit,
     tv_vs_limit,
-    MAX_TV_N,
 )
 from .pmf import IntPmf
 from .renewal import (
     MAX_EXACT_KS_N,
+    MAX_N,
     depth_distribution_exact,
     floor_log2,
     frac_log2,
@@ -252,17 +252,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_converge(args) -> int:
     kind = {"tv": "tv_limit", "ks": "ks_scaled"}[args.kind]
-    default = _GRID_DEFAULTS["converge-tv" if kind == "tv_limit"
-                             else "converge-ks"]
-    grid = _parse_grid(args.n_grid or default)
-    if kind == "tv_limit" and grid[-1] > MAX_TV_N:
-        raise UsageError(f"tv grid limited to n <= {MAX_TV_N}")
-    if kind == "ks_scaled" and grid[-1] > MAX_EXACT_KS_N:
-        raise UsageError(f"ks grid limited to n <= {MAX_EXACT_KS_N}")
-    rows = rate_report(grid, kind)
+    grid = args.n_grid or _GRID_DEFAULTS["converge-" + args.kind]
+    rows = rate_report(_parse_grid(grid), kind)
     meta = {"command": "converge", "version": __version__,
-            "seed": args.seed, "kind": args.kind,
-            "grid": args.n_grid or default}
+            "seed": args.seed, "kind": args.kind, "grid": grid}
     _emit(meta, REPORT_COLUMNS, rows, args.format, args.out)
     problems = check_rate_report(rows)
     for p in problems:
@@ -308,7 +301,7 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_limit_law)
 
     if p := add("depth-dist", "exact centered count law next to its limit"):
-        p.add_argument("--n", type=int, default=None)
+        p.add_argument("--n", type=int, help=f"step count, 1 <= n <= {MAX_N}")
         common(p)
         p.set_defaults(func=cmd_depth_dist)
 
@@ -321,8 +314,10 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_dst_demo)
 
     if p := add("simulate", "Monte Carlo centered counts vs the limit family"):
-        p.add_argument("--alpha", type=float, default=2.0)
-        p.add_argument("--samples", type=int, default=10000)
+        p.add_argument("--alpha", type=float, default=2.0,
+                       help="lifetime growth base (default %(default)s)")
+        p.add_argument("--samples", type=int, default=10000,
+                       help="replicates per grid point (default %(default)s)")
         p.add_argument("--n-grid", default=None, metavar="A:B:STEP",
                        help="horizon grid (default %s)"
                             % _GRID_DEFAULTS["simulate"])
@@ -331,7 +326,10 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
 
     if p := add("converge", "exact convergence-rate report with checks"):
         p.add_argument("--kind", choices=("tv", "ks"), default="tv")
-        p.add_argument("--n-grid", default=None, metavar="A:B:STEP")
+        p.add_argument("--n-grid", metavar="A:B:STEP", help=(
+            f"n grid (default {_GRID_DEFAULTS['converge-tv']} for tv, "
+            f"{_GRID_DEFAULTS['converge-ks']} for ks); 1 <= n <= {MAX_N} "
+            f"for tv, 1 <= n <= {MAX_EXACT_KS_N} for ks"))
         common(p)
         p.set_defaults(func=cmd_converge)
 

@@ -23,9 +23,9 @@ import numpy as np
 
 from .limit_law import q_cdf, q_pmf, q_tail
 from .pmf import IntPmf
-from .renewal import _level_gaps, frac_log2, ks_scaled_sum_exact
+from .renewal import (MAX_EXACT_KS_N, MAX_N, _level_gaps, frac_log2,
+                      ks_scaled_sum_exact)
 
-MAX_TV_N = 2 ** 53         # n is exact in binary64, and so is n 2^-l
 _EPS = 2.0 ** -52
 # a bound on the float error of one Q_eta mass plus its share of the l1
 # sum's rounding (``tv_vs_limit``)
@@ -122,8 +122,8 @@ def _tv_with_slack(n: int) -> tuple[float, float]:
     P(S <= n 2^-l) <= prod_k min(1, 2^k n 2^-l), with n < 2^(k+1).
     """
     n = operator.index(n)
-    if not 1 <= n <= MAX_TV_N:
-        raise ValueError(f"n must be in [1, {MAX_TV_N}], got {n}")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be in [1, {MAX_N}], got {n}")
     gaps, err = _level_gaps(n)
     tv = 0.5 * math.fsum(np.abs(np.diff(gaps, prepend=0.0)).tolist())
     slack = float(err.sum()) + 2 * _EPS * tv + _TV_TAIL
@@ -160,8 +160,8 @@ def pmf_gap_bound_check(t: int, j: int) -> tuple[float, float]:
     exceeds the KS pair; callers assert lhs <= rhs.
     """
     t, j = operator.index(t), operator.index(j)
-    if not 1 <= t <= MAX_TV_N:
-        raise ValueError(f"t must be in [1, {MAX_TV_N}], got {t}")
+    if not 1 <= t <= MAX_N:
+        raise ValueError(f"t must be in [1, {MAX_N}], got {t}")
     level = t.bit_length() - 1 + j
     if level < 1:
         raise ValueError(f"k(t) + j must be >= 1, got {level}")
@@ -179,9 +179,17 @@ KINDS = ("tv_limit", "ks_scaled")
 
 
 def rate_report(n_grid, kind: str) -> list[tuple]:
-    """Rows (n, eta, kind, value, trunc_bound), one per point of n_grid."""
+    """Rows (n, eta, kind, value, trunc_bound), one per point of the
+    sequence n_grid.
+
+    The grid's last point is checked against the kind's n limit, MAX_N for
+    tv_limit and MAX_EXACT_KS_N for ks_scaled, before any row is computed.
+    """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    limit = MAX_N if kind == "tv_limit" else MAX_EXACT_KS_N
+    if len(n_grid) and n_grid[-1] > limit:
+        raise ValueError(f"{kind} grid limited to n <= {limit}")
 
     def row(_, n):
         if kind == "tv_limit":

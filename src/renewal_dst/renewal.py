@@ -11,12 +11,17 @@ by binary powering, about 2 log2(n) small matrix products instead of n
 steps. The diagonal of each square T^m is reset to its closed form
 (1 - 2^(-k))^m, so rounding does not compound along it; every product
 multiplies and adds nonnegative numbers, so tiny tail masses keep their
-relative accuracy. The powers are kept times 2^500, and entries that would
-unscale below 2^-1074 are flushed to zero: entries of T^m far above the
-diagonal reach 2^-1072, and unscaled a product underflows once it is under
-2^-1022, each paying a slow floating-point assist; scaled it must be under
-2^-2022, which cuts the underflowing products of a chain 150- to 170-fold,
-and the masses are the same bit for bit.
+relative accuracy: the mass at level d is within 10 L d eps of itself,
+L = n.bit_length(), plus 2^-1010, for every n <= MAX_N = 2^53. That is
+the one n limit of the exact entry points, the depth law here and the TV
+rows and pointwise gaps of ``metrics``: past it the closed-form diagonal
+loses accuracy like n 2^-53, and n 2^-l is no longer exact. The powers
+are kept times 2^500, and entries that would unscale below 2^-1074 are
+flushed to zero: entries of T^m far above the diagonal reach 2^-1072, and
+unscaled a product underflows once it is under 2^-1022, each paying a slow
+floating-point assist; scaled it must be under 2^-2022, which cuts the
+underflowing products of a chain 150- to 170-fold, and the masses are the
+same bit for bit.
 The KS and TV distances to the limits read one closed form, the level gap
 Delta_l(j) = P(S > j 2^-l) - P(S_l > j): partial fractions write P(S_l > j)
 as a sum of geometric terms and P(S > t) is the signed exponential mixture,
@@ -48,7 +53,7 @@ from .lifetimes import GeometricDst, ScaledBase, sample_lifetime
 from .limit_law import mixture_coefficients, s_infinity_cdf, s_infinity_sf
 from .pmf import IntPmf
 
-MAX_EXACT_N = 2 ** 26      # checked range of the DP's reported rounding slack
+MAX_N = 2 ** 53            # n and n 2^-l exact; the DP's bound is flat
 MAX_EXACT_KS_N = 22        # KS range; the cap-8 tail (3.9e-7) exceeds KS at 22
 _STATE_SLACK = 60          # levels above ceil(log2(n+1)) carry mass < 1e-300
 _EXACT_STAY = 53           # 1 - 2^(-k) is exact in binary64 for k < 53
@@ -79,17 +84,16 @@ _MIX = np.broadcast_to(mixture_coefficients(), _D.shape)
 
 
 def depth_distribution_exact(n: int) -> IntPmf:
-    """Exact law of the chain after n steps (= insertion depth of key n+1).
+    """Exact law of the chain after n steps (= insertion depth of key n+1),
+    for 0 <= n <= MAX_N = 2^53.
 
-    The one-step matrix T (diagonal 1 - 2^(-k), superdiagonal 2^(-k)) is
-    raised to the powers T^m, m = 2^i, by squaring, and the unit mass at
-    level 0 is multiplied by those whose bit is set in n. After each squaring
-    the diagonal is overwritten with its closed form q_k^m, q_k = 1 - 2^(-k):
+    The one-step matrix T (diagonal q_k = 1 - 2^(-k), superdiagonal 2^(-k))
+    is raised to the powers T^m, m = 2^i, by squaring, and the unit mass at
+    level 0 is multiplied by those whose bit is set in n. After each
+    squaring the diagonal is overwritten with its closed form q_k^m:
     ``q_k ** m`` where q_k is exact (k <= 52), exp(m log1p(-2^(-k))) above,
-    where q_k rounds to 1. An entry d places above the diagonal then takes
-    rounding only from its off-diagonal factors, so its relative error grows
-    like d log n rather than like n. All products combine nonnegative
-    numbers, so each mass keeps its relative accuracy however small it is.
+    where q_k rounds to 1. All products combine nonnegative numbers, so
+    each mass keeps its relative accuracy however small it is.
     Each power is held times 2^500, an exact scaling: a square is scaled
     back by 2^-500 and its entries below 2^-574 (under 2^-1074 unscaled,
     values the unscaled float cannot hold) are set to 0.0; the diagonal is
@@ -102,18 +106,56 @@ def depth_distribution_exact(n: int) -> IntPmf:
     products underflow, against 234443 unscaled), and the flush stops the
     scaled entries from shrinking back into that range. The masses are bit
     for bit those of the unscaled squarings.
-    States above ceil(log2(n+1)) + 60 are clipped, and edge masses at or
-    below 1e-300 are trimmed. The result's ``truncation`` is the trimmed mass
-    plus |1 - sum| of the stored masses: the clipped mass (below 1e-300 for
-    any reachable n) and the rounding drift in either direction (about 1e-15
-    up to 2^26). No distance of the package reads this law: the TV rows and
-    ``metrics.pmf_gap_bound_check`` read ``_level_gaps``.
+    States above ceil(log2(n+1)) + 60 are clipped; T is upper triangular,
+    so the levels kept evolve as in the full chain.
+
+    The bound, with eps = 2^-52 (a rounding is at most eps/2 of its result)
+    and L = n.bit_length(): the mass at level d is within 10 L d eps of
+    itself, plus 2^-1010.
+    - A reset diagonal entry is within delta = 8.51 eps of q_k^m: pow is
+      within 4 ulp at k <= 52; at k >= 53, x = m log1p(-2^(-k)) is within
+      4.51 eps |x| (log1p's 4 ulp and the product's rounding), and
+      |x| <= m 2^-53 (1 + 2^-53), at most 1 + 2^-53 because m <= n <= 2^53,
+      so exp's 4 ulp make 8.51 eps. T's own diagonal is within eps/2. Past
+      n = 2^53, |x| and delta grow like n 2^-53: MAX_N is where the bound
+      stops being flat.
+    - Let every entry d >= 1 places above the diagonal of a power P be
+      within c d relative (c = 0 for T, whose superdiagonal is exact). The
+      entry d places above the diagonal of P @ P sums the d + 1 nonnegative
+      products P(k, k+e) P(k+e, k+d): at e = 0 and e = d one factor is
+      diagonal, within delta + c d, and every other product is within
+      c e + c (d - e) = c d. A product and the additions of d + 1 such
+      terms, in any order, round each term by at most (d + 1) eps/2 (the
+      zeros of the triangle add exactly). So the square is within
+      c d + delta + (d + 1) eps/2 <= (c + 9.51 eps) d: each squaring adds
+      9.51 eps to c, and T^(2^i) has c <= 9.51 i eps.
+    - p @ P, with p's mass at level e within g e and the slope c of P, is
+      within (max(g, c) + 9.51 eps) d at level d the same way. Bit i meets
+      T^(2^i), the bits taken from the lowest, so after bit i
+      g <= 9.51 (i + 1) eps: at the top bit L - 1, 9.51 L eps, and 10 L eps
+      covers the second-order terms.
+    - Absolute errors: a flushed entry, and a diagonal entry that
+      underflows, moves by at most 2^-1072 (4 subnormal ulps). T^(2^i)
+      enters the result in at most n 2^-i copies, each between a
+      subprobability row and substochastic factors, on at most 115 levels,
+      so these move the masses by under 2 n 115 2^-1072 <= 2^-1011 in l1.
+      The unscaling of p @ power rounds a mass by at most 2^-1075, and a
+      product that underflows in a square or in p @ power is under 2^-1500
+      unscaled.
+    Measured against a 1200-digit closed form, every mass above 1e-300 is
+    within 24.2 eps of itself at n = 2^40 + 1 and 19.4 eps at 2^53 - 1,
+    where the bound is 1.3e4 to 4.9e4 eps: the bound adds every rounding
+    at its worst, and in practice they cancel.
+    Edge masses at or below 1e-300 are trimmed. The result's ``truncation``
+    is the trimmed mass plus |1 - sum| of the stored masses: the clipped
+    mass (below 1e-300 for any reachable n) and the rounding drift in
+    either direction (at most 4.7e-15 over 281 sampled n from 2^20 to
+    2^53). No distance of the package reads this law: the TV rows
+    and ``metrics.pmf_gap_bound_check`` read ``_level_gaps``.
     """
     n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"step count must be >= 0, got {n}")
-    if n > MAX_EXACT_N:
-        raise ValueError(f"exact DP limited to n <= {MAX_EXACT_N}, got {n}")
+    if not 0 <= n <= MAX_N:
+        raise ValueError(f"n must be in [0, {MAX_N}], got {n}")
     width = min(n, n.bit_length() + _STATE_SLACK)
     up = 2.0 ** -np.arange(width + 1)
     stay = 1.0 - up

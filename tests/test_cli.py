@@ -104,18 +104,18 @@ def test_depth_dist_point_mass(tmp_path):
 
 
 def test_depth_dist_at_the_dp_limit(tmp_path):
-    # n = 2^26 is the exact DP's MAX_EXACT_N, the one n limit depth-dist has
-    code, data = run(tmp_path, "depth-dist", "--n", str(2 ** 26))
+    # n = 2^53 is MAX_N, the one n limit of the exact entry points
+    code, data = run(tmp_path, "depth-dist", "--n", str(2 ** 53))
     assert code == 0
     trailer = [line for line in data.decode().split("\n")
                if line.startswith("tv")]
     assert len(trailer) == 1
-    assert float(trailer[0].split(",")[3]) == tv_to_limit(2 ** 26)[0]
+    assert float(trailer[0].split(",")[3]) == tv_to_limit(2 ** 53)[0]
 
 
 def test_depth_dist_usage_errors(tmp_path, capsys):
     assert run(tmp_path, "depth-dist")[0] == 2
-    for n in (0, -3, 2 ** 26 + 1):
+    for n in (0, -3, 2 ** 53 + 1):
         assert run(tmp_path, "depth-dist", "--n", str(n))[0] == 2, n
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 4
@@ -303,6 +303,37 @@ def test_converge_grid_errors(tmp_path):
     # the TV rows reach n = 2^53, one past it is refused
     assert run(tmp_path, "converge", "--kind", "tv", "--n-grid",
                f"{2 ** 53 - 2}:{2 ** 53 + 1}:1")[0] == 2
+    # --help names each default and each n limit
+    text = {command: " ".join(_run_captured([command, "--help"])[1].split())
+            for command in ("converge", "depth-dist", "simulate")}
+    assert "default 16:262144:x4 for tv, 4:18:1 for ks" in text["converge"]
+    assert (f"1 <= n <= {2 ** 53} for tv, 1 <= n <= 22 for ks"
+            in text["converge"])
+    assert f"1 <= n <= {2 ** 53}" in text["depth-dist"]
+    assert "(default 2.0)" in text["simulate"]
+    assert "(default 10000)" in text["simulate"]
+
+
+# the grid limits are checked in metrics.rate_report, before any row: a
+# 10^6-point TV grid ending past 2^53 would otherwise run for about 96 s
+@pytest.mark.parametrize("kind, grid", [
+    ("tv", "9007199253740994:9007199254740993:1"), ("ks", "4:23:1")])
+def test_converge_grid_limit_computes_no_row(tmp_path, capsys, monkeypatch,
+                                            kind, grid):
+    def unreachable(n):
+        raise AssertionError("row computed before the grid limit was checked")
+
+    for name in ("_tv_with_slack", "ks_scaled_sum_exact"):
+        monkeypatch.setattr(renewal_dst.metrics, name, unreachable)
+    a, b, step = map(int, grid.split(":"))
+    with pytest.raises(ValueError, match="limited to"):
+        renewal_dst.metrics.rate_report(
+            range(a, b + 1, step), {"tv": "tv_limit", "ks": "ks_scaled"}[kind])
+    code, data = run(tmp_path, "converge", "--kind", kind, "--n-grid", grid)
+    assert code == 2 and data == b""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "limited to" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # a grid end the machine cannot allocate a list for: refused at its bound,

@@ -18,6 +18,7 @@ from renewal_dst import (
     ks_scaled_sum_exact,
     mixture_coefficients,
     pmf_gap_bound_check,
+    q_pmf,
     s_infinity_cdf,
     s_infinity_sf,
     sample_scaled_limit,
@@ -105,7 +106,8 @@ def _unscaled_powering(n: int) -> IntPmf:
 
 _SCALED_DP_N = sorted(
     {0, 1, 2, 3, 5, 31, 777, 1024, 5000, 2 ** 18 + 1001, 2 ** 20,
-     3 * 2 ** 20, 2 ** 22 - 1, 4000037, 2 ** 26 - 1, 2 ** 26}
+     3 * 2 ** 20, 2 ** 22 - 1, 4000037, 2 ** 26 - 1, 2 ** 26, 2 ** 30 + 1,
+     2 ** 40 + 1, 2 ** 53 - 1, 2 ** 53}
     | set(np.random.default_rng(29).integers(1, 2 ** 26, 50).tolist()))
 
 
@@ -120,29 +122,67 @@ def test_scaled_powering_keeps_every_mass_bit_for_bit():
         assert abs(law.truncation - ref.truncation) < 1e-300, n
 
 
-# both laws reach levels 53..60, where 1 - 2^(-k) rounds to 1 in binary64
-@pytest.mark.parametrize("n", [3 * 2 ** 16 + 1, 2 ** 20 + 1])
-def test_depth_distribution_matches_mpmath_closed_form(n):
-    # P(X_n < j) = P(S_j > n) = sum_i B_i q_i^(n-j+1), p_i = 2^(1-i); the
-    # right tail is a difference of values near 1, so 1e-300 masses need
-    # over 300 digits
+def _dp_tolerance(n, level, mass):
+    """depth_distribution_exact's bound on the rounding of the mass at
+    ``level``: 10 L d eps relative (L = n.bit_length(), d = level) plus
+    2^-1010."""
+    return 10 * n.bit_length() * level * 2.0 ** -52 * mass + 2.0 ** -1010
+
+
+# the laws reach levels 53..60, where 1 - 2^(-k) rounds to 1 in binary64,
+# and n = 2^53 - 1 is the top odd n of the DP's range
+@pytest.mark.parametrize("n, dps", [(3 * 2 ** 16 + 1, 330),
+                                    (2 ** 20 + 1, 330),
+                                    (2 ** 40 + 1, 1200),
+                                    (2 ** 53 - 1, 1200)])
+def test_depth_distribution_matches_mpmath_closed_form(n, dps):
+    # P(X_n < j) = P(S_j > n) = sum_i T_i, T_i = B_i q_i^(n-j+1) and
+    # p_i = 2^(1-i), i = 2..j. From level j - 1 to j each T_i is multiplied
+    # by p_j / (p_j - p_i): B_i gains the factor p_j q_i / (p_j - p_i), and
+    # its power of q_i loses one. The right tail is a difference of values
+    # near 1, so 1e-300 masses need over 300 digits, and 1200 at large n
     mp = pytest.importorskip("mpmath")
     law = depth_distribution_exact(n)
-    with mp.workdps(330):
-        below = [mp.mpf(0)]
-        for j in range(1, law.support_max + 3):
-            p = {i: mp.ldexp(1, 1 - i) for i in range(2, j + 1)}
-            below.append(mp.fsum(
-                mp.fprod(p[l] * (1 - p[i]) / (p[l] - p[i])
-                         for l in p if l != i) * (1 - p[i]) ** (n - j + 1)
-                for i in p))
+    top = law.support_max + 2
+    with mp.workdps(dps):
+        p = [mp.ldexp(1, 1 - i) for i in range(top + 1)]
+        terms, below = [], [mp.mpf(0), mp.mpf(0)]
+        for j in range(2, top + 1):
+            terms = [t * p[j] / (p[j] - p[i]) for i, t in enumerate(terms, 2)]
+            terms.append(mp.fprod(p[i] * (1 - p[j]) / (p[i] - p[j])
+                                  for i in range(2, j))
+                         * (1 - p[j]) ** (n - j + 1))
+            below.append(mp.fsum(terms))
         ref = [float(b - a) for a, b in zip(below, below[1:])]
     checked = 0
     for j, mass in enumerate(ref):
         if mass > 1e-300:
-            assert law.prob(j) == pytest.approx(mass, rel=1e-13, abs=0)
+            got = law.prob(j)
+            assert got == pytest.approx(mass, rel=1e-13, abs=0)
+            # eps/2 for the reference's own rounding to float
+            assert abs(got - mass) <= (_dp_tolerance(n, j, mass)
+                                       + 2.0 ** -53 * mass), j
             checked += 1
     assert checked == len(law.masses)
+
+
+# three engines per mass: the DP, q_pmf and the paired level gaps, with
+# Delta_l - Delta_(l+1) = P(X_n = l) - P(Q_eta = l - k)
+@pytest.mark.parametrize("n", [2 ** 20 + 1, 2 ** 40 + 1, 3 * 2 ** 45 + 7,
+                               2 ** 53 - 1])
+def test_dp_q_pmf_and_level_gaps_agree_per_mass(n):
+    k = floor_log2(n)
+    # correctly rounded eta: frac_log2 cancels up to half an ulp of log2 n
+    eta = math.log2(n / (1 << k))
+    law = depth_distribution_exact(n)
+    gaps, err = _level_gaps(n)
+    for level in range(gaps.size - 1):
+        mass = law.prob(level)
+        diff = mass - q_pmf(eta, level - k)
+        # q_pmf's 23 eps, one more for eta's rounding and one for diff's
+        tol = (_dp_tolerance(n, level, mass) + 25 * 2.0 ** -52
+               + err[level] + err[level + 1])
+        assert abs(diff - (gaps[level] - gaps[level + 1])) <= tol, level
 
 
 @pytest.mark.parametrize("cast", [np.int64, np.uint32])
@@ -190,10 +230,11 @@ def test_depth_distribution_clips_unrepresentable_left_tail():
     assert law.total() == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("e", [10, 18, 20, 22, 26])
+@pytest.mark.parametrize("e", [10, 18, 20, 22, 26, 40, 53])
 def test_depth_distribution_truncation_counts_rounding_drift(e):
-    # the stored masses sum to 1 within a few ulps (1 - 7.8e-16 at 2^20),
-    # and the drift, in either direction, is counted in the truncation
+    # the stored masses sum to 1 within a few ulps (1 - 7.8e-16 at 2^20,
+    # 1 - 3.9e-15 at 2^53), and the drift, in either direction, is counted
+    # in the truncation
     law = depth_distribution_exact(2 ** e)
     assert law.truncation >= abs(law.total() - 1.0)
     assert law.truncation < 1e-14
