@@ -59,10 +59,6 @@ _GRID_DEFAULTS = {
 _MAX_GRID_POINTS = 10 ** 6
 
 
-class UsageError(Exception):
-    pass
-
-
 class DataError(Exception):
     pass
 
@@ -72,23 +68,23 @@ def _parse_grid(text: str) -> list[int] | range:
     building it) or A:B:xM (a geometric list)."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"grid must be A:B:STEP or A:B:xM, got {text!r}")
+        raise ValueError(f"grid must be A:B:STEP or A:B:xM, got {text!r}")
     try:
         a, b = int(parts[0]), int(parts[1])
     except ValueError:
-        raise UsageError(f"grid endpoints must be integers: {text!r}")
+        raise ValueError(f"grid endpoints must be integers: {text!r}")
     if a > b:
-        raise UsageError(f"reversed grid: {text!r}")
+        raise ValueError(f"reversed grid: {text!r}")
     step = parts[2]
     if step.startswith("x"):
         try:
             m = int(step[1:])
         except ValueError:
-            raise UsageError(f"bad grid multiplier: {text!r}")
+            raise ValueError(f"bad grid multiplier: {text!r}")
         if m < 2:
-            raise UsageError("grid multiplier must be >= 2")
+            raise ValueError("grid multiplier must be >= 2")
         if a < 1:
-            raise UsageError("geometric grid needs a positive start")
+            raise ValueError("geometric grid needs a positive start")
         vals, v = [], a
         while v <= b:
             vals.append(v)
@@ -97,12 +93,12 @@ def _parse_grid(text: str) -> list[int] | range:
     try:
         s = int(step)
     except ValueError:
-        raise UsageError(f"bad grid step: {text!r}")
+        raise ValueError(f"bad grid step: {text!r}")
     if s < 1:
-        raise UsageError("grid step must be >= 1")
+        raise ValueError("grid step must be >= 1")
     count = (b - a) // s + 1    # len() of a range past sys.maxsize raises
     if count > _MAX_GRID_POINTS:
-        raise UsageError(f"grid limited to {_MAX_GRID_POINTS} points, "
+        raise ValueError(f"grid limited to {_MAX_GRID_POINTS} points, "
                          f"got {count}")
     return range(a, b + 1, s)
 
@@ -136,7 +132,7 @@ def _emit(meta: dict, columns, rows, fmt: str, out, extra: dict | None = None):
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as err:
-            raise UsageError(f"cannot write output: {err}")
+            raise ValueError(f"cannot write output: {err}")
     else:
         sys.stdout.write(text)
 
@@ -154,13 +150,13 @@ def cmd_limit_law(args) -> int:
 
 def cmd_depth_dist(args) -> int:
     if args.n is None:
-        raise UsageError("--n is required")
+        raise ValueError("--n is required")
     # the centred law: level j + k of the depth law, k = floor(log2 n)
     k = floor_log2(args.n)
     law = depth_distribution_exact(args.n)
     tv, eta = tv_to_limit(args.n)
-    lo, qmasses, _ = limit_pmf_window(eta, min(law.offset - k, -8),
-                                      max(law.support_max - k, 10))
+    lo, qmasses, _ = limit_pmf_window(eta, law.offset - k,
+                                      law.support_max - k)
     rows = []
     for j, qm in enumerate(qmasses.tolist(), lo):
         ex = law.prob(j + k)
@@ -182,9 +178,9 @@ def cmd_dst_demo(args) -> int:
         try:
             corpus = load_corpus(args.corpus)
         except CorpusFormatError as err:
-            raise UsageError(f"corpus {args.corpus}: {err}")
+            raise ValueError(f"corpus {args.corpus}: {err}")
         except OSError as err:
-            raise UsageError(f"cannot read corpus: {err}")
+            raise ValueError(f"cannot read corpus: {err}")
     else:
         corpus = knuth_corpus()
     try:
@@ -194,8 +190,8 @@ def cmd_dst_demo(args) -> int:
                         f"(entry {err.index})")
     rows = [(r.label, r.depth, r.parent or "", r.side) for r in reports]
     if args.probe is not None:
-        if not args.probe or any(c not in "01" for c in args.probe):
-            raise UsageError(f"--probe must be a nonempty bit string, "
+        if not args.probe:      # Dst.probe checks the bits
+            raise ValueError(f"--probe must be a nonempty bit string, "
                              f"got {args.probe!r}")
         try:
             pr = tree.probe(args.probe, label="probe")
@@ -216,7 +212,7 @@ def cmd_simulate(args) -> int:
     try:
         float(grid[-1])
     except OverflowError:
-        raise UsageError(f"simulate grid must end within the float range "
+        raise ValueError(f"simulate grid must end within the float range "
                          f"(<= {sys.float_info.max:.6g})")
     dyadic = args.alpha == 2.0
     family = GeometricDst() if dyadic else ScaledBase(args.alpha)
@@ -233,6 +229,10 @@ def cmd_simulate(args) -> int:
         emp = IntPmf.from_samples(counts - k)
         if dyadic:
             value, trunc = tv_vs_limit(emp, eta)
+            if t & (t - 1):
+                # eta's rounding, exact at powers of two (tv_vs_limit)
+                rounding = 1.5 * math.ulp(math.log2(t))
+                value, trunc = value + rounding, trunc + rounding
         else:
             ref_rng = stream_rng(args.seed, 2 * i + 1)
             limits = sample_scaled_limit(family, ref_rng, size=args.samples)
@@ -347,9 +347,6 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except DataError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

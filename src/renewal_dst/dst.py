@@ -5,8 +5,10 @@ first empty node on the path; the tree never compares key values, only bits.
 A probe walks the same path without mutating, which is how the depth process
 along a fixed direction is read off one built tree.
 
-``Dst`` is the node-by-node reference. ``simulate_insertion_depth`` builds no
-tree; it reads the depth off the keys on the probe's path by a record scan.
+``Dst`` is the reference: a map from each node's path (its bit prefix) to
+its label, where a key lands at the shortest prefix of its bits not yet in
+the map. ``simulate_insertion_depth`` builds no tree; it reads the depth
+off the keys on the probe's path by a record scan.
 With nodes 0..d-1 of that path filled, the next key sharing at least d
 leading bits with the probe takes node d, and any other key leaves the path
 above it; so over the keys in insertion order, ``depth += shared >= depth``
@@ -68,48 +70,36 @@ class InsertReport:
     side: str  # "root", "left" or "right"
 
 
-class _Node:
-    __slots__ = ("label", "left", "right")
-
-    def __init__(self, label):
-        self.label = label
-        self.left = None
-        self.right = None
-
-
 def _check_bits(bits: str) -> None:
     if any(c not in "01" for c in bits):
         raise ValueError(f"bit string may contain only 0 and 1: {bits!r}")
 
 
 class Dst:
-    """A digital search tree; single writer, probe reads are safe after build."""
+    """A digital search tree as one map from node path, the bit prefix that
+    leads to the node, to the label stored there; single writer, probe
+    reads are safe after build."""
 
     def __init__(self):
-        self.root = None
-        self._size = 0
+        self._labels = {}
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._labels)
 
-    def _descend(self, label, bits: str) -> tuple[_Node | None, InsertReport]:
-        """Parent of the first empty node on the bit path (None for an empty
-        tree) and the report of a key landing there.
+    def _place(self, label, bits: str) -> InsertReport:
+        """Report of a key landing at the shortest free prefix of ``bits``.
 
-        Raises InsufficientBitsError if every prefix of ``bits`` leads to an
-        occupied node.
+        Raises InsufficientBitsError if every prefix of ``bits`` is taken.
         """
         _check_bits(bits)
-        if self.root is None:
-            return None, InsertReport(label, 0, "", None, "root")
-        node = self.root
-        for i, c in enumerate(bits):
-            child = node.left if c == "0" else node.right
-            if child is None:
-                side = "left" if c == "0" else "right"
-                return node, InsertReport(label, i + 1, bits[: i + 1],
-                                          node.label, side)
-            node = child
+        for depth in range(len(bits) + 1):
+            path = bits[:depth]
+            if path not in self._labels:
+                if not depth:
+                    return InsertReport(label, 0, "", None, "root")
+                return InsertReport(label, depth, path,
+                                    self._labels[path[:-1]],
+                                    "left" if path[-1] == "0" else "right")
         raise InsufficientBitsError(label, len(bits))
 
     def insert(self, label, bits: str) -> InsertReport:
@@ -117,17 +107,13 @@ class Dst:
 
         Raises InsufficientBitsError (tree unchanged) if there is none.
         """
-        parent, report = self._descend(label, bits)
-        if parent is None:
-            self.root = _Node(label)
-        else:
-            setattr(parent, report.side, _Node(label))  # "left" or "right"
-        self._size += 1
+        report = self._place(label, bits)
+        self._labels[report.path] = label
         return report
 
     def probe(self, bits: str, label=None) -> InsertReport:
         """Report where a key with these bits would land, without inserting."""
-        return self._descend(label, bits)[1]
+        return self._place(label, bits)
 
 
 def build(corpus) -> tuple[Dst, list[InsertReport]]:

@@ -36,12 +36,12 @@ read through _sf, and q_pmf as P(S <= 2c) - P(S <= c) while 2c < 1, where
 the first term dominates and the difference keeps relative accuracy; q_pmf
 reads both rows from one frexp of c.
 
-The law has one coefficient sequence, the 32 numbers a_1..a_32 that
-mixture_coefficients() builds once and returns as a cached tuple; a_32 is
-about -6e-149, far past binary64 precision. The scalar evaluators read it
-and the d_k below as the module constants _A and _D. Every scalar value off
-the table takes one pass of exp values over it (or over the d_k of a Q_eta
-mass, below): _sf_terms(c, a) = fsum a_k * exp(-2^k c) = P(S > c). It
+The law has one coefficient sequence, the 32 numbers a_1..a_32, built once
+at import as the module constant _A, which mixture_coefficients() returns;
+a_32 is about -6e-149, far past binary64 precision. The d_k below are the
+module constant _D. Every scalar value off the table takes one pass of exp
+values over _A (or over the d_k of a Q_eta mass, below):
+_sf_terms(c, a) = fsum a_k * exp(-2^k c) = P(S > c). It
 doubles u = 2^k c once per term; doubling only raises the binary exponent,
 so u equals (2.0**k) * c and math.ldexp(c, k) bit for bit, and overflows to
 inf where ldexp would raise. It stops at the first exp(-u) that underflows
@@ -56,7 +56,7 @@ A Q_eta mass P(S > c) - P(S > 2c) is one series of the same form,
 sum_{k=1..33} d_k exp(-2^k c) with d_k = a_k - a_{k-1} (a_0 = a_33 = 0).
 Since a_{k-1} = (1 - 2^(k-1)) a_k, d_k = 2^(k-1) a_k for k <= 32: an
 exponent shift of the float a_k that adds no rounding (it also equals the
-float a_k - a_{k-1} bit for bit), and d_33 = -a_32 (_pmf_coefficients).
+float a_k - a_{k-1} bit for bit), and d_33 = -a_32 (_D).
 This series serves q_pmf from 2c = 1 on; below, the table does.
 
 The discretized family is Q_eta = L(floor(-log2 S + eta)) for eta in [0, 1]:
@@ -74,7 +74,7 @@ and every value reproduces that identity exactly in floating point because
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from itertools import accumulate
 from math import exp, floor, frexp, fsum, ldexp
 
 import numpy as np
@@ -82,9 +82,8 @@ import numpy as np
 from ._s_table import ROWS
 
 
-@lru_cache(maxsize=1)
 def mixture_coefficients() -> tuple[float, ...]:
-    """a_1..a_32 of L(S) = sum_k a_k Exp(2^k), built once and cached.
+    """a_1..a_32 of L(S) = sum_k a_k Exp(2^k): the module constant _A.
 
     a_1 = b = prod_{j>=1} (1 - 2^(-j))^(-1) ~ 3.4627466194550636, a product
     over j = 1..53: every later factor rounds to 1.0 in binary64, so the
@@ -96,22 +95,15 @@ def mixture_coefficients() -> tuple[float, ...]:
     so that holds on every platform, and the rounding bounds of the TV rows
     rest on it.
     """
-    a = [1.0 / math.prod(1.0 - 2.0 ** -j for j in range(1, 54))]
-    for k in range(1, 32):
-        a.append(a[-1] / (1.0 - 2.0 ** k))
-    return tuple(a)
+    return _A
 
 
-@lru_cache(maxsize=1)
-def _pmf_coefficients() -> tuple[float, ...]:
-    """d for the Q_eta mass series: d_k = 2^(k-1) a_k, d_33 = -a_32."""
-    a = mixture_coefficients()
-    return tuple(ldexp(ak, k) for k, ak in enumerate(a)) + (-a[-1],)
-
-
-# a module constant costs less per scalar value than a cached-function call
-_A = mixture_coefficients()
-_D = _pmf_coefficients()
+# a_1..a_32 (mixture_coefficients) and d_1..d_33 of the Q_eta mass series;
+# a module constant costs less per scalar value than a function call
+_A = tuple(accumulate(
+    range(1, 32), lambda ak, k: ak / (1.0 - 2.0 ** k),
+    initial=1.0 / math.prod(1.0 - 2.0 ** -j for j in range(1, 54))))
+_D = tuple(ldexp(ak, k) for k, ak in enumerate(_A)) + (-_A[-1],)
 
 
 def _check_eta(eta: float) -> None:

@@ -68,12 +68,14 @@ def tv_distance(p: IntPmf, q: IntPmf) -> float:
 
 def limit_pmf_window(eta: float, lo: int,
                      hi: int) -> tuple[int, np.ndarray, float]:
-    """Q_eta masses on the window [lo, hi]: (lo, masses, outside).
+    """Q_eta masses on the window [min(lo, -8), max(hi, 10)]:
+    (its first point, masses, outside).
 
-    ``outside`` = P(Q_eta < lo) + P(Q_eta > hi) is the mass the law carries
-    off the window, to be carried as certified slack. For lo <= -8 and
-    hi >= 10 it is below 1e-17 at every eta.
+    ``outside`` = P(Q_eta off the window) is the mass the law carries off
+    the window, to be carried as certified slack. The floor [-8, 10] keeps
+    it below 1e-17 at every eta.
     """
+    lo, hi = min(lo, -8), max(hi, 10)
     masses = np.array([q_pmf(eta, j) for j in range(lo, hi + 1)])
     return lo, masses, q_cdf(eta, lo - 1) + q_tail(eta, hi + 1)
 
@@ -81,8 +83,8 @@ def limit_pmf_window(eta: float, lo: int,
 def tv_vs_limit(pmf: IntPmf, eta: float) -> tuple[float, float]:
     """Certified d_TV(pmf, Q_eta): (upper bound, slack included in it).
 
-    Q_eta is read on the window of ``limit_pmf_window`` that spans pmf's
-    support and at least [-8, 10]. The slack is half of: the mass Q_eta
+    Q_eta is read on the window of ``limit_pmf_window`` over pmf's support,
+    which spans at least [-8, 10]. The slack is half of: the mass Q_eta
     carries off the window, the pmf's own truncation, and
     _MASS_ERR = 24 eps (eps = 2^-52) per window mass.
     A mass q_pmf(eta, j) is within 23 eps of Q_eta({j}). Its argument
@@ -98,9 +100,22 @@ def tv_vs_limit(pmf: IntPmf, eta: float) -> tuple[float, float]:
     (``limit_law``), rounded once: 8.5 eps. The last eps of _MASS_ERR is
     the mass's share of the rounding of the l1 sum: n - 1 roundings of a
     sum at most 2.
+
+    ``eta`` is taken as exact. A caller whose eta is a float rounding of
+    the true eta' adds TV(Q_eta, Q_eta') <= 1.49 |eta' - eta| to both
+    values. With X = -log2 S the two laws are floor(X + eta) and
+    floor(X + eta'), which differ only where an integer lies between
+    X + eta and X + eta'. X has density ln2 t f(t) at x, t = 2^-x, so that
+    event has probability at most |eta' - eta| ln2 sup_u sum_j g(u + j),
+    g(x) = t f(t). S is a sum of independent exponentials, so f is
+    log-concave, and so is t f(t) in t: g is unimodal, and sum_j g(u + j)
+    is at most its integral, 1/ln2, plus its peak, under 0.7. The factor is
+    ln2 (1/ln2 + 0.7) < 1.49. ``simulate`` takes eta = log2(t) - k, where
+    the subtraction is exact and log2 rounds by under 0.52 ulp (measured
+    over 20000 t up to 2^1024), and charges 1.5 ulp(log2 t); at a power of
+    two log2 is exact and the charge is 0.
     """
-    lo, qm, outside = limit_pmf_window(eta, min(pmf.offset, -8),
-                                       max(pmf.support_max, 10))
+    lo, qm, outside = limit_pmf_window(eta, pmf.offset, pmf.support_max)
     slack = 0.5 * (outside + pmf.truncation + qm.size * _MASS_ERR)
     tv = tv_distance(pmf, IntPmf(lo, qm, truncation=outside)) + slack
     return tv, slack

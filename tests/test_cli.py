@@ -16,9 +16,18 @@ from hypothesis import strategies as st
 import renewal_dst
 import renewal_dst.cli
 import renewal_dst.metrics
-from renewal_dst import knuth_corpus, q_cdf, tv_to_limit
+from renewal_dst import (
+    DEFAULT_SEED,
+    GeometricDst,
+    IntPmf,
+    knuth_corpus,
+    q_cdf,
+    simulate_count,
+    stream_rng,
+    tv_to_limit,
+)
 from renewal_dst.cli import _cell, main
-from renewal_dst.metrics import REPORT_COLUMNS
+from renewal_dst.metrics import REPORT_COLUMNS, tv_vs_limit
 
 
 def run(tmp_path, *argv):
@@ -164,8 +173,14 @@ def test_dst_demo_insufficient_bits_exit_3(tmp_path):
     assert code == 3
 
 
-def test_dst_demo_bad_probe(tmp_path):
-    assert run(tmp_path, "dst-demo", "--probe", "21")[0] == 2
+@pytest.mark.parametrize("probe, message", [
+    ("21", "error: bit string may contain only 0 and 1: '21'\n"),
+    ("0120", "error: bit string may contain only 0 and 1: '0120'\n"),
+    ("", "error: --probe must be a nonempty bit string, got ''\n"),
+], ids=["21", "0120", "empty"])
+def test_dst_demo_bad_probe(tmp_path, capsys, probe, message):
+    assert run(tmp_path, "dst-demo", "--probe", probe) == (2, b"")
+    assert capsys.readouterr().err == message
 
 
 def test_simulate_dyadic_matches_exact_trailer(tmp_path):
@@ -174,6 +189,27 @@ def test_simulate_dyadic_matches_exact_trailer(tmp_path):
     assert code == 0
     row = data.decode().strip().split("\n")[-1].split(",")
     assert abs(float(row[3]) - tv_to_limit(1024)[0]) <= 0.05
+
+
+@pytest.mark.parametrize("t", [3 * 2 ** 40 + 1, 10 ** 300, 2 ** 40],
+                         ids=["3*2^40+1", "10^300", "2^40"])
+def test_simulate_charges_the_rounding_of_eta(tmp_path, t):
+    # off powers of two eta = log2(t) - k is rounded, and both columns
+    # carry 1.5 ulp(log2 t), which covers 1.49 times eta's error
+    # (tv_vs_limit); at a power of two eta is exact and the charge is 0
+    mp = pytest.importorskip("mpmath")
+    code, data = run(tmp_path, "simulate", "--samples", "10", "--n-grid",
+                     f"{t}:{t}:1")
+    assert code == 0
+    _, eta, _, value, trunc = data.decode().strip().split("\n")[-1].split(",")
+    k = t.bit_length() - 1
+    counts = simulate_count(GeometricDst(), float(t), 10,
+                            stream_rng(DEFAULT_SEED, 0))
+    tv, slack = tv_vs_limit(IntPmf.from_samples(counts - k), float(eta))
+    charge = 1.5 * math.ulp(math.log2(t)) if t & (t - 1) else 0.0
+    assert (float(value), float(trunc)) == (tv + charge, slack + charge)
+    with mp.workdps(60):
+        assert 1.49 * abs(mp.log(t, 2) - k - mp.mpf(eta)) <= charge
 
 
 def test_simulate_general_alpha(tmp_path):
