@@ -34,7 +34,6 @@ from .metrics import (
     limit_pmf_window,
     rate_report,
     rate_rows,
-    tv_distance,
     tv_to_limit,
     tv_vs_limit,
 )
@@ -45,7 +44,6 @@ from .renewal import (
     depth_distribution_exact,
     floor_log2,
     frac_log2,
-    sample_scaled_limit,
     simulate_count,
 )
 from .rng import DEFAULT_SEED, stream_rng
@@ -220,26 +218,21 @@ def cmd_simulate(args) -> int:
     def row(i, t):
         counts = simulate_count(family, float(t), args.samples,
                                 stream_rng(args.seed, 2 * i))
+        # eta's rounding times TV's Lipschitz constant in eta (tv_vs_limit)
         if dyadic:
             k, eta = floor_log2(t), frac_log2(t)
+            # exact at powers of two
+            rounding = 1.5 * math.ulp(math.log2(t)) if t & (t - 1) else 0.0
         else:
-            x = math.log(t) / math.log(args.alpha)
+            ln_alpha = math.log(args.alpha)
+            x = math.log(t) / ln_alpha
             k = math.floor(x)
             eta = x - k
-        emp = IntPmf.from_samples(counts - k)
-        if dyadic:
-            value, trunc = tv_vs_limit(emp, eta)
-            if t & (t - 1):
-                # eta's rounding, exact at powers of two (tv_vs_limit)
-                rounding = 1.5 * math.ulp(math.log2(t))
-                value, trunc = value + rounding, trunc + rounding
-        else:
-            ref_rng = stream_rng(args.seed, 2 * i + 1)
-            limits = sample_scaled_limit(family, ref_rng, size=args.samples)
-            ref = IntPmf.from_samples(np.floor(
-                -np.log(limits) / math.log(args.alpha) + eta).astype(np.int64))
-            value, trunc = tv_distance(emp, ref), 0.0
-        return t, eta, "sim_tv", value, trunc
+            lipschitz = 1 + ln_alpha * (1 / math.e + 1 / (args.alpha - 1))
+            rounding = lipschitz * (10 * x + 1 / ln_alpha) * 2.0 ** -52
+        value, trunc = tv_vs_limit(IntPmf.from_samples(counts - k), eta,
+                                   args.alpha)
+        return t, eta, "sim_tv", value + rounding, trunc + rounding
 
     rows = rate_rows(grid, row)
     meta = {"command": "simulate", "version": __version__,

@@ -10,7 +10,8 @@ Two families ship:
   exponential of mean 1/2, the law of the DST family's scaled limit; the
   scaled limit Y_inf then equals that base law. A base of mean m gives the
   counts of mean 1/2 watched at time t/(2m), so another mean only shifts
-  eta by log_alpha(2m), and alpha is the family's one parameter.
+  eta by log_alpha(2m), and alpha is the family's one parameter. Its limit
+  law is exact for every alpha it accepts (``limit_law``).
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The most terms sample_scaled_limit may sum per draw. It bounds alpha below:
-# at alpha = 1.0001 the series would need 276,325 terms, minutes per row.
-MAX_LIMIT_TERMS = 1000
+from .limit_law import _mixture
 
 
 @dataclass(frozen=True)
@@ -34,23 +33,17 @@ class GeometricDst:
 
 @dataclass(frozen=True)
 class ScaledBase:
-    """Lifetimes alpha^k * W_k with W_k exponential of mean 1/2."""
+    """Lifetimes alpha^k * W_k with W_k exponential of mean 1/2.
+
+    alpha must be finite and above 1, and its limit law's mixture must stay
+    conditioned, sum_k |A_k| <= 2^13 (``limit_law``): alpha from
+    1.2508235044744267 on. Anything else raises ValueError.
+    """
 
     alpha: float
 
     def __post_init__(self):
-        if not (1.0 < self.alpha < math.inf
-                and self.limit_terms <= MAX_LIMIT_TERMS):
-            raise ValueError(
-                f"alpha must lie in (1, inf) and need at most "
-                f"{MAX_LIMIT_TERMS} series terms (alpha >= about 1.028), "
-                f"got {self.alpha!r}")
-
-    @property
-    def limit_terms(self) -> int:
-        """Terms past the first that ``sample_scaled_limit`` sums: enough
-        that the remainder's mean is below 1e-12 of the base mean."""
-        return max(4, math.ceil(12 * math.log(10) / math.log(self.alpha)))
+        _mixture(self.alpha)
 
 
 def sample_lifetime(family: GeometricDst | ScaledBase, k: int,

@@ -21,7 +21,7 @@ import operator
 
 import numpy as np
 
-from .limit_law import q_cdf, q_pmf, q_tail
+from .limit_law import _mixture_window, q_cdf, q_pmf, q_tail
 from .pmf import IntPmf
 from .renewal import (MAX_EXACT_KS_N, MAX_N, _level_gaps, frac_log2,
                       ks_scaled_sum_exact)
@@ -66,27 +66,38 @@ def tv_distance(p: IntPmf, q: IntPmf) -> float:
     return min(1.0, 0.5 * float(np.abs(ap - aq).sum()))
 
 
-def limit_pmf_window(eta: float, lo: int,
-                     hi: int) -> tuple[int, np.ndarray, float]:
+def limit_pmf_window(eta: float, lo: int, hi: int,
+                     alpha: float = 2.0) -> tuple[int, np.ndarray, float]:
     """Q_eta masses on the window [min(lo, -8), max(hi, 10)]:
     (its first point, masses, outside).
 
     ``outside`` = P(Q_eta off the window) is the mass the law carries off
     the window, to be carried as certified slack. The floor [-8, 10] keeps
     it below 1e-17 at every eta.
+
+    At a growth rate alpha != 2 the masses are those of the mixture at
+    alpha (``limit_law._mixture_window``, whose floor keeps the mass off
+    the window under 2^-53), and ``outside`` bounds that mass plus the sum
+    of the masses' float errors.
     """
+    if alpha != 2.0:
+        lo, masses, err, outside = _mixture_window(alpha, eta, lo, hi)
+        return lo, masses, outside + float(err.sum())
     lo, hi = min(lo, -8), max(hi, 10)
     masses = np.array([q_pmf(eta, j) for j in range(lo, hi + 1)])
     return lo, masses, q_cdf(eta, lo - 1) + q_tail(eta, hi + 1)
 
 
-def tv_vs_limit(pmf: IntPmf, eta: float) -> tuple[float, float]:
+def tv_vs_limit(pmf: IntPmf, eta: float,
+                alpha: float = 2.0) -> tuple[float, float]:
     """Certified d_TV(pmf, Q_eta): (upper bound, slack included in it).
 
-    Q_eta is read on the window of ``limit_pmf_window`` over pmf's support,
-    which spans at least [-8, 10]. The slack is half of: the mass Q_eta
-    carries off the window, the pmf's own truncation, and
-    _MASS_ERR = 24 eps (eps = 2^-52) per window mass.
+    Q_eta, the limit family at growth rate alpha, is read on the window of
+    ``limit_pmf_window`` over pmf's support, which spans at least [-8, 10].
+    The slack is half of: the mass Q_eta carries off the window, the pmf's
+    own truncation, and _MASS_ERR = 24 eps (eps = 2^-52) per window mass.
+    At alpha != 2 the window's ``outside`` already holds the masses' float
+    errors, and each mass adds only its eps of the l1 sum.
     A mass q_pmf(eta, j) is within 23 eps of Q_eta({j}). Its argument
     c = 2^(eta - 1 - j) carries the rounding of 2.0**eta, at most eps
     relative, which moves P(S > c) - P(S > 2c) by at most
@@ -114,9 +125,22 @@ def tv_vs_limit(pmf: IntPmf, eta: float) -> tuple[float, float]:
     the subtraction is exact and log2 rounds by under 0.52 ulp (measured
     over 20000 t up to 2^1024), and charges 1.5 ulp(log2 t); at a power of
     two log2 is exact and the charge is 0.
+
+    At a growth rate alpha, X = -log_alpha S has density ln(alpha) t f(t),
+    and the same argument gives the factor 1 + ln(alpha) sup_t t f(t),
+    where sup_t t f(t) <= 1/e + 1/(alpha - 1): write S = W_0 + R with
+    R = sum_{k>=1} alpha^-k W_k independent of W_0, so that
+    t f(t) = E[2 t e^(-2 (t - R)); R < t], and split t = (t - R) + R into
+    at most sup_y 2 y e^(-2 y) = 1/e plus 2 E[R] = 1/(alpha - 1).
+    ``simulate`` takes eta = x - floor(x), x = ln(t) / ln(alpha), where the
+    subtraction is exact and x is within eps/(2 ln alpha) + 8.5 eps |x| of
+    log_alpha t (t rounded to a float, two logs within 4 ulp, a division),
+    and charges the factor times eps (10 |x| + 1/ln alpha).
     """
-    lo, qm, outside = limit_pmf_window(eta, pmf.offset, pmf.support_max)
-    slack = 0.5 * (outside + pmf.truncation + qm.size * _MASS_ERR)
+    lo, qm, outside = limit_pmf_window(eta, pmf.offset, pmf.support_max,
+                                       alpha)
+    per_mass = _MASS_ERR if alpha == 2.0 else _EPS
+    slack = 0.5 * (outside + pmf.truncation + qm.size * per_mass)
     tv = tv_distance(pmf, IntPmf(lo, qm, truncation=outside)) + slack
     return tv, slack
 

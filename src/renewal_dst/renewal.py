@@ -38,8 +38,8 @@ hundred jump points up to n = 22 instead of all 8 2^n. The TV distance
 between the centred count and Q_eta reads it along the level at j = n:
 with k = floor(log2 n), Delta_l(n) = P(X_n >= l) - P(Q_eta >= l - k)
 (``_level_gaps``).
-Everything else (general growth rates, sanity cross-checks) is seeded Monte
-Carlo.
+The counts at any growth rate are also simulated, by seeded Monte Carlo
+(``simulate_count``).
 """
 
 from __future__ import annotations
@@ -216,21 +216,6 @@ def simulate_count(family: GeometricDst | ScaledBase, t: float,
             return counts
         counts += within
         k += 1
-
-
-def sample_scaled_limit(family: ScaledBase, rng: np.random.Generator,
-                        size: int | None = None):
-    """Draw the limit of alpha^(-n) S_n: sum_{k>=0} alpha^(-k) W_k.
-
-    The W_k are exponential of mean 1/2, summed to enough terms that the
-    remainder's mean, relative to the base mean, is below 1e-12. Scalar and
-    array draws take the same path and the same stream; at alpha = 2 the
-    draws are those of S = sum_{k=1..41} 2^(-k) Z_k with unit exponential Z_k.
-    """
-    out = np.zeros(1 if size is None else size)
-    for k in range(family.limit_terms + 1):
-        out += family.alpha ** -k * (0.5 * rng.standard_exponential(out.shape))
-    return float(out[0]) if size is None else out
 
 
 def _pair_terms(cells, j, lag=0.0) -> tuple[np.ndarray, np.ndarray]:

@@ -3,8 +3,9 @@
 None of these is used by a command: the empirical KS distance checks
 samplers against s_infinity_cdf, the geometric pmf checks the DST
 lifetime sampler, the upper tail of an IntPmf reads the partial-sum
-CDFs off the exact depth law, and the binary-search inversion is the
-reference for sample_q's counting one.
+CDFs off the exact depth law, the binary-search inversion is the
+reference for sample_q's counting one, and the series draws of S are an
+independent sample of the limit law.
 """
 
 import numpy as np
@@ -65,3 +66,14 @@ def search_inversion(table, lo: int, rng, size=None):
     v = 1.0 - rng.random(1 if size is None else size)
     q = np.searchsorted(table, v, side="left") + lo
     return int(q[0]) if size is None else q.astype(np.int64)
+
+
+def sample_s(rng, size=None):
+    """Draws of S = sum_{k=0..40} 2^-k W_k, W_k exponential of mean 1/2
+    (S = sum_{k=1..41} 2^-k Z_k over unit exponentials Z_k), one array of
+    standard exponentials per term; size=None returns the first draw of
+    size=1 as a float. The remainder's mean is 2^-41 of S's."""
+    out = np.zeros(1 if size is None else size)
+    for k in range(41):
+        out += 2.0 ** -k * (0.5 * rng.standard_exponential(out.shape))
+    return float(out[0]) if size is None else out

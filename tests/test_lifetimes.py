@@ -28,11 +28,15 @@ def test_scaled_base_rejects_alpha_outside_one_to_inf(alpha):
         ScaledBase(alpha)
 
 
-def test_scaled_base_rejects_alpha_needing_over_1000_terms():
-    for alpha in (1.0001, 1.028):
-        with pytest.raises(ValueError, match="alpha"):
-            ScaledBase(alpha)
-    assert ScaledBase(1.0281).limit_terms <= 1000
+# the limit law's mixture must keep sum_k |A_k| <= 2^13: alpha >= 1.2508
+@pytest.mark.parametrize("alpha", [1.0001, 1.028, 1.2])
+def test_scaled_base_rejects_alpha_past_the_conditioning_limit(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        ScaledBase(alpha)
+
+
+def test_scaled_base_accepts_alpha_above_the_conditioning_limit():
+    assert ScaledBase(1.26).alpha == 1.26
 
 
 def test_family_alpha():

@@ -3,6 +3,7 @@ import importlib.util
 import math
 import struct
 from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from renewal_dst import (
     IntPmf,
-    ScaledBase,
     mixture_coefficients,
     q_cdf,
     q_pmf,
@@ -20,15 +20,17 @@ from renewal_dst import (
     s_infinity_cdf,
     s_infinity_sf,
     sample_q,
-    sample_scaled_limit,
 )
 from renewal_dst._s_table import ROWS
 from renewal_dst.limit_law import (
+    _A,
     _D,
     _MEDIAN_C,
     _Q_HI,
     _Q_LO,
     _TABLE_LO,
+    _mixture,
+    _mixture_window,
     _q_table,
     _sf_terms,
     _table_cdf,
@@ -39,6 +41,7 @@ from renewal_dst.rng import stream_rng
 from _oracles import (
     empirical_cdf_jumps,
     ks_discrete_vs_continuous,
+    sample_s,
     search_inversion,
 )
 
@@ -196,10 +199,30 @@ def test_q_mean_average_and_gamma_series_at_64_etas():
             assert abs(mi - want) <= 1e-15, eta
 
 
+def test_q_variance_average_at_64_etas():
+    # Var Q_eta averages 1/12 + pi^2/(6 L^2) - a - b_2 - sum_k |c_k|^2 over
+    # a period (module notes), with |k| <= 3 here; 2.2e-17 off measured
+    mp = pytest.importorskip("mpmath")
+    var = []
+    for eta in (i / 64 for i in range(64)):
+        p = {j: q_pmf(eta, j) for j in range(-40, 40)}
+        mean = math.fsum(j * pj for j, pj in p.items())
+        var.append(math.fsum((j - mean) ** 2 * pj for j, pj in p.items()))
+    with mp.workdps(30):
+        ln2 = mp.log(2)
+        a = mp.nsum(lambda k: 1 / (2 ** k - 1), [1, mp.inf])
+        b2 = mp.nsum(lambda k: 1 / (2 ** k - 1) ** 2, [1, mp.inf])
+        c2 = mp.fsum(abs(mp.gamma(-2j * mp.pi * k / ln2) / ln2) ** 2
+                     for k in (-3, -2, -1, 1, 2, 3))
+        want = mp.mpf(1) / 12 + mp.pi ** 2 / (6 * ln2 ** 2) - a - b2 - c2
+        assert abs(want - mp.mpf("0.763014187111148")
+                   + mp.mpf("1.2374e-12")) <= 1e-15
+        assert abs(math.fsum(var) / 64 - want) <= 1e-15
+
+
 @pytest.fixture(scope="module")
 def s_infinity_draws():
-    return sample_scaled_limit(ScaledBase(2.0), stream_rng(20070201, 11),
-                               size=10 ** 6)
+    return sample_s(stream_rng(20070201, 11), size=10 ** 6)
 
 
 def test_sample_s_infinity_moments(s_infinity_draws):
@@ -219,7 +242,7 @@ def test_sample_s_infinity_matches_cdf(s_infinity_draws):
 
 def test_sample_q_in_unit_band_when_s_in_half_one():
     rng = stream_rng(123, 9)
-    s = sample_scaled_limit(ScaledBase(2.0), rng, size=5000)
+    s = sample_s(rng, size=5000)
     q = np.floor(-np.log2(s))
     sel = (s > 0.5) & (s <= 1.0)
     assert np.all(q[sel] == 0)
@@ -247,10 +270,9 @@ def test_sample_q_scalar():
     v = sample_q(0.5, stream_rng(7, 7))
     assert isinstance(v, int)
     assert v == sample_q(0.5, stream_rng(7, 7), size=1)[0]
-    base = ScaledBase(2.0)
-    s = sample_scaled_limit(base, stream_rng(7, 7))
+    s = sample_s(stream_rng(7, 7))
     assert isinstance(s, float)
-    assert s == sample_scaled_limit(base, stream_rng(7, 7), size=1)[0]
+    assert s == sample_s(stream_rng(7, 7), size=1)[0]
 
 
 @pytest.mark.parametrize("size", [(3, 4), 0, (2, 0), (500, 400)])
@@ -741,6 +763,80 @@ def test_q_series_reject_nan_naming_the_argument(bad):
 def test_array_series_reject_negative_and_nan(bad):
     with pytest.raises(ValueError, match="^t "):
         s_infinity_cdf(bad)
+
+
+# ---- the mixture at any growth rate alpha ----------------------------------
+
+# the least alpha the conditioning limit sum_k |A_k| <= 2^13 accepts
+ALPHA_CUT = 1.2508235044744267
+
+
+def test_mixture_at_alpha_2_is_the_product_and_recurrence_bit_for_bit():
+    old = tuple(accumulate(
+        range(1, 32), lambda ak, k: ak / (1.0 - 2.0 ** k),
+        initial=1.0 / math.prod(1.0 - 2.0 ** -j for j in range(1, 54))))
+    assert [x.hex() for x in _A] == [x.hex() for x in old]
+    assert len(_mixture(2.0)[0]) == 47     # a_33 is 1.4e-158, a_47 is 0
+
+
+def test_mixture_conditioning_cuts_at_alpha_cut():
+    weight = math.fsum(map(abs, _mixture(ALPHA_CUT)[0]))
+    assert 8190 < weight <= 2 ** 13
+    with pytest.raises(ValueError, match="alpha"):
+        _mixture(math.nextafter(ALPHA_CUT, 0.0))
+
+
+@pytest.mark.parametrize("eta", [i / 8 for i in range(8)])
+def test_mixture_window_at_alpha_2_matches_q_pmf(eta):
+    # both evaluators of one law: each mass within the sum of the mixture's
+    # bound and q_pmf's 23 eps (``tv_vs_limit``)
+    lo, masses, err, outside = _mixture_window(2.0, eta, -8, 10)
+    assert lo <= -8 and lo + masses.size > 10 and outside < 2.0 ** -53
+    for j, (m, e) in enumerate(zip(masses.tolist(), err.tolist()), lo):
+        assert abs(m - q_pmf(eta, j)) <= e + 23 * EPS, j
+
+
+def _mp_window(alpha, eta, lo, size):
+    """Q_eta's masses at growth rate alpha on lo .. lo + size - 1 and the
+    mass off them, at 60 digits from 150 mixture terms."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        al = mp.mpf(alpha)
+        a = [1 / mp.fprod(1 - al ** -m for m in range(1, 1000))]
+        for k in range(1, 150):
+            a.append(a[-1] / (1 - al ** k))
+
+        def sf(s):
+            return mp.fsum(ak * mp.exp(-2 * al ** k * s)
+                           for k, ak in enumerate(a))
+
+        tails = [sf(al ** (mp.mpf(eta) - j)) for j in range(lo, lo + size + 1)]
+        return ([tails[i + 1] - tails[i] for i in range(size)],
+                tails[0] + 1 - tails[-1])
+
+
+@pytest.mark.parametrize("alpha", [ALPHA_CUT, 1.5, 2.7, 3.0])
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.99])
+def test_mixture_window_against_mpmath(alpha, eta):
+    # measured: 7.3e-14 abs at the cut and 7.9e-16 at 1.5, under a tenth of
+    # the bounds, plus the underflow the module notes leave to a caller's
+    # eps per mass (a mass of 9e-627 reads 0 at alpha = 2.7); the bound off
+    # the window holds the true mass there
+    mp = pytest.importorskip("mpmath")
+    lo, masses, err, outside = _mixture_window(alpha, eta, 0, 0)
+    exact, off = _mp_window(alpha, eta, lo, masses.size)
+    with mp.workdps(60):
+        for j, (m, e, ref) in enumerate(zip(masses, err, exact), lo):
+            assert abs(mp.mpf(float(m)) - ref) <= e + 2.0 ** -1000, j
+        assert off <= outside < 2.0 ** -53
+
+
+@pytest.mark.filterwarnings("error")
+def test_mixture_window_at_huge_alpha_warns_nothing():
+    # alpha^k and the products overflow to inf, and exp(-x) underflows
+    lo, masses, err, outside = _mixture_window(1e308, 0.5, 0, 0)
+    assert masses.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.all(np.isfinite(err)) and 0.0 <= outside < 2.0 ** -53
 
 
 def test_limit_pmf_window_outside_mass_is_negligible():

@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -18,10 +19,10 @@ from renewal_dst import (
     ks_scaled_sum_exact,
     mixture_coefficients,
     pmf_gap_bound_check,
+    q_cdf,
     q_pmf,
     s_infinity_cdf,
     s_infinity_sf,
-    sample_scaled_limit,
     simulate_count,
     tv_distance,
     tv_to_limit,
@@ -38,9 +39,13 @@ from renewal_dst.renewal import (
     frac_log2,
 )
 from renewal_dst.lifetimes import sample_lifetime
+from renewal_dst.limit_law import _mixture
 from renewal_dst.rng import stream_rng
 
 from _oracles import empirical_cdf_jumps, ks_discrete_vs_continuous, tail_ge
+
+# the least alpha the conditioning limit sum_k |A_k| <= 2^13 accepts
+ALPHA_CUT = 1.2508235044744267
 
 DST = GeometricDst()
 
@@ -183,6 +188,24 @@ def test_dp_q_pmf_and_level_gaps_agree_per_mass(n):
         tol = (_dp_tolerance(n, level, mass) + 25 * 2.0 ** -52
                + err[level] + err[level + 1])
         assert abs(diff - (gaps[level] - gaps[level + 1])) <= tol, level
+
+
+# the level gaps are CDF differences, Delta_l = P(Q_eta + k < l) - P(X_n < l),
+# so their largest modulus is the Kolmogorov distance between X_n - k and
+# Q_eta; at 2^20 + 1 the level gaps read 1.07664491795649e-6 and the DP
+# against q_cdf 1.07664491821868e-6
+@pytest.mark.parametrize("n", [2 ** 10 + 1, 2 ** 20 + 1])
+def test_level_gaps_give_the_kolmogorov_distance(n):
+    k = floor_log2(n)
+    eta = math.log2(n / (1 << k))
+    gaps, err = _level_gaps(n)
+    law = depth_distribution_exact(n)
+    below = np.concatenate(([0.0], np.cumsum(law.masses)))  # P(X_n < l)
+    dp_ks = max(abs(below[min(max(level - law.offset, 0), below.size - 1)]
+                    - q_cdf(eta, level - k - 1))
+                for level in range(gaps.size))
+    tol = abs(1.0 - law.masses.sum()) + err.max()
+    assert abs(np.abs(gaps).max() - dp_ks) <= tol
 
 
 @pytest.mark.parametrize("cast", [np.int64, np.uint32])
@@ -385,28 +408,29 @@ def test_scaled_sum_converges_to_limit_cdf():
     assert ks <= 0.005
 
 
-def test_sample_scaled_limit_general_alpha_mean():
-    fam = ScaledBase(3.0)
-    draws = sample_scaled_limit(fam, stream_rng(11, 2), size=200000)
-    target = 0.5 * 3.0 / 2.0  # base mean 1/2 times alpha/(alpha-1)
-    se = draws.std() / math.sqrt(draws.size)
-    assert abs(draws.mean() - target) <= 5 * se
+@pytest.mark.parametrize("alpha", [ALPHA_CUT, 1.5, 3.0, 5.0])
+def test_mixture_mean_is_the_series_mean(alpha):
+    # E[S] = integral of P(S > s) = sum_k A_k / (2 alpha^k), and the series
+    # S = sum_k alpha^-k W_k has mean sum_k alpha^-k / 2 = alpha/(2 (alpha-1))
+    a = _mixture(alpha)[0]
+    mean = math.fsum(ak / (2 * alpha ** k) for k, ak in enumerate(a))
+    assert mean == pytest.approx(alpha / (2 * (alpha - 1)), rel=1e-12)
 
 
-@pytest.mark.parametrize("alpha, stream", [(3.0, 30), (5.0, 31)])
-def test_sample_scaled_limit_fourier_coefficient(alpha, stream):
-    # S = sum_k alpha^-k W_k has rates 2 alpha^k, and at chi = 2 pi i / ln
-    # alpha every (2 alpha^k)^chi is 2^chi, so E[S^-chi] = Gamma(1 - chi)
-    # 2^chi exactly. Its modulus is 7.5e-4 at alpha 3 (under one standard
-    # error here) and 1.1e-2 at alpha 5 (about ten).
-    mp = pytest.importorskip("mpmath")
-    s = sample_scaled_limit(ScaledBase(alpha), stream_rng(20070201, stream),
-                            size=10 ** 6)
-    chi = 2j * math.pi / math.log(alpha)
-    x = np.exp(-chi * np.log(s))
-    se = math.sqrt(np.mean(np.abs(x - x.mean()) ** 2) / x.size)
-    want = complex(mp.gamma(1 - chi) * mp.power(2, chi))
-    assert abs(x.mean() - want) <= 5 * se, (x.mean(), want)
+@pytest.mark.parametrize("alpha", [ALPHA_CUT, 1.5, 3.0, 5.0])
+def test_mixture_fourier_coefficient(alpha):
+    # E[S^-chi] = Gamma(1 - chi) sum_k A_k (2 alpha^k)^chi for the mixture,
+    # and at chi = 2 pi i / ln alpha every (2 alpha^k)^chi is 2^chi, so
+    # E[S^-chi] = Gamma(1 - chi) 2^chi, the law of sum_k alpha^-k W_k; the
+    # Gamma factor cancels, and the rest is float: each term's phase is off
+    # by a few eps, times sum_k |A_k| (5.3e-12 measured at the cut)
+    a = _mixture(alpha)[0]
+    ln_alpha = math.log(alpha)
+    chi = 2j * math.pi / ln_alpha
+    got = sum(ak * cmath.exp(chi * (math.log(2) + k * ln_alpha))
+              for k, ak in enumerate(a))
+    weight = math.fsum(map(abs, a))
+    assert abs(got - cmath.exp(chi * math.log(2))) <= 1e-14 * weight
 
 
 def test_ks_scaled_sum_degenerate_n1():
