@@ -16,37 +16,10 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .dst import (
-    CorpusFormatError,
-    InsufficientBitsError,
-    build,
-    knuth_corpus,
-    load_corpus,
-)
-from .lifetimes import GeometricDst, ScaledBase
+# limit_law and rng load no numpy; the commands import the modules that do
 from .limit_law import q_cdf, q_pmf, q_tail
-from .metrics import (
-    REPORT_COLUMNS,
-    check_rate_report,
-    limit_pmf_window,
-    rate_report,
-    rate_rows,
-    tv_to_limit,
-    tv_vs_limit,
-)
-from .pmf import IntPmf
-from .renewal import (
-    MAX_EXACT_KS_N,
-    MAX_N,
-    depth_distribution_exact,
-    floor_log2,
-    frac_log2,
-    simulate_count,
-)
-from .rng import DEFAULT_SEED, stream_rng
+from .rng import DEFAULT_SEED
 
 _GRID_DEFAULTS = {
     "limit-law": "-3:12:1",
@@ -106,7 +79,9 @@ def _cell(v) -> str:
         return ""
     if isinstance(v, str):
         return v
-    if isinstance(v, (int, np.integer)):
+    # int, bool and numpy's integers; hasattr costs a float cell less than
+    # an isinstance check against numbers.Integral
+    if hasattr(v, "__index__"):
         return str(int(v))
     f = float(v)
     if f.is_integer() and abs(f) < 2 ** 53:  # every such integer is exact
@@ -147,6 +122,9 @@ def cmd_limit_law(args) -> int:
 
 
 def cmd_depth_dist(args) -> int:
+    from .metrics import limit_pmf_window, tv_to_limit
+    from .renewal import depth_distribution_exact, floor_log2
+
     if args.n is None:
         raise ValueError("--n is required")
     # the centred law: level j + k of the depth law, k = floor(log2 n)
@@ -172,6 +150,9 @@ def cmd_depth_dist(args) -> int:
 
 
 def cmd_dst_demo(args) -> int:
+    from .dst import (CorpusFormatError, InsufficientBitsError, build,
+                      knuth_corpus, load_corpus)
+
     if args.corpus:
         try:
             corpus = load_corpus(args.corpus)
@@ -206,6 +187,12 @@ def cmd_dst_demo(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .lifetimes import GeometricDst, ScaledBase
+    from .metrics import REPORT_COLUMNS, rate_rows, tv_vs_limit
+    from .pmf import IntPmf
+    from .renewal import floor_log2, frac_log2, simulate_count
+    from .rng import stream_rng
+
     grid = _parse_grid(args.n_grid or _GRID_DEFAULTS["simulate"])
     try:
         float(grid[-1])
@@ -244,6 +231,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    from .metrics import REPORT_COLUMNS, check_rate_report, rate_report
+
     kind = {"tv": "tv_limit", "ks": "ks_scaled"}[args.kind]
     grid = args.n_grid or _GRID_DEFAULTS["converge-" + args.kind]
     rows = rate_report(_parse_grid(grid), kind)
@@ -294,6 +283,8 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_limit_law)
 
     if p := add("depth-dist", "exact centered count law next to its limit"):
+        from .renewal import MAX_N
+
         p.add_argument("--n", type=int, help=f"step count, 1 <= n <= {MAX_N}")
         common(p)
         p.set_defaults(func=cmd_depth_dist)
@@ -318,6 +309,8 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_simulate)
 
     if p := add("converge", "exact convergence-rate report with checks"):
+        from .renewal import MAX_EXACT_KS_N, MAX_N
+
         p.add_argument("--kind", choices=("tv", "ks"), default="tv")
         p.add_argument("--n-grid", metavar="A:B:STEP", help=(
             f"n grid (default {_GRID_DEFAULTS['converge-tv']} for tv, "

@@ -27,11 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .pmf import IntPmf
-from .rng import stream_rng
-
 # The classic ten-key corpus: first four bits of the fractional parts of
 # sqrt 2, sqrt 3, sqrt 5, sqrt 10, cbrt 2, cbrt 3, 2^(1/4), ln 2, ln 3, ln 10.
 _KNUTH_BITS = ("0110", "1011", "0011", "0010", "0100",
@@ -161,21 +156,26 @@ def load_corpus(path) -> list[tuple[str, str]]:
         return parse_corpus(fh.read())
 
 
-# Leading zero bits of every 16-bit value, 16 for zero.
-_LEADING_ZEROS_16 = (16 - np.frexp(np.arange(2.0 ** 16))[1]).astype(np.uint8)
+# Leading zero bits of every 16-bit value, 16 for zero: 15 - b for the
+# 2^b values with highest set bit b.
+_LEADING_ZEROS_16 = bytes([16]) + b"".join(
+    bytes([15 - b]) * (1 << b) for b in range(16))
 
 
 def _shared_bits(x: np.ndarray) -> np.ndarray:
     """Leading zero bits of each uint64 of ``x``: for two keys' XOR, their
     common-prefix length, 64 for equal keys. Bits are read 16 at a time,
     past the first 16 only where all so far were 0."""
+    import numpy as np
+
+    table = np.frombuffer(_LEADING_ZEROS_16, np.uint8)
     flat = x.ravel()
-    out = _LEADING_ZEROS_16[(flat >> np.uint64(48)).view(np.int64)]
+    out = table[(flat >> np.uint64(48)).view(np.int64)]
     out = out.astype(np.int64)
     rows = np.flatnonzero(out == 16)
     for digit in range(1, 4):
         bits = flat[rows] >> np.uint64(48 - 16 * digit) & np.uint64(0xFFFF)
-        out[rows] += _LEADING_ZEROS_16[bits.view(np.int64)]
+        out[rows] += table[bits.view(np.int64)]
         rows = rows[out[rows] == 16 * (digit + 1)]
     return out.reshape(x.shape)
 
@@ -200,6 +200,11 @@ def simulate_insertion_depth(n: int, replicates: int,
     (chunk, keys) uint64 arrays, so the Philox stream is consumed exactly as
     one replicate at a time would.
     """
+    import numpy as np
+
+    from .pmf import IntPmf
+    from .rng import stream_rng
+
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if replicates < 1:

@@ -144,8 +144,6 @@ from __future__ import annotations
 import math
 from math import exp, floor, frexp, fsum, ldexp
 
-import numpy as np
-
 from ._s_table import ROWS
 
 
@@ -213,6 +211,8 @@ def _mixture_window(alpha: float, eta: float, lo: int, hi: int):
     """(first point, masses, errors, outside) of Q_eta at growth rate alpha
     on [lo, hi] widened as the module notes say: the masses, a bound on
     each one's error, and a bound on the mass off the window."""
+    import numpy as np
+
     _check_eta(eta)
     a, rho = _mixture(alpha)
     la = math.log2(alpha)
@@ -315,12 +315,16 @@ def s_infinity_cdf(t):
     Accepts scalars or arrays; an array's values are the scalar values at
     its points, bit for bit, in an array of its shape.
     """
-    if isinstance(t, (float, int)) or np.ndim(t) == 0:  # np.float64 is a float
-        return _cdf(_checked(t))
-    tv = np.asarray(t, dtype=float)
-    if not np.all(tv >= 0):     # also rejects NaN
-        raise ValueError("t must be >= 0 and not NaN at every point")
-    return np.array([_cdf(x) for x in tv.ravel().tolist()]).reshape(tv.shape)
+    if not isinstance(t, (float, int)):     # np.float64 is a float
+        import numpy as np
+
+        if np.ndim(t):
+            tv = np.asarray(t, dtype=float)
+            if not np.all(tv >= 0):     # also rejects NaN
+                raise ValueError("t must be >= 0 and not NaN at every point")
+            return np.array([_cdf(x) for x in tv.ravel().tolist()]
+                            ).reshape(tv.shape)
+    return _cdf(_checked(t))
 
 
 def s_infinity_sf(x: float) -> float:
@@ -399,6 +403,8 @@ _Q_LO, _Q_HI = -5, 10
 
 def _q_table(eta: float) -> np.ndarray:
     """C_j = q_cdf(eta, j) for j = _Q_LO.._Q_HI - 1, checked nondecreasing."""
+    import numpy as np
+
     table = np.array([q_cdf(eta, j) for j in range(_Q_LO, _Q_HI)])
     if np.any(table[1:] < table[:-1]):
         raise RuntimeError(f"q_cdf({eta!r}, .) decreases")
@@ -423,6 +429,8 @@ def sample_q(eta: float, rng: np.random.Generator, size: int | None = None):
     nondecreasing C, counted without a search: every C_j < 2^-53 counts,
     no C_j = 1 does, and each other C_j (12 or 13) adds one comparison.
     """
+    import numpy as np
+
     _check_eta(eta)
     v = 1.0 - rng.random(1 if size is None else size)
     table = _q_table(eta)

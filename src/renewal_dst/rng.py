@@ -9,8 +9,6 @@ reproduces the same draws, bit for bit.
 
 from __future__ import annotations
 
-import numpy as np
-
 DEFAULT_SEED = 20070201
 
 
@@ -21,5 +19,7 @@ def stream_rng(seed: int = DEFAULT_SEED, stream: int = 0) -> np.random.Generator
     must be owned by exactly one thread of execution; parallel work should
     allocate one stream id per worker and merge results afterwards.
     """
+    import numpy as np
+
     key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

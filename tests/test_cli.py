@@ -5,10 +5,14 @@ import importlib
 import io
 import json
 import math
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -294,6 +298,12 @@ def test_cell_spells_integers_only_below_2_53():
     assert _cell(2.0 ** 53 - 1) == "9007199254740991"
     assert _cell(2.0 ** 60) == "1.152921504606847e+18"
     assert _cell(-1e308) == "-1e+308"
+    # numpy scalars, recognised without importing numpy
+    assert _cell(np.int64(-3)) == "-3"
+    assert _cell(np.uint64(2 ** 64 - 1)) == "18446744073709551615"
+    assert _cell(np.float64(2.0)) == "2"
+    assert _cell(np.float64(0.1)) == "0.10000000000000001"
+    assert _cell(np.bool_(True)) == "1"
 
 
 def test_converge_tv_small_grid(tmp_path):
@@ -323,8 +333,10 @@ def test_converge_ks_small_grid(tmp_path):
     assert all(tuple(r) == REPORT_COLUMNS for r in obj["rows"])
 
 
+# cmd_simulate imports tv_vs_limit when it runs, so the patch on metrics
+# reaches it
 @pytest.mark.parametrize("module, name, argv", [
-    (renewal_dst.cli, "tv_vs_limit",
+    (renewal_dst.metrics, "tv_vs_limit",
      ("simulate", "--n-grid", "16:64:x4", "--samples", "100")),
     (renewal_dst.metrics, "ks_scaled_sum_exact",
      ("converge", "--kind", "ks", "--n-grid", "4:6:1")),
@@ -533,6 +545,19 @@ def test_package_exports_resolve():
     assert len(names) == len(set(names))
     missing = [n for n in names if not hasattr(renewal_dst, n)]
     assert not missing, f"__all__ names with no binding: {missing}"
+    # each name, bound on first use, is the object in its home module
+    for name in names:
+        home = importlib.import_module(
+            f"renewal_dst.{renewal_dst._EXPORTS[name]}")
+        assert getattr(renewal_dst, name) is getattr(home, name), name
+    assert renewal_dst.q_cdf is renewal_dst.limit_law.q_cdf
+    assert set(names) <= set(dir(renewal_dst))
+    star = {}
+    exec("from renewal_dst import *", star)
+    assert set(star) - {"__builtins__"} == set(names)
+    assert all(star[n] is getattr(renewal_dst, n) for n in names)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        renewal_dst.no_such_name
 
 
 # names no command needs: reachable from their modules, not the package
@@ -549,6 +574,35 @@ def test_module_only_names_stay_off_the_package():
             assert hasattr(mod, name), (module, name)
             assert not hasattr(renewal_dst, name), name
             assert name not in renewal_dst.__all__, name
+
+
+# The scalar values of Q_eta and S and the DST reports need no numpy: a
+# process that uses only them, through the package or the scalar commands,
+# never loads it, and the first array does.
+_SCALAR_ONLY = """\
+import contextlib, io, sys
+import renewal_dst
+from renewal_dst.cli import main
+renewal_dst.q_cdf(0.5, 3), renewal_dst.q_pmf(0.5, -2), renewal_dst.q_tail(0.5, 3)
+renewal_dst.s_infinity_cdf(1.0), renewal_dst.s_infinity_sf(0.5)
+renewal_dst.mixture_coefficients()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["limit-law"]), main(["limit-law", "--help"]),
+             main(["dst-demo", "--probe", "011100"])]
+assert codes == [0, 0, 0], codes
+assert "numpy" not in sys.modules, "a scalar path loaded numpy"
+draws = renewal_dst.sample_q(0.5, renewal_dst.stream_rng(1, 1), size=10)
+assert draws.shape == (10,) and "numpy" in sys.modules
+"""
+
+
+def test_scalar_paths_load_no_numpy():
+    src = str(pathlib.Path(renewal_dst.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SCALAR_ONLY],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # The grammar fuzz: argv for the five commands from option values that
