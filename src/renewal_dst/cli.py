@@ -12,7 +12,6 @@ Exit codes: 0 success / assertions hold, 1 assertion failure, 2 usage
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -96,6 +95,7 @@ def _emit(meta: dict, columns, rows, fmt: str, out, extra: dict | None = None):
         lines += [",".join(_cell(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
+        import json
         obj = {"meta": meta, "rows": [dict(zip(columns, row)) for row in rows]}
         if extra:
             obj.update(extra)
@@ -139,13 +139,10 @@ def cmd_depth_dist(args) -> int:
         rows.append((j, ex, qm, abs(ex - qm)))
     meta = {"command": "depth-dist", "version": __version__,
             "seed": args.seed, "n": args.n, "eta": _cell(eta)}
-    if args.format == "csv":
+    if args.format == "csv":    # JSON writes tv as a key of its own
         rows.append(("tv", None, None, tv))
-        _emit(meta, ("j", "exact_pmf", "q_pmf", "abs_diff"), rows,
-              args.format, args.out)
-    else:
-        _emit(meta, ("j", "exact_pmf", "q_pmf", "abs_diff"), rows,
-              args.format, args.out, extra={"tv": tv})
+    _emit(meta, ("j", "exact_pmf", "q_pmf", "abs_diff"), rows, args.format,
+          args.out, extra={"tv": tv})
     return 0
 
 
@@ -249,23 +246,22 @@ _COMMANDS = ("limit-law", "depth-dist", "dst-demo", "simulate", "converge")
 
 
 def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The CLI parser; with ``command``, only that subcommand's parser, under
-    a usage line that still names all five. argparse hands a leading
-    subcommand every later word, so a run of it never parses or prints the
-    others, and building their parsers was most of a call's fixed cost."""
-    parser = argparse.ArgumentParser(
-        prog="renewal-dst",
-        description="Limit laws of renewal counts under exponentially "
-                    "increasing lifetimes, with the digital-search-tree "
-                    "depth chain as the exact engine.")
-    # None on the whole parser, whose errors name this argument "command"
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
+    """The whole CLI parser; with ``command``, that subcommand's parser alone,
+    under the prog it has as a subparser, so its output is the same."""
+    if command:
+        parser = argparse.ArgumentParser(prog=f"renewal-dst {command}")
+    else:
+        parser = argparse.ArgumentParser(
+            prog="renewal-dst",
+            description="Limit laws of renewal counts under exponentially "
+                        "increasing lifetimes, with the digital-search-tree "
+                        "depth chain as the exact engine.")
+        sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help):
-        if command in (None, name):
+        if not command:
             return sub.add_parser(name, help=help)
+        return parser if name == command else None
 
     def common(p):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -323,12 +319,16 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line; return its exit code. A leading command parses
+    with its own parser; the whole parser reports any words that leaves."""
     argv = sys.argv[1:] if argv is None else argv
-    # any first word but a subcommand name builds the whole parser
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS
-                           else None)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args, rest = _build_parser(argv[0]).parse_known_args(argv[1:])
+            if rest:
+                _build_parser().parse_args(argv)    # exits with the error
+        else:
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -11,16 +11,18 @@ the map. ``simulate_insertion_depth`` builds no tree; it reads the depth
 off the keys on the probe's path by a record scan.
 With nodes 0..d-1 of that path filled, the next key sharing at least d
 leading bits with the probe takes node d, and any other key leaves the path
-above it; so over the keys in insertion order, ``depth += shared >= depth``
-ends at the probe's depth. Simulated keys are the first 64 bits of the
+above it. A key shares at least d leading bits with the probe exactly
+when their XOR x is at most (2^64 - 1) >> d; so over the keys in
+insertion order, ``hit = x <= mask; depth += hit; mask >>= hit`` from
+mask = 2^64 - 1 ends at the probe's depth. Simulated keys are the first 64 bits of the
 unbounded uniform keys of the model (Flajolet and Sedgewick, SIAM J.
 Comput. 1986), one word each. While ``depth`` is at most 64 the scan only
-asks whether ``shared >= depth``, which 64 bits settle, so a probe depth of
-64 or less is the model's exact depth; a key that runs out of bits in a
-64-bit tree lands deeper than 64 in the model, below every node the scan
-reads. A replicate drops only when its probe needs more than 64 bits,
-which takes a key equal to the probe on all 64 bits: probability at most
-n / 2^64.
+asks whether a key shares ``depth`` leading bits with the probe, which 64
+bits settle, so a probe depth of 64 or less is the model's exact depth; a
+key that runs out of bits in a 64-bit tree lands deeper than 64 in the
+model, below every node the scan reads. A replicate drops only when its
+probe needs more than 64 bits, which takes a key equal to the probe on
+all 64 bits: probability at most n / 2^64.
 """
 
 from __future__ import annotations
@@ -156,30 +158,6 @@ def load_corpus(path) -> list[tuple[str, str]]:
         return parse_corpus(fh.read())
 
 
-# Leading zero bits of every 16-bit value, 16 for zero: 15 - b for the
-# 2^b values with highest set bit b.
-_LEADING_ZEROS_16 = bytes([16]) + b"".join(
-    bytes([15 - b]) * (1 << b) for b in range(16))
-
-
-def _shared_bits(x: np.ndarray) -> np.ndarray:
-    """Leading zero bits of each uint64 of ``x``: for two keys' XOR, their
-    common-prefix length, 64 for equal keys. Bits are read 16 at a time,
-    past the first 16 only where all so far were 0."""
-    import numpy as np
-
-    table = np.frombuffer(_LEADING_ZEROS_16, np.uint8)
-    flat = x.ravel()
-    out = table[(flat >> np.uint64(48)).view(np.int64)]
-    out = out.astype(np.int64)
-    rows = np.flatnonzero(out == 16)
-    for digit in range(1, 4):
-        bits = flat[rows] >> np.uint64(48 - 16 * digit) & np.uint64(0xFFFF)
-        out[rows] += table[bits.view(np.int64)]
-        rows = rows[out[rows] == 16 * (digit + 1)]
-    return out.reshape(x.shape)
-
-
 def simulate_insertion_depth(n: int, replicates: int,
                              rng: np.random.Generator | None = None,
                              probe_bits: str | None = None) -> IntPmf:
@@ -226,10 +204,13 @@ def simulate_insertion_depth(n: int, replicates: int,
         keys = rng.integers(0, 2 ** 64, size=size, dtype=np.uint64)
         if probe_bits is None:
             probe = keys[:, n:]
-        path = np.ascontiguousarray(_shared_bits(keys[:, :n] ^ probe).T)
+        path = np.ascontiguousarray((keys[:, :n] ^ probe).T)
         depth = np.zeros(len(keys), dtype=np.int64)
-        for shared in path:     # keys in insertion order
-            depth += shared >= depth
+        mask = np.full(len(keys), 2 ** 64 - 1, dtype=np.uint64)
+        hit = np.empty(len(keys), dtype=bool)
+        for x in path:          # keys in insertion order
+            depth += np.less_equal(x, mask, out=hit)
+            mask >>= hit
         depth[depth > _KEY_BITS] = -1
         depths.append(depth)
     depths = np.concatenate(depths)

@@ -399,6 +399,7 @@ def q_tail(eta: float, j) -> float:
 # sample_q's table spans j = _Q_LO.._Q_HI - 1: at every eta, P(Q_eta < _Q_LO)
 # <= q_cdf(0, -6) ~ 5.6e-28 and P(Q_eta > _Q_HI) <= q_tail(1, 11) ~ 2.9e-23.
 _Q_LO, _Q_HI = -5, 10
+_Q_BLOCK = 2 ** 16     # sample_q's draws per block; a block stays in cache
 
 
 def _q_table(eta: float) -> np.ndarray:
@@ -428,16 +429,25 @@ def sample_q(eta: float, rng: np.random.Generator, size: int | None = None):
     The index is #{j : C_j < v}, np.searchsorted(C, v, "left") on the
     nondecreasing C, counted without a search: every C_j < 2^-53 counts,
     no C_j = 1 does, and each other C_j (12 or 13) adds one comparison.
+    Draws are inverted _Q_BLOCK at a time, one rng.random call a block, which
+    reads the stream as one call for all of them would; beside the int64
+    output the transient is one block.
     """
     import numpy as np
 
     _check_eta(eta)
-    v = 1.0 - rng.random(1 if size is None else size)
     table = _q_table(eta)
     below = table < 2.0 ** -53
-    q = np.full(v.shape, _Q_LO + np.count_nonzero(below), dtype=np.int8)
-    hit = np.empty(v.shape, dtype=bool)
-    for c in table[~below & (table < 1.0)]:
-        q += np.greater(v, c, out=hit)
-    del v, hit      # freed before widening: the peak stays at 16 bytes a draw
-    return int(q[0]) if size is None else q.astype(np.int64)
+    lo = _Q_LO + np.count_nonzero(below)
+    cuts = table[~below & (table < 1.0)]
+    out = np.empty(1 if size is None else size, dtype=np.int64)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _Q_BLOCK):
+        v = rng.random(min(_Q_BLOCK, flat.size - start))
+        np.subtract(1.0, v, out=v)
+        q = np.full(v.shape, lo, dtype=np.int8)
+        hit = np.empty(v.shape, dtype=bool)
+        for c in cuts:
+            q += np.greater(v, c, out=hit)
+        flat[start:start + q.size] = q
+    return int(out[0]) if size is None else out

@@ -49,7 +49,6 @@ import operator
 
 import numpy as np
 
-from .lifetimes import GeometricDst, ScaledBase, sample_lifetime
 from .limit_law import mixture_coefficients, s_infinity_cdf, s_infinity_sf
 from .pmf import IntPmf
 
@@ -201,6 +200,8 @@ def simulate_count(family: GeometricDst | ScaledBase, t: float,
     Draws continue (and are discarded) for already-exceeded replicates so the
     stream layout depends only on the generator and ``samples``.
     """
+    from .lifetimes import sample_lifetime
+
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not 0 < t < math.inf:

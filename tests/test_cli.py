@@ -447,15 +447,15 @@ def test_a_run_builds_only_its_own_subcommand(tmp_path, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     code, _ = run(tmp_path, "dst-demo", "--probe", "011100")
     assert code == 0
-    assert built == ["renewal-dst", "renewal-dst dst-demo"]
+    assert built == ["renewal-dst dst-demo"]
     built.clear()
     assert main(["--help"]) == 0      # any other first word builds them all
     assert len(built) == 1 + len(renewal_dst.cli._COMMANDS) == 6
 
 
 # a run parses with its leading command's parser only, and with the whole
-# parser after any other first word; each must print and exit as the whole
-# parser does
+# parser after any other first word or when words are left over; each must
+# print and exit as the whole parser does
 @pytest.mark.parametrize("argv", [
     [], ["--help"], ["-h", "dst-demo"], ["frobnicate"], ["dst"],
     ["--", "dst-demo"], ["--foo", "dst-demo"],
@@ -468,6 +468,11 @@ def test_a_run_builds_only_its_own_subcommand(tmp_path, monkeypatch):
     ["simulate", "--help"], ["simulate", "--samples", "x"],
     ["converge", "--help"], ["converge", "--kind", "x"],
     ["converge", "--n-grid", "1:3"],
+    # words left over: the whole parser's error, or a help or error that
+    # the command's parser stops at first
+    ["dst-demo", "--", "x"], ["dst-demo", "--nope", "-h"],
+    ["limit-law", "--eta"], ["converge", "--kind", "ks", "stray"],
+    ["simulate", "--samples", "3", "stray", "--seed", "x"],
 ])
 def test_one_command_parser_runs_as_the_whole_parser(argv, monkeypatch):
     first = _run_captured(argv)
@@ -596,12 +601,34 @@ assert draws.shape == (10,) and "numpy" in sys.modules
 """
 
 
-def test_scalar_paths_load_no_numpy():
+def _run_fresh(code):
     src = str(pathlib.Path(renewal_dst.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _SCALAR_ONLY],
+    return subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
+
+
+def test_scalar_paths_load_no_numpy():
+    proc = _run_fresh(_SCALAR_ONLY)
+    assert proc.returncode == 0, proc.stderr
+
+
+# json serves only JSON output, and the lifetime families only the
+# Monte Carlo counts: a CSV table and an exact report load neither
+_NO_JSON_NO_LIFETIMES = """\
+import contextlib, io, sys
+from renewal_dst.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["limit-law"]), main(["converge", "--n-grid", "16:16:1"])]
+assert codes == [0, 0], codes
+assert "json" not in sys.modules, "a CSV run loaded json"
+assert "renewal_dst.lifetimes" not in sys.modules, "converge loaded lifetimes"
+"""
+
+
+def test_csv_and_exact_paths_load_no_json_or_lifetimes():
+    proc = _run_fresh(_NO_JSON_NO_LIFETIMES)
     assert proc.returncode == 0, proc.stderr
 
 
