@@ -28,8 +28,8 @@ _EXPORTS = {name: module for module, names in {
     "lifetimes": ("GeometricDst", "ScaledBase", "sample_lifetime"),
     "limit_law": ("mixture_coefficients", "q_cdf", "q_pmf", "q_tail",
                   "s_infinity_cdf", "s_infinity_sf", "sample_q"),
-    "metrics": ("check_rate_report", "pmf_gap_bound_check", "rate_report",
-                "tv_distance", "tv_to_limit"),
+    "metrics": ("check_rate_report", "rate_report", "tv_distance",
+                "tv_to_limit"),
     "pmf": ("IntPmf",),
     "renewal": ("depth_distribution_exact", "ks_scaled_sum_exact",
                 "simulate_count"),

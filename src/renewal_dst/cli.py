@@ -1,9 +1,10 @@
 """Command-line front end: every computation as a reproducible command.
 
 Commands emit CSV or JSON tables (plot data, not plots). Output is a pure
-function of flags and seed: the default seed is fixed and printed in every
-header, and floats are written with 17 significant digits, so identical
-invocations are byte-identical.
+function of the flags: ``simulate``, the one command that draws, reads
+``--seed``, whose default is fixed and printed in its header, and floats
+are written with 17 significant digits, so identical invocations are
+byte-identical.
 
 Exit codes: 0 success / assertions hold, 1 assertion failure, 2 usage
 (a request too big for memory among them), 3 data error.
@@ -113,8 +114,7 @@ def _emit(meta: dict, columns, rows, fmt: str, out, extra: dict | None = None):
 def cmd_limit_law(args) -> int:
     eta = args.eta
     xs = _parse_grid(args.n_grid or _GRID_DEFAULTS["limit-law"])
-    meta = {"command": "limit-law", "version": __version__,
-            "seed": args.seed, "eta": _cell(eta),
+    meta = {"command": "limit-law", "version": __version__, "eta": _cell(eta),
             "grid": args.n_grid or _GRID_DEFAULTS["limit-law"]}
     rows = [(x, q_cdf(eta, x), q_pmf(eta, x), q_tail(eta, x)) for x in xs]
     _emit(meta, ("x", "cdf", "pmf", "tail"), rows, args.format, args.out)
@@ -122,7 +122,7 @@ def cmd_limit_law(args) -> int:
 
 
 def cmd_depth_dist(args) -> int:
-    from .metrics import limit_pmf_window, tv_to_limit
+    from .metrics import tv_to_limit
     from .renewal import depth_distribution_exact, floor_log2
 
     if args.n is None:
@@ -131,14 +131,13 @@ def cmd_depth_dist(args) -> int:
     k = floor_log2(args.n)
     law = depth_distribution_exact(args.n)
     tv, eta = tv_to_limit(args.n)
-    lo, qmasses, _ = limit_pmf_window(eta, law.offset - k,
-                                      law.support_max - k)
     rows = []
-    for j, qm in enumerate(qmasses.tolist(), lo):
-        ex = law.prob(j + k)
+    # q_pmf, not the mixture window: its masses keep relative accuracy
+    for j in range(min(law.offset - k, -8), max(law.support_max - k, 10) + 1):
+        ex, qm = law.prob(j + k), q_pmf(eta, j)
         rows.append((j, ex, qm, abs(ex - qm)))
-    meta = {"command": "depth-dist", "version": __version__,
-            "seed": args.seed, "n": args.n, "eta": _cell(eta)}
+    meta = {"command": "depth-dist", "version": __version__, "n": args.n,
+            "eta": _cell(eta)}
     if args.format == "csv":    # JSON writes tv as a key of its own
         rows.append(("tv", None, None, tv))
     _emit(meta, ("j", "exact_pmf", "q_pmf", "abs_diff"), rows, args.format,
@@ -176,7 +175,6 @@ def cmd_dst_demo(args) -> int:
         rows.append(("probe:" + args.probe, pr.depth, pr.parent or "",
                      pr.side))
     meta = {"command": "dst-demo", "version": __version__,
-            "seed": args.seed,
             "corpus": args.corpus or "builtin"}
     _emit(meta, ("label", "depth", "parent", "side"), rows, args.format,
           args.out)
@@ -234,7 +232,7 @@ def cmd_converge(args) -> int:
     grid = args.n_grid or _GRID_DEFAULTS["converge-" + args.kind]
     rows = rate_report(_parse_grid(grid), kind)
     meta = {"command": "converge", "version": __version__,
-            "seed": args.seed, "kind": args.kind, "grid": grid}
+            "kind": args.kind, "grid": grid}
     _emit(meta, REPORT_COLUMNS, rows, args.format, args.out)
     problems = check_rate_report(rows)
     for p in problems:
@@ -264,8 +262,6 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
         return parser if name == command else None
 
     def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="64-bit stream seed (default %(default)s)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -301,6 +297,8 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
         p.add_argument("--n-grid", default=None, metavar="A:B:STEP",
                        help="horizon grid (default %s)"
                             % _GRID_DEFAULTS["simulate"])
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help="64-bit stream seed (default %(default)s)")
         common(p)
         p.set_defaults(func=cmd_simulate)
 

@@ -7,11 +7,13 @@ law at n and Q_eta is read off the level gaps
 Delta_l = P(X_n >= l) - P(Q_eta >= l - k) of ``renewal._level_gaps``, a
 closed form with a rounding bound per level, as
 (1/2) sum_l |Delta_l - Delta_(l+1)|: no depth law and no Q_eta masses, for
-any n <= 2^53. The rate harness phrases the asymptotic rate claims as
-finite-n decrease of scaled sequences (an o(.) statement is not assertable
-at any finite n). Every distance carries its truncation mass and its float
-rounding as certified slack, so every asserted inequality is sound rather
-than merely plausible.
+any n <= 2^53. A law with no closed form, such as a sampled count, is
+compared with Q_eta at any growth rate through the certified masses of
+``limit_law._mixture_window`` (``tv_vs_limit``). The rate harness phrases
+the asymptotic rate claims as finite-n decrease of scaled sequences (an
+o(.) statement is not assertable at any finite n). Every distance carries
+its truncation mass and its float rounding as certified slack, so every
+asserted inequality is sound rather than merely plausible.
 """
 
 from __future__ import annotations
@@ -21,15 +23,12 @@ import operator
 
 import numpy as np
 
-from .limit_law import _mixture_window, q_cdf, q_pmf, q_tail
+from .limit_law import _mixture_window
 from .pmf import IntPmf
 from .renewal import (MAX_EXACT_KS_N, MAX_N, _level_gaps, frac_log2,
                       ks_scaled_sum_exact)
 
 _EPS = 2.0 ** -52
-# a bound on the float error of one Q_eta mass plus its share of the l1
-# sum's rounding (``tv_vs_limit``)
-_MASS_ERR = 24 * _EPS
 # a bound on (1/2) sum of the pmf gaps past _level_gaps' top level k + 16
 _TV_TAIL = 2.0 ** -105
 
@@ -66,51 +65,17 @@ def tv_distance(p: IntPmf, q: IntPmf) -> float:
     return min(1.0, 0.5 * float(np.abs(ap - aq).sum()))
 
 
-def limit_pmf_window(eta: float, lo: int, hi: int,
-                     alpha: float = 2.0) -> tuple[int, np.ndarray, float]:
-    """Q_eta masses on the window [min(lo, -8), max(hi, 10)]:
-    (its first point, masses, outside).
-
-    ``outside`` = P(Q_eta off the window) is the mass the law carries off
-    the window, to be carried as certified slack. The floor [-8, 10] keeps
-    it below 1e-17 at every eta.
-
-    At a growth rate alpha != 2 the masses are those of the mixture at
-    alpha (``limit_law._mixture_window``, whose floor keeps the mass off
-    the window under 2^-53), and ``outside`` bounds that mass plus the sum
-    of the masses' float errors.
-    """
-    if alpha != 2.0:
-        lo, masses, err, outside = _mixture_window(alpha, eta, lo, hi)
-        return lo, masses, outside + float(err.sum())
-    lo, hi = min(lo, -8), max(hi, 10)
-    masses = np.array([q_pmf(eta, j) for j in range(lo, hi + 1)])
-    return lo, masses, q_cdf(eta, lo - 1) + q_tail(eta, hi + 1)
-
-
 def tv_vs_limit(pmf: IntPmf, eta: float,
                 alpha: float = 2.0) -> tuple[float, float]:
     """Certified d_TV(pmf, Q_eta): (upper bound, slack included in it).
 
     Q_eta, the limit family at growth rate alpha, is read on the window of
-    ``limit_pmf_window`` over pmf's support, which spans at least [-8, 10].
-    The slack is half of: the mass Q_eta carries off the window, the pmf's
-    own truncation, and _MASS_ERR = 24 eps (eps = 2^-52) per window mass.
-    At alpha != 2 the window's ``outside`` already holds the masses' float
-    errors, and each mass adds only its eps of the l1 sum.
-    A mass q_pmf(eta, j) is within 23 eps of Q_eta({j}). Its argument
-    c = 2^(eta - 1 - j) carries the rounding of 2.0**eta, at most eps
-    relative, which moves P(S > c) - P(S > 2c) by at most
-    (c f(c) + 2c f(2c)) eps < 1.4 eps, as t f(t) < 0.7 for the density f of
-    S. From 2c = 1 on the mass is fsum of d_k exp(-2^k c), each
-    d_k = 2^(k-1) a_k within a_k's 2 eps (``mixture_coefficients``), each
-    exp within 4 ulp and each product rounded once: 6.5 eps of terms whose
-    sizes add to at most sum |a_k| / e < 3.1 (2^(k-1) exp(-2^k c) <= 1/e
-    for c >= 1/2), plus fsum's eps/2, under 20.7 eps. Below 2c = 1 it is a
-    difference of two table values at most 1, each within 4 eps
-    (``limit_law``), rounded once: 8.5 eps. The last eps of _MASS_ERR is
-    the mass's share of the rounding of the l1 sum: n - 1 roundings of a
-    sum at most 2.
+    ``limit_law._mixture_window`` over pmf's support, which spans at least
+    [-8, 12] at alpha = 2. The slack is half of: the mass Q_eta carries off
+    the window and the sum of the window masses' error bounds, both from
+    ``_mixture_window``; the pmf's own truncation; and eps (2^-52) per
+    window mass, its share of the rounding of the l1 sum (n - 1 roundings
+    of a sum at most 2).
 
     ``eta`` is taken as exact. A caller whose eta is a float rounding of
     the true eta' adds TV(Q_eta, Q_eta') <= 1.49 |eta' - eta| to both
@@ -137,10 +102,10 @@ def tv_vs_limit(pmf: IntPmf, eta: float,
     log_alpha t (t rounded to a float, two logs within 4 ulp, a division),
     and charges the factor times eps (10 |x| + 1/ln alpha).
     """
-    lo, qm, outside = limit_pmf_window(eta, pmf.offset, pmf.support_max,
-                                       alpha)
-    per_mass = _MASS_ERR if alpha == 2.0 else _EPS
-    slack = 0.5 * (outside + pmf.truncation + qm.size * per_mass)
+    lo, qm, err, outside = _mixture_window(alpha, eta, pmf.offset,
+                                           pmf.support_max)
+    outside += float(err.sum())
+    slack = 0.5 * (outside + pmf.truncation + qm.size * _EPS)
     tv = tv_distance(pmf, IntPmf(lo, qm, truncation=outside)) + slack
     return tv, slack
 
@@ -180,38 +145,6 @@ def tv_to_limit(n: int) -> tuple[float, float]:
     about 0.1 ms at any n.
     """
     return _tv_with_slack(n)[0], frac_log2(n)
-
-
-def pmf_gap_bound_check(t: int, j: int) -> tuple[float, float]:
-    """Pointwise gap |P(X_t - k = j) - Q_eta({j})| and its KS bound.
-
-    With l = k + j, k = floor(log2 t), the gap is exactly
-    |Delta_l - Delta_(l+1)| for the level gaps
-    Delta_l = P(X_t >= l) - P(Q_eta >= l - k) of ``renewal._level_gaps``:
-    no depth law and no Q_eta mass, for any 1 <= t <= 2^53. The right side
-    is phi(l) + phi(l+1), phi(m) the exact KS distance of the scaled sum at
-    m <= 22, plus both reported truncation bounds (the mass past the cap
-    and the KS value's float error) and the levels' error bounds
-    e_l + e_(l+1), which cover the difference's rounding too (their row-sum
-    bound is taken at twice the rounding). A level above the top k + 16
-    (j >= 16 at t < 64) reads 0 with error 2^-104: both tails there are at
-    most 2^-105 (``_tv_with_slack``). So lhs > rhs certifies that the gap
-    exceeds the KS pair; callers assert lhs <= rhs.
-    """
-    t, j = operator.index(t), operator.index(j)
-    if not 1 <= t <= MAX_N:
-        raise ValueError(f"t must be in [1, {MAX_N}], got {t}")
-    level = t.bit_length() - 1 + j
-    if level < 1:
-        raise ValueError(f"k(t) + j must be >= 1, got {level}")
-    phi1, tb1 = ks_scaled_sum_exact(level)
-    phi2, tb2 = ks_scaled_sum_exact(level + 1)
-    gaps, err = _level_gaps(t)
-    above = max(level + 2 - gaps.size, 0)
-    gaps = np.pad(gaps, (0, above))
-    err = np.pad(err, (0, above), constant_values=2.0 ** -104)
-    lhs = abs(float(gaps[level] - gaps[level + 1]))
-    return lhs, phi1 + phi2 + tb1 + tb2 + float(err[level] + err[level + 1])
 
 
 KINDS = ("tv_limit", "ks_scaled")

@@ -149,8 +149,8 @@ def depth_distribution_exact(n: int) -> IntPmf:
     is the trimmed mass plus |1 - sum| of the stored masses: the clipped
     mass (below 1e-300 for any reachable n) and the rounding drift in
     either direction (at most 4.7e-15 over 281 sampled n from 2^20 to
-    2^53). No distance of the package reads this law: the TV rows
-    and ``metrics.pmf_gap_bound_check`` read ``_level_gaps``.
+    2^53). No distance of the package reads this law: the TV rows read
+    ``_level_gaps``, as the tests' pointwise gap check does.
     """
     n = operator.index(n)
     if not 0 <= n <= MAX_N:

@@ -4,11 +4,16 @@ None of these is used by a command: the empirical KS distance checks
 samplers against s_infinity_cdf, the geometric pmf checks the DST
 lifetime sampler, the upper tail of an IntPmf reads the partial-sum
 CDFs off the exact depth law, the binary-search inversion is the
-reference for sample_q's counting one, and the series draws of S are an
-independent sample of the limit law.
+reference for sample_q's counting one, the series draws of S are an
+independent sample of the limit law, and the pointwise gap check sets one
+mass gap of the count law against the exact KS distances of the scaled sum.
 """
 
+import operator
+
 import numpy as np
+
+from renewal_dst.renewal import MAX_N, _level_gaps, ks_scaled_sum_exact
 
 
 def ks_discrete_vs_continuous(points, after, cdf) -> float:
@@ -77,3 +82,35 @@ def sample_s(rng, size=None):
     for k in range(41):
         out += 2.0 ** -k * (0.5 * rng.standard_exponential(out.shape))
     return float(out[0]) if size is None else out
+
+
+def pmf_gap_bound_check(t: int, j: int) -> tuple[float, float]:
+    """Pointwise gap |P(X_t - k = j) - Q_eta({j})| and its KS bound.
+
+    With l = k + j, k = floor(log2 t), the gap is exactly
+    |Delta_l - Delta_(l+1)| for the level gaps
+    Delta_l = P(X_t >= l) - P(Q_eta >= l - k) of ``renewal._level_gaps``:
+    no depth law and no Q_eta mass, for any 1 <= t <= 2^53. The right side
+    is phi(l) + phi(l+1), phi(m) the exact KS distance of the scaled sum at
+    m <= 22, plus both reported truncation bounds (the mass past the cap
+    and the KS value's float error) and the levels' error bounds
+    e_l + e_(l+1), which cover the difference's rounding too (their row-sum
+    bound is taken at twice the rounding). A level above the top k + 16
+    (j >= 16 at t < 64) reads 0 with error 2^-104: both tails there are at
+    most 2^-105 (``metrics._tv_with_slack``). So lhs > rhs certifies that
+    the gap exceeds the KS pair; callers assert lhs <= rhs.
+    """
+    t, j = operator.index(t), operator.index(j)
+    if not 1 <= t <= MAX_N:
+        raise ValueError(f"t must be in [1, {MAX_N}], got {t}")
+    level = t.bit_length() - 1 + j
+    if level < 1:
+        raise ValueError(f"k(t) + j must be >= 1, got {level}")
+    phi1, tb1 = ks_scaled_sum_exact(level)
+    phi2, tb2 = ks_scaled_sum_exact(level + 1)
+    gaps, err = _level_gaps(t)
+    above = max(level + 2 - gaps.size, 0)
+    gaps = np.pad(gaps, (0, above))
+    err = np.pad(err, (0, above), constant_values=2.0 ** -104)
+    lhs = abs(float(gaps[level] - gaps[level + 1]))
+    return lhs, phi1 + phi2 + tb1 + tb2 + float(err[level] + err[level + 1])

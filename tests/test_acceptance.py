@@ -17,7 +17,6 @@ from renewal_dst import (
     knuth_corpus,
     ks_scaled_sum_exact,
     mixture_coefficients,
-    pmf_gap_bound_check,
     q_tail,
     s_infinity_cdf,
     sample_q,
@@ -28,7 +27,11 @@ from renewal_dst.cli import main
 from renewal_dst.metrics import tv_vs_limit
 from renewal_dst.rng import stream_rng
 
-from _oracles import empirical_cdf_jumps, ks_discrete_vs_continuous
+from _oracles import (
+    empirical_cdf_jumps,
+    ks_discrete_vs_continuous,
+    pmf_gap_bound_check,
+)
 
 
 def report(num, name, detail=""):

@@ -26,6 +26,7 @@ from renewal_dst import (
     IntPmf,
     knuth_corpus,
     q_cdf,
+    q_pmf,
     simulate_count,
     stream_rng,
     tv_to_limit,
@@ -45,7 +46,7 @@ def test_limit_law_table(tmp_path):
     assert code == 0
     lines = data.decode().strip().split("\n")
     assert lines[0].startswith("# command=limit-law")
-    assert "seed=20070201" in lines[0]
+    assert " seed=" not in lines[0]     # simulate alone reads a seed
     assert lines[1] == "x,cdf,pmf,tail"
     body = [line.split(",") for line in lines[2:]]
     assert len(body) == 16
@@ -70,7 +71,7 @@ def test_limit_law_json_schema(tmp_path):
     assert code == 0
     obj = json.loads(data)
     assert set(obj) == {"meta", "rows"}
-    assert obj["meta"]["seed"] == 20070201
+    assert "seed" not in obj["meta"]
     assert all(set(r) == {"x", "cdf", "pmf", "tail"} for r in obj["rows"])
     r0 = obj["rows"][0]
     assert r0["cdf"] == q_cdf(0.0, r0["x"])
@@ -114,6 +115,20 @@ def test_depth_dist_point_mass(tmp_path):
     ones = [r for r in obj["rows"] if r["exact_pmf"] == 1.0]
     assert len(ones) == 1 and ones[0]["j"] == 1
     assert obj["tv"] == tv_to_limit(1)[0]
+
+
+@pytest.mark.parametrize("n", [1, 1024, 3 * 2 ** 20])
+def test_depth_dist_q_pmf_rows_span_minus_8_to_10(tmp_path, n):
+    # the q_pmf column is q_pmf itself, on contiguous rows j that cover the
+    # law's support and at least [-8, 10]
+    code, data = run(tmp_path, "depth-dist", "--n", str(n))
+    assert code == 0
+    eta = tv_to_limit(n)[1]
+    body = [line.split(",") for line in data.decode().split("\n")[2:-2]]
+    js = [int(row[0]) for row in body]
+    assert js == list(range(js[0], js[-1] + 1))
+    assert js[0] <= -8 and js[-1] >= 10
+    assert [row[2] for row in body] == [_cell(q_pmf(eta, j)) for j in js]
 
 
 def test_depth_dist_at_the_dp_limit(tmp_path):
@@ -234,6 +249,24 @@ def test_simulate_general_alpha(tmp_path):
     rows = [line.split(",") for line in data.decode().strip().split("\n")[2:]]
     assert len(rows) == 3
     assert all(0.0 <= float(r[3]) <= 1.0 for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit-law", "--seed", "1"], ["depth-dist", "--n", "4", "--seed", "1"],
+    ["dst-demo", "--seed", "1"],
+    ["converge", "--n-grid", "16:16:1", "--seed", "1"],
+])
+def test_deterministic_commands_refuse_seed(argv):
+    # simulate is the one command that draws, and the one that takes --seed
+    code, out, err = _run_captured(argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --seed 1" in err and "Traceback" not in err
+
+
+def test_simulate_reads_seed(tmp_path):
+    code, data = run(tmp_path, "simulate", "--seed", "5", "--samples", "10",
+                     "--n-grid", "16:16:1")
+    assert code == 0 and " seed=5 " in data.decode().split("\n")[0]
 
 
 def test_simulate_usage_errors(tmp_path):
@@ -520,23 +553,24 @@ def test_byte_identical_reruns(tmp_path, argv):
 # of Dst and the Q_eta values across refactors; the header's version field
 # is in the bytes. The alpha = 2.7 rows were recorded again when their
 # reference became the exact mixture law with certified slack, in place of
-# a sample of the limit.
+# a sample of the limit; the alpha = 2 rows when they took the same law, and
+# the other four when their headers lost the seed no command of theirs reads.
 @pytest.mark.parametrize("argv, digest", [
     (("simulate", "--n-grid", "16:256:x4", "--samples", "3000"),
-     "c8a4280a08c75b14a34bd19f5703d0c8082caec578b1c35abafd1e805734dfc6"),
+     "1f6d5f2b0e5e893be3e3ca17031b7ae288298561bbc4fb4ecfa9a1b66830cb4b"),
     (("simulate", "--alpha", "2.7", "--n-grid", "16:64:x2",
       "--samples", "2000"),
      "0f0626e2b0eafc8d283d06e7c939eb8f7e35ec89005c049062e34125eb9ece95"),
     (("dst-demo", "--probe", "011100"),
-     "5c7373d7d7a42fd4907281b67eaf4cbf9c92ae319e5c9411880ccb92e2dc687e"),
+     "6183fd7673c75556cdb8509d3100f023e45169bb55c08c2b8cb95c968adede23"),
     # eta = 0.80364 puts c = 0.872750 (x = 0) 1.2e-5 below the median
     # crossing limit_law._MEDIAN_C, and 2c of q_pmf at j = 1 there too
     (("limit-law", "--eta", "0.80364"),
-     "bc36c15abb98e3fd7ab4ecac7188cdf3bfaa1bf4872131c9098e57d9058d4d70"),
+     "8cb5bd5079785e40b03502de05f85706f9b559b1ea7d30347c344da071bbf6df"),
     (("limit-law", "--eta", "0.5"),
-     "0464e8d95d38c6e19e4e0f5ba73b36efda16b1641de0dc4f35213e1d2848a266"),
+     "5c445d6ee3af1a18d98e363927c1af2ae402a8fe61cfeb5212a18b841ea51ce9"),
     (("depth-dist", "--n", "1024"),
-     "87e78578aa2bb7877d2987caeddd43445b516309009e278af52f45cb851c5eb9"),
+     "3f9e9958ba8c3c462d111ffdfb9d7cbdc80664e67f6a86fb5356bc1a9dafe5f8"),
 ], ids=["simulate-dyadic", "simulate-alpha-2.7", "dst-demo-probe",
         "limit-law-median-band", "limit-law-half", "depth-dist-1024"])
 def test_output_matches_recorded_digest(tmp_path, argv, digest):
@@ -572,7 +606,7 @@ _MODULE_ONLY = {
 
 
 def test_module_only_names_stay_off_the_package():
-    assert len(renewal_dst.__all__) == 28
+    assert len(renewal_dst.__all__) == 27
     for module, names in _MODULE_ONLY.items():
         mod = importlib.import_module(f"renewal_dst.{module}")
         for name in names:
@@ -661,14 +695,13 @@ _OPTIONS = {
     "dst-demo": {"--probe": st.text("01x", max_size=70),
                  "--corpus": st.just("no-such-corpus.txt")},
     "simulate": {"--alpha": _FLOATS, "--samples": _ints(-2, 50),
-                 "--n-grid": _GRIDS},
+                 "--n-grid": _GRIDS, "--seed": _ints(-2, 5)},
     "converge": {"--kind": st.sampled_from(["tv", "ks", "x"]),
                  "--n-grid": _GRIDS},
 }
 # left out, these would run the defaults: 10^4 samples, 2^18-point laws
 _REQUIRED = {"--samples", "--n-grid"}
-_COMMON = {"--seed": _ints(-2, 5),
-           "--format": st.sampled_from(["csv", "json", "xml"])}
+_COMMON = {"--format": st.sampled_from(["csv", "json", "xml"])}
 
 
 @st.composite

@@ -35,7 +35,7 @@ from renewal_dst.limit_law import (
     _sf_terms,
     _table_cdf,
 )
-from renewal_dst.metrics import limit_pmf_window, tv_vs_limit
+from renewal_dst.metrics import tv_vs_limit
 from renewal_dst.rng import stream_rng
 
 from _oracles import (
@@ -164,8 +164,7 @@ def test_q_mean_matches_mellin_fourier_form(eta):
     # + sum_m Im(e^(2 pi i m eta) Gamma(1 - chi_m)) / (pi m), where
     # alpha_EB = sum_k 1/(2^k - 1) is the Erdos-Borwein constant.
     mp = pytest.importorskip("mpmath")
-    lo, masses, _ = limit_pmf_window(eta, -40, 60)
-    mean = math.fsum((lo + i) * m for i, m in enumerate(masses))
+    mean = math.fsum(j * q_pmf(eta, j) for j in range(-40, 61))
     with mp.workdps(40):
         ln2 = mp.log(2)
         alpha_eb = mp.nsum(lambda k: 1 / (2 ** k - 1), [1, mp.inf])
@@ -675,12 +674,12 @@ def test_q_pmf_against_mpmath_including_left_tail():
 def test_tv_vs_limit_slack_covers_the_window_rounding(eta):
     # a law on [-2, 3] against Q_eta: the bound is at least the 80-digit TV
     # (Q_eta masses on [-30, 40], the rest below 1e-40) and within twice
-    # its slack, which counts 24 eps per window mass
+    # its slack: the window's mass bounds, the mass off it and eps per mass
     mp = pytest.importorskip("mpmath")
     pmf = IntPmf(-2, np.array([0.05, 0.25, 0.35, 0.2, 0.1, 0.05]))
     bound, slack = tv_vs_limit(pmf, eta)
-    lo, masses, outside = limit_pmf_window(eta, -8, 10)
-    assert slack == 0.5 * (outside + masses.size * 24 * EPS)
+    lo, masses, err, outside = _mixture_window(2.0, eta, -8, 10)
+    assert slack == 0.5 * (outside + float(err.sum()) + masses.size * EPS)
     with mp.workdps(80):
         c = {j: mp.mpf(2) ** (mp.mpf(eta) - 1 - j) for j in range(-31, 41)}
         truth = mp.fsum(abs(mp.mpf(pmf.prob(j)) - _mp_law(c[j])[1]
@@ -789,7 +788,7 @@ def test_mixture_conditioning_cuts_at_alpha_cut():
 @pytest.mark.parametrize("eta", [i / 8 for i in range(8)])
 def test_mixture_window_at_alpha_2_matches_q_pmf(eta):
     # both evaluators of one law: each mass within the sum of the mixture's
-    # bound and q_pmf's 23 eps (``tv_vs_limit``)
+    # bound and the 23 eps of q_pmf's docstring
     lo, masses, err, outside = _mixture_window(2.0, eta, -8, 10)
     assert lo <= -8 and lo + masses.size > 10 and outside < 2.0 ** -53
     for j, (m, e) in enumerate(zip(masses.tolist(), err.tolist()), lo):
@@ -839,16 +838,16 @@ def test_mixture_window_at_huge_alpha_warns_nothing():
     assert np.all(np.isfinite(err)) and 0.0 <= outside < 2.0 ** -53
 
 
-def test_limit_pmf_window_outside_mass_is_negligible():
-    # every window covers at least [-8, 10], a narrower request included;
-    # off it Q_eta carries under 1e-14 at every eta
+def test_mixture_window_at_alpha_2_outside_mass_is_negligible():
+    # every window at alpha = 2 covers at least [-8, 12], a narrower
+    # request included; off it Q_eta carries under 2^-53 at every eta
     for eta in np.linspace(0.0, 1.0, 101):
-        lo, masses, outside = limit_pmf_window(eta, -8, 10)
-        assert lo == -8 and masses.size == 19
-        assert 0.0 <= outside < 1e-14, eta
-        lo2, masses2, outside2 = limit_pmf_window(eta, -3, 4)
-        assert (lo2, masses2.tolist(), outside2) == (
-            lo, masses.tolist(), outside)
+        lo, masses, err, outside = _mixture_window(2.0, eta, -8, 10)
+        assert lo == -8 and masses.size == 21
+        assert 0.0 <= outside < 2.0 ** -53, eta
+        lo2, masses2, err2, outside2 = _mixture_window(2.0, eta, -3, 4)
+        assert (lo2, masses2.tolist(), err2.tolist(), outside2) == (
+            lo, masses.tolist(), err.tolist(), outside)
 
 
 # ---- the piece table of P(S <= t) on (0, 1) --------------------------------

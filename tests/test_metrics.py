@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import renewal_dst.limit_law
 import renewal_dst.metrics
 import renewal_dst.renewal
 from renewal_dst import (
     IntPmf,
     check_rate_report,
-    pmf_gap_bound_check,
     rate_report,
     s_infinity_cdf,
     s_infinity_sf,
@@ -22,7 +22,11 @@ from renewal_dst import (
 from renewal_dst.metrics import _tv_with_slack
 from renewal_dst.renewal import _ks_level, _level_gaps, ks_scaled_sum_exact
 
-from _oracles import empirical_cdf_jumps, ks_discrete_vs_continuous
+from _oracles import (
+    empirical_cdf_jumps,
+    ks_discrete_vs_continuous,
+    pmf_gap_bound_check,
+)
 
 
 def pmf_of(d):
@@ -240,8 +244,8 @@ def test_pmf_gap_check_needs_no_depth_law_and_no_q_pmf(monkeypatch):
         raise AssertionError("the pointwise gap built a depth law or a mass")
 
     for module, name in ((renewal_dst.renewal, "depth_distribution_exact"),
-                         (renewal_dst.metrics, "q_pmf"),
-                         (renewal_dst.metrics, "frac_log2")):
+                         (renewal_dst.limit_law, "q_pmf"),
+                         (renewal_dst.renewal, "frac_log2")):
         monkeypatch.setattr(module, name, refused)
     cases = ([(2 ** 10, j) for j in range(-2, 6)]
              + [(2 ** 20 + 1, j) for j in range(-2, 2)]
@@ -393,7 +397,7 @@ def test_tv_rows_need_no_depth_law_and_no_window(monkeypatch):
 
     assert not hasattr(renewal_dst.metrics, "depth_distribution_exact")
     for module, name in ((renewal_dst.renewal, "depth_distribution_exact"),
-                         (renewal_dst.metrics, "limit_pmf_window")):
+                         (renewal_dst.metrics, "_mixture_window")):
         monkeypatch.setattr(module, name, refused)
     tv, eta = tv_to_limit(3 * 2 ** 20)
     assert 0.0 < tv < 1e-6 and eta == pytest.approx(math.log2(3) - 1)

@@ -18,7 +18,6 @@ from renewal_dst import (
     depth_distribution_exact,
     ks_scaled_sum_exact,
     mixture_coefficients,
-    pmf_gap_bound_check,
     q_cdf,
     q_pmf,
     s_infinity_cdf,
@@ -27,7 +26,6 @@ from renewal_dst import (
     tv_distance,
     tv_to_limit,
 )
-from renewal_dst.metrics import limit_pmf_window
 from renewal_dst.renewal import (
     MAX_EXACT_KS_N,
     _block_bound,
@@ -42,7 +40,12 @@ from renewal_dst.lifetimes import sample_lifetime
 from renewal_dst.limit_law import _mixture
 from renewal_dst.rng import stream_rng
 
-from _oracles import empirical_cdf_jumps, ks_discrete_vs_continuous, tail_ge
+from _oracles import (
+    empirical_cdf_jumps,
+    ks_discrete_vs_continuous,
+    pmf_gap_bound_check,
+    tail_ge,
+)
 
 # the least alpha the conditioning limit sum_k |A_k| <= 2^13 accepts
 ALPHA_CUT = 1.2508235044744267
@@ -730,8 +733,7 @@ def _mean_gap(n):
                                2 ** 12, 2 ** 20 + 1, 3 * 2 ** 18, 2 ** 26])
 def test_level_gaps_sum_to_the_mean_gap(n):
     eta = frac_log2(n)
-    lo, masses, _ = limit_pmf_window(eta, -40, 60)
-    q_mean = math.fsum(j * m for j, m in enumerate(masses.tolist(), lo))
+    q_mean = math.fsum(j * q_pmf(eta, j) for j in range(-40, 61))
     law = depth_distribution_exact(n)
     law_mean = math.fsum(j * m for j, m in enumerate(law.masses.tolist(),
                                                       law.offset))
