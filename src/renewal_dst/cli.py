@@ -197,9 +197,10 @@ def cmd_simulate(args) -> int:
     dyadic = args.alpha == 2.0
     family = GeometricDst() if dyadic else ScaledBase(args.alpha)
 
+    laws = simulate_count(family, grid, args.samples,
+                          stream_rng(args.seed, 0))
+
     def row(i, t):
-        counts = simulate_count(family, float(t), args.samples,
-                                stream_rng(args.seed, 2 * i))
         # eta's rounding times TV's Lipschitz constant in eta (tv_vs_limit)
         if dyadic:
             k, eta = floor_log2(t), frac_log2(t)
@@ -212,8 +213,8 @@ def cmd_simulate(args) -> int:
             eta = x - k
             lipschitz = 1 + ln_alpha * (1 / math.e + 1 / (args.alpha - 1))
             rounding = lipschitz * (10 * x + 1 / ln_alpha) * 2.0 ** -52
-        value, trunc = tv_vs_limit(IntPmf.from_samples(counts - k), eta,
-                                   args.alpha)
+        value, trunc = tv_vs_limit(IntPmf(laws[i].offset - k, laws[i].masses),
+                                   eta, args.alpha)
         return t, eta, "sim_tv", value + rounding, trunc + rounding
 
     rows = rate_rows(grid, row)
@@ -293,7 +294,8 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=2.0,
                        help="lifetime growth base (default %(default)s)")
         p.add_argument("--samples", type=int, default=10000,
-                       help="replicates per grid point (default %(default)s)")
+                       help="renewal paths, each read at every grid point "
+                            "(default %(default)s)")
         p.add_argument("--n-grid", default=None, metavar="A:B:STEP",
                        help="horizon grid (default %s)"
                             % _GRID_DEFAULTS["simulate"])

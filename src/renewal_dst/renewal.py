@@ -38,12 +38,14 @@ hundred jump points up to n = 22 instead of all 8 2^n. The TV distance
 between the centred count and Q_eta reads it along the level at j = n:
 with k = floor(log2 n), Delta_l(n) = P(X_n >= l) - P(Q_eta >= l - k)
 (``_level_gaps``).
-The counts at any growth rate are also simulated, by seeded Monte Carlo
-(``simulate_count``).
+The counts at any growth rate are also simulated, by seeded Monte Carlo:
+one set of renewal paths is drawn up to the last horizon of a grid, and
+each horizon's count law is read off it (``simulate_count``).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 
@@ -191,32 +193,50 @@ def frac_log2(n: int) -> float:
     return math.log2(n) - k
 
 
-def simulate_count(family: GeometricDst | ScaledBase, t: float,
-                   samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Replicates of N_t = sup{n : S_n <= t}, one count per replicate.
+def simulate_count(family: GeometricDst | ScaledBase, horizons,
+                   samples: int, rng: np.random.Generator) -> list[IntPmf]:
+    """Laws of N_t = sup{n : S_n <= t}, one per nondecreasing horizon t,
+    all read off the same ``samples`` renewal paths.
 
-    Lifetimes are drawn index by index across all replicates; a replicate's
-    count is the number of partial sums that stayed within the horizon.
-    Draws continue (and are discarded) for already-exceeded replicates so the
-    stream layout depends only on the generator and ``samples``.
+    Lifetimes are drawn index by index across all replicates until every
+    partial sum has passed the last horizon, so the stream layout depends
+    only on the generator, ``samples`` and that horizon. N_t >= j exactly
+    when S_j <= t: the replicates with S_j <= t, tabled over indices j and
+    horizons, give each law by differences, bit for bit the
+    ``IntPmf.from_samples`` of the per-replicate counts. At an index, a
+    horizon below every sum or at or above every sum is tabled without a
+    pass, each other one with one pass over the sums, so no (index, horizon)
+    pair costs more than a pass: less than drawing each horizon's own
+    paths. Memory is O(samples + indices * horizons).
     """
     from .lifetimes import sample_lifetime
 
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if not 0 < t < math.inf:
-        raise ValueError(f"horizon must be finite and positive, got {t!r}")
+    ts = [float(t) for t in horizons]
+    for t in ts:
+        if not 0 < t < math.inf:
+            raise ValueError(f"horizon must be finite and positive, got {t!r}")
+    if not ts or any(b < a for a, b in zip(ts, ts[1:])):
+        raise ValueError("horizons must be a nonempty nondecreasing sequence")
     sums = np.zeros(samples)
-    counts = np.zeros(samples, dtype=np.int64)
-    k = 1
+    rows = []      # rows[j - 1][h]: replicates with S_j <= ts[h]
     while True:
         with np.errstate(over="ignore"):    # a sum past the float range is inf
-            sums += sample_lifetime(family, k, rng, size=samples)
-        within = sums <= t
-        if not within.any():
-            return counts
-        counts += within
-        k += 1
+            sums += sample_lifetime(family, len(rows) + 1, rng, size=samples)
+        lo, hi = sums.min(), sums.max()
+        if not lo <= ts[-1]:    # a nan sum (inf * 0 in a lifetime) ends too
+            break
+        a, b = bisect.bisect_left(ts, lo), bisect.bisect_left(ts, hi)
+        rows.append([0] * a + [np.count_nonzero(sums <= t) for t in ts[a:b]]
+                    + [samples] * (len(ts) - b))
+    table = np.array([[samples] * len(ts), *rows, [0] * len(ts)],
+                     dtype=np.int64)
+    laws = []
+    for column in (table[:-1] - table[1:]).T:     # replicates with N_t = j
+        j = np.flatnonzero(column)
+        laws.append(IntPmf(int(j[0]), column[j[0]:j[-1] + 1] / samples))
+    return laws
 
 
 def _pair_terms(cells, j, lag=0.0) -> tuple[np.ndarray, np.ndarray]:

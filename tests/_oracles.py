@@ -5,14 +5,17 @@ samplers against s_infinity_cdf, the geometric pmf checks the DST
 lifetime sampler, the upper tail of an IntPmf reads the partial-sum
 CDFs off the exact depth law, the binary-search inversion is the
 reference for sample_q's counting one, the series draws of S are an
-independent sample of the limit law, and the pointwise gap check sets one
-mass gap of the count law against the exact KS distances of the scaled sum.
+independent sample of the limit law, the pointwise gap check sets one
+mass gap of the count law against the exact KS distances of the scaled sum,
+and the per-replicate renewal counts are the reference for
+simulate_count's tabled laws.
 """
 
 import operator
 
 import numpy as np
 
+from renewal_dst.lifetimes import sample_lifetime
 from renewal_dst.renewal import MAX_N, _level_gaps, ks_scaled_sum_exact
 
 
@@ -114,3 +117,27 @@ def pmf_gap_bound_check(t: int, j: int) -> tuple[float, float]:
     err = np.pad(err, (0, above), constant_values=2.0 ** -104)
     lhs = abs(float(gaps[level] - gaps[level + 1]))
     return lhs, phi1 + phi2 + tb1 + tb2 + float(err[level] + err[level + 1])
+
+
+def renewal_counts(family, horizons, samples, rng):
+    """Each replicate's renewal count N_t at every horizon t, one row per
+    horizon, and per horizon the lifetime indices a loop run to that horizon
+    alone draws on the same stream.
+
+    Lifetimes are drawn index by index across all replicates until every
+    partial sum has passed the last horizon; each index adds
+    sums <= t[:, None] to the counts.
+    """
+    t = np.asarray(horizons, dtype=float)
+    sums = np.zeros(samples)
+    counts = np.zeros((t.size, samples), dtype=np.int64)
+    drawn = np.zeros(t.size, dtype=np.int64)
+    k = 1
+    while not drawn.all():
+        with np.errstate(over="ignore"):
+            sums += sample_lifetime(family, k, rng, size=samples)
+        within = sums <= t[:, None]
+        drawn[(drawn == 0) & ~within.any(axis=1)] = k
+        counts += within
+        k += 1
+    return counts, drawn

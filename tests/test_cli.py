@@ -222,9 +222,9 @@ def test_simulate_charges_the_rounding_of_eta(tmp_path, t):
     assert code == 0
     _, eta, _, value, trunc = data.decode().strip().split("\n")[-1].split(",")
     k = t.bit_length() - 1
-    counts = simulate_count(GeometricDst(), float(t), 10,
-                            stream_rng(DEFAULT_SEED, 0))
-    tv, slack = tv_vs_limit(IntPmf.from_samples(counts - k), float(eta))
+    law, = simulate_count(GeometricDst(), [t], 10,
+                          stream_rng(DEFAULT_SEED, 0))
+    tv, slack = tv_vs_limit(IntPmf(law.offset - k, law.masses), float(eta))
     charge = 1.5 * math.ulp(math.log2(t)) if t & (t - 1) else 0.0
     assert (float(value), float(trunc)) == (tv + charge, slack + charge)
     with mp.workdps(60):
@@ -549,18 +549,19 @@ def test_byte_identical_reruns(tmp_path, argv):
 
 
 # SHA-256 of the CSV these commands write, recorded on x86-64 Linux with
-# numpy 2.4. They pin the draw layout of simulate_count, the placement rule
-# of Dst and the Q_eta values across refactors; the header's version field
-# is in the bytes. The alpha = 2.7 rows were recorded again when their
-# reference became the exact mixture law with certified slack, in place of
-# a sample of the limit; the alpha = 2 rows when they took the same law, and
-# the other four when their headers lost the seed no command of theirs reads.
+# numpy 2.4. They pin the placement rule of Dst, the Q_eta values and, for
+# simulate, one set of renewal paths drawn on stream (seed, 0) and read at
+# every grid point, across refactors; the header's version field is in the
+# bytes. The simulate rows were recorded again when every grid point came
+# to be read off that one path set, in place of a fresh process per point
+# (the first row kept its bytes); the other four when their headers lost
+# the seed no command of theirs reads.
 @pytest.mark.parametrize("argv, digest", [
     (("simulate", "--n-grid", "16:256:x4", "--samples", "3000"),
-     "1f6d5f2b0e5e893be3e3ca17031b7ae288298561bbc4fb4ecfa9a1b66830cb4b"),
+     "b3cf2f8fd55ca4cac1370876669f131250e48e0f9e67483dc49a5dd0c3286f0c"),
     (("simulate", "--alpha", "2.7", "--n-grid", "16:64:x2",
       "--samples", "2000"),
-     "0f0626e2b0eafc8d283d06e7c939eb8f7e35ec89005c049062e34125eb9ece95"),
+     "def52597669c1769f64ea142a7069d0911a4337264f367cc5c42c53103d7c086"),
     (("dst-demo", "--probe", "011100"),
      "6183fd7673c75556cdb8509d3100f023e45169bb55c08c2b8cb95c968adede23"),
     # eta = 0.80364 puts c = 0.872750 (x = 0) 1.2e-5 below the median

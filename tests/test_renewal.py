@@ -44,6 +44,7 @@ from _oracles import (
     empirical_cdf_jumps,
     ks_discrete_vs_continuous,
     pmf_gap_bound_check,
+    renewal_counts,
     tail_ge,
 )
 
@@ -350,40 +351,78 @@ def test_log2_helpers_reject_n_below_1(n):
 
 
 def test_simulate_count_degenerate_horizons():
-    low = simulate_count(DST, 0.5, 500, stream_rng(1, 0))
-    assert np.all(low == 0)
-    mid = simulate_count(DST, 1.5, 500, stream_rng(1, 1))
-    assert np.all(mid == 1)
+    low, mid = simulate_count(DST, [0.5, 1.5], 500, stream_rng(1, 0))
+    assert (low.offset, list(low.masses)) == (0, [1.0])
+    assert (mid.offset, list(mid.masses)) == (1, [1.0])
 
 
 def test_simulate_count_matches_exact_law():
-    counts = simulate_count(DST, 2.0 ** 10, 10 ** 5, stream_rng(20070201, 15))
-    emp = IntPmf.from_samples(counts)
+    emp, = simulate_count(DST, [2.0 ** 10], 10 ** 5,
+                          stream_rng(20070201, 15))
     assert tv_distance(emp, depth_distribution_exact(2 ** 10)) <= 0.01
 
 
 def test_simulate_count_reproducible():
-    first = simulate_count(DST, 100.0, 2000, stream_rng(7, 3))
-    assert np.array_equal(first, simulate_count(DST, 100.0, 2000,
-                                                stream_rng(7, 3)))
+    first = simulate_count(DST, [10.0, 100.0], 2000, stream_rng(7, 3))
+    again = simulate_count(DST, [10.0, 100.0], 2000, stream_rng(7, 3))
+    assert [(p.offset, p.masses.tolist()) for p in first] == \
+        [(p.offset, p.masses.tolist()) for p in again]
 
 
 def test_simulate_count_validation():
-    with pytest.raises(ValueError):
-        simulate_count(DST, 10.0, 0, stream_rng(1))
-    with pytest.raises(ValueError):
-        simulate_count(DST, 0.0, 10, stream_rng(1))
+    for horizons, samples in (([10.0], 0), ([0.0], 10), ([1.0, -1.0], 10),
+                              ([2.0, 1.0], 10), ([], 10)):
+        with pytest.raises(ValueError):
+            simulate_count(DST, horizons, samples, stream_rng(1))
 
 
 @pytest.mark.parametrize("family", [DST, ScaledBase(2.0)],
                          ids=["geometric", "scaled-base"])
 def test_simulate_count_rejects_infinite_horizon(family):
     # an infinite horizon would never end the draws: refused before the first
-    for t in (math.inf, math.nan):
+    for horizons in ([math.inf], [math.nan], [4.0, math.inf],
+                     [math.nan, 4.0], [2.0, math.nan, 8.0]):
         rng = stream_rng(1)
         with pytest.raises(ValueError, match="finite"):
-            simulate_count(family, t, 3, rng)
+            simulate_count(family, horizons, 3, rng)
         assert rng.random() == stream_rng(1).random()
+
+
+# 1.0 ties every geometric sum at the first index
+_ORACLE_HORIZONS = [0.5, 1.0, 1.5, *range(1000, 1011), 2 ** 53, 2 ** 53 + 1]
+
+
+@pytest.mark.parametrize("family, horizons", [
+    (DST, [*_ORACLE_HORIZONS, 10 ** 300]),
+    (ScaledBase(1.5), _ORACLE_HORIZONS),
+    (ScaledBase(2.7), _ORACLE_HORIZONS),
+], ids=["geometric", "alpha-1.5", "alpha-2.7"])
+def test_simulate_count_matches_per_replicate_counts(family, horizons,
+                                                     monkeypatch):
+    # every law is bit for bit the empirical law of the replicates' counts
+    # on the same stream (2^53 + 1 rounds to 2^53: one float, two rows), the
+    # draws stop where the oracle's do, and they span no more indices than
+    # one loop per horizon would draw
+    indices = []
+
+    def counted(family, k, rng, size=None):
+        indices.append(k)
+        return sample_lifetime(family, k, rng, size)
+
+    monkeypatch.setattr(renewal_dst.lifetimes, "sample_lifetime", counted)
+    rng = stream_rng(11, 0)
+    laws = simulate_count(family, horizons, 300, rng)
+    monkeypatch.undo()
+    ref_rng = stream_rng(11, 0)
+    counts, drawn = renewal_counts(family, horizons, 300, ref_rng)
+    assert len(laws) == len(horizons)
+    for law, row in zip(laws, counts):
+        ref = IntPmf.from_samples(row)
+        assert law.offset == ref.offset
+        assert law.masses.tobytes() == ref.masses.tobytes()
+    assert rng.random() == ref_rng.random()
+    assert indices == list(range(1, drawn[-1] + 1))
+    assert len(indices) <= drawn.sum()
 
 
 def scaled_sum_sample(family, n, samples, rng):
