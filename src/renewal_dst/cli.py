@@ -13,13 +13,12 @@ Exit codes: 0 success / assertions hold, 1 assertion failure, 2 usage
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import __version__
 # limit_law and rng load no numpy; the commands import the modules that do
 from .limit_law import q_cdf, q_pmf, q_tail
-from .rng import DEFAULT_SEED
+from .rng import DEFAULT_SEED, stream_rng
 
 _GRID_DEFAULTS = {
     "limit-law": "-3:12:1",
@@ -183,45 +182,14 @@ def cmd_dst_demo(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .lifetimes import GeometricDst, ScaledBase
-    from .metrics import REPORT_COLUMNS, rate_rows, tv_vs_limit
-    from .pmf import IntPmf
-    from .renewal import floor_log2, frac_log2, simulate_count
-    from .rng import stream_rng
+    from .metrics import REPORT_COLUMNS, count_report
 
-    grid = _parse_grid(args.n_grid or _GRID_DEFAULTS["simulate"])
-    try:
-        float(grid[-1])
-    except OverflowError:
-        raise ValueError(f"simulate grid must end within the float range "
-                         f"(<= {sys.float_info.max:.6g})")
-    dyadic = args.alpha == 2.0
-    family = GeometricDst() if dyadic else ScaledBase(args.alpha)
-
-    laws = simulate_count(family, grid, args.samples,
-                          stream_rng(args.seed, 0))
-
-    def row(i, t):
-        # eta's rounding times TV's Lipschitz constant in eta (tv_vs_limit)
-        if dyadic:
-            k, eta = floor_log2(t), frac_log2(t)
-            # exact at powers of two
-            rounding = 1.5 * math.ulp(math.log2(t)) if t & (t - 1) else 0.0
-        else:
-            ln_alpha = math.log(args.alpha)
-            x = math.log(t) / ln_alpha
-            k = math.floor(x)
-            eta = x - k
-            lipschitz = 1 + ln_alpha * (1 / math.e + 1 / (args.alpha - 1))
-            rounding = lipschitz * (10 * x + 1 / ln_alpha) * 2.0 ** -52
-        value, trunc = tv_vs_limit(IntPmf(laws[i].offset - k, laws[i].masses),
-                                   eta, args.alpha)
-        return t, eta, "sim_tv", value + rounding, trunc + rounding
-
-    rows = rate_rows(grid, row)
-    meta = {"command": "simulate", "version": __version__,
-            "seed": args.seed, "alpha": _cell(args.alpha),
-            "samples": args.samples,
-            "grid": args.n_grid or _GRID_DEFAULTS["simulate"]}
+    grid = args.n_grid or _GRID_DEFAULTS["simulate"]
+    horizons = _parse_grid(grid)
+    family = GeometricDst() if args.alpha == 2 else ScaledBase(args.alpha)
+    rows = count_report(family, horizons, args.samples, stream_rng(args.seed))
+    meta = {"command": "simulate", "version": __version__, "seed": args.seed,
+            "alpha": _cell(args.alpha), "samples": args.samples, "grid": grid}
     _emit(meta, REPORT_COLUMNS, rows, args.format, args.out)
     return 0
 

@@ -141,6 +141,7 @@ within 7.3e-14 at the cut, 7.9e-16 at alpha = 1.5 and 4.8e-16 at 2.7 and
 
 from __future__ import annotations
 
+import functools
 import math
 from math import exp, floor, frexp, fsum, ldexp
 
@@ -169,16 +170,22 @@ _EPS = 2.0 ** -52
 _MAX_WEIGHT = 2.0 ** 13
 
 
+@functools.lru_cache
 def _mixture(alpha: float):
     """(A, rho): A_0, A_1, ... of P(S > s) = sum_k A_k exp(-2 alpha^k s)
-    and bounds rho_k on their relative errors in eps; see the module notes.
+    and bounds rho_k on their relative errors in eps, as tuples built once
+    per alpha; see the module notes.
 
     The terms run to the first A_k that underflows to 0. Raises ValueError
     unless 1 < alpha < inf and sum_k |A_k| <= _MAX_WEIGHT, which holds from
-    alpha = 1.2508235044744267 on. A partial product of A_0 under
-    1/_MAX_WEIGHT, or an A_k past it, fails that at once, so the loops stop
-    early as alpha nears 1.
+    alpha = 1.2508235044744267 on; an integer alpha past the float range
+    counts as inf. A partial product of A_0 under 1/_MAX_WEIGHT, or an A_k
+    past it, fails that at once, so the loops stop early as alpha nears 1.
     """
+    try:
+        alpha = float(alpha)
+    except OverflowError:   # an integer past the float range
+        alpha = math.inf if alpha > 0 else -math.inf
     if not 1.0 < alpha < math.inf:
         raise ValueError(f"alpha must lie in (1, inf), got {alpha!r}")
     p, r, m = 1.0, 1.0 + 0.25 / (1.0 - 1.0 / alpha), 1
@@ -198,12 +205,12 @@ def _mixture(alpha: float):
     if not fsum(map(abs, a)) <= _MAX_WEIGHT:
         raise ValueError(f"alpha must keep sum_k |A_k| <= 2^13 "
                          f"(alpha >= about 1.2508), got {alpha!r}")
-    return a, rho
+    return tuple(a), tuple(rho)
 
 
 # a_1..a_32 (mixture_coefficients) and d_1..d_33 of the Q_eta mass series;
 # a module constant costs less per scalar value than a function call
-_A = tuple(_mixture(2.0)[0][:32])
+_A = _mixture(2.0)[0][:32]
 _D = tuple(ldexp(ak, k) for k, ak in enumerate(_A)) + (-_A[-1],)
 
 

@@ -9,11 +9,13 @@ closed form with a rounding bound per level, as
 (1/2) sum_l |Delta_l - Delta_(l+1)|: no depth law and no Q_eta masses, for
 any n <= 2^53. A law with no closed form, such as a sampled count, is
 compared with Q_eta at any growth rate through the certified masses of
-``limit_law._mixture_window`` (``tv_vs_limit``). The rate harness phrases
-the asymptotic rate claims as finite-n decrease of scaled sequences (an
-o(.) statement is not assertable at any finite n). Every distance carries
-its truncation mass and its float rounding as certified slack, so every
-asserted inequality is sound rather than merely plausible.
+``limit_law._mixture_window`` (``tv_vs_limit``). ``count_report`` gives
+the sampled count's rows at a grid of horizons, each centred and charged
+for eta's rounding, as ``rate_report`` gives the exact rows. The rate
+harness phrases the asymptotic rate claims as finite-n decrease of scaled
+sequences (an o(.) statement is not assertable at any finite n). Every
+distance carries its truncation mass and its float rounding as certified
+slack, so every asserted inequality is sound rather than merely plausible.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 
 from .limit_law import _mixture_window
 from .pmf import IntPmf
-from .renewal import (MAX_EXACT_KS_N, MAX_N, _level_gaps, frac_log2,
-                      ks_scaled_sum_exact)
+from .renewal import (MAX_EXACT_KS_N, MAX_N, _level_gaps, floor_log2,
+                      frac_log2, ks_scaled_sum_exact, simulate_count)
 
 _EPS = 2.0 ** -52
 # a bound on (1/2) sum of the pmf gaps past _level_gaps' top level k + 16
@@ -79,17 +81,14 @@ def tv_vs_limit(pmf: IntPmf, eta: float,
 
     ``eta`` is taken as exact. A caller whose eta is a float rounding of
     the true eta' adds TV(Q_eta, Q_eta') <= 1.49 |eta' - eta| to both
-    values. With X = -log2 S the two laws are floor(X + eta) and
-    floor(X + eta'), which differ only where an integer lies between
-    X + eta and X + eta'. X has density ln2 t f(t) at x, t = 2^-x, so that
-    event has probability at most |eta' - eta| ln2 sup_u sum_j g(u + j),
-    g(x) = t f(t). S is a sum of independent exponentials, so f is
-    log-concave, and so is t f(t) in t: g is unimodal, and sum_j g(u + j)
-    is at most its integral, 1/ln2, plus its peak, under 0.7. The factor is
-    ln2 (1/ln2 + 0.7) < 1.49. ``simulate`` takes eta = log2(t) - k, where
-    the subtraction is exact and log2 rounds by under 0.52 ulp (measured
-    over 20000 t up to 2^1024), and charges 1.5 ulp(log2 t); at a power of
-    two log2 is exact and the charge is 0.
+    values (``count_report`` does). With X = -log2 S the two laws are
+    floor(X + eta) and floor(X + eta'), which differ only where an integer
+    lies between X + eta and X + eta'. X has density ln2 t f(t) at x,
+    t = 2^-x, so that event has probability at most
+    |eta' - eta| ln2 sup_u sum_j g(u + j), g(x) = t f(t). S is a sum of
+    independent exponentials, so f is log-concave, and so is t f(t) in t:
+    g is unimodal, and sum_j g(u + j) is at most its integral, 1/ln2, plus
+    its peak, under 0.7. The factor is ln2 (1/ln2 + 0.7) < 1.49.
 
     At a growth rate alpha, X = -log_alpha S has density ln(alpha) t f(t),
     and the same argument gives the factor 1 + ln(alpha) sup_t t f(t),
@@ -97,10 +96,6 @@ def tv_vs_limit(pmf: IntPmf, eta: float,
     R = sum_{k>=1} alpha^-k W_k independent of W_0, so that
     t f(t) = E[2 t e^(-2 (t - R)); R < t], and split t = (t - R) + R into
     at most sup_y 2 y e^(-2 y) = 1/e plus 2 E[R] = 1/(alpha - 1).
-    ``simulate`` takes eta = x - floor(x), x = ln(t) / ln(alpha), where the
-    subtraction is exact and x is within eps/(2 ln alpha) + 8.5 eps |x| of
-    log_alpha t (t rounded to a float, two logs within 4 ulp, a division),
-    and charges the factor times eps (10 |x| + 1/ln alpha).
     """
     lo, qm, err, outside = _mixture_window(alpha, eta, pmf.offset,
                                            pmf.support_max)
@@ -108,6 +103,50 @@ def tv_vs_limit(pmf: IntPmf, eta: float,
     slack = 0.5 * (outside + pmf.truncation + qm.size * _EPS)
     tv = tv_distance(pmf, IntPmf(lo, qm, truncation=outside)) + slack
     return tv, slack
+
+
+def _centring(t: int, alpha: float) -> tuple[int, float, float]:
+    """(k, eta, charge) at horizon t: k = floor(log_alpha t), the float
+    eta = log_alpha t - k, and TV's share of eta's rounding
+    (``count_report``)."""
+    if alpha == 2:
+        k, eta = floor_log2(t), frac_log2(t)
+        return k, eta, 1.5 * math.ulp(math.log2(t)) if t & (t - 1) else 0.0
+    ln_alpha = math.log(alpha)
+    x = math.log(t) / ln_alpha
+    k = math.floor(x)
+    lipschitz = 1 + ln_alpha * (1 / math.e + 1 / (alpha - 1))
+    return k, x - k, lipschitz * (10 * x + 1 / ln_alpha) * _EPS
+
+
+def count_report(family, horizons, samples: int, rng) -> list[tuple]:
+    """Rows (t, eta, "sim_tv", value, trunc_bound) in REPORT_COLUMNS order:
+    a certified d_TV between the law of the centred count N_t - k, sampled
+    on ``samples`` renewal paths of ``family`` (``renewal.simulate_count``,
+    one path set read at every horizon), and Q_eta, k = floor(log_alpha t),
+    eta = log_alpha t - k, one row per point of the strictly increasing
+    grid of positive integer horizons.
+
+    value and trunc_bound are ``tv_vs_limit``'s, each plus the charge for
+    eta's rounding, TV's Lipschitz factor in eta times that rounding. At
+    alpha = 2, k = floor_log2(t) and eta = log2(t) - k, where the
+    subtraction is exact and log2 rounds by under 0.52 ulp (measured over
+    20000 t up to 2^1024); the charge is 1.5 ulp(log2 t), and 0 at a power
+    of two, where log2 is exact. At another alpha, eta = x - floor(x),
+    x = ln(t) / ln(alpha), where the subtraction is exact and x is within
+    eps/(2 ln alpha) + 8.5 eps |x| of log_alpha t (t rounded to a float,
+    two logs within 4 ulp, a division); the charge is the factor times
+    eps (10 |x| + 1/ln alpha).
+    """
+    laws = simulate_count(family, horizons, samples, rng)
+
+    def row(i, t):
+        k, eta, charge = _centring(t, family.alpha)
+        value, trunc = tv_vs_limit(IntPmf(laws[i].offset - k, laws[i].masses),
+                                   eta, family.alpha)
+        return t, eta, "sim_tv", value + charge, trunc + charge
+
+    return rate_rows(horizons, row)
 
 
 def _tv_with_slack(n: int) -> tuple[float, float]:

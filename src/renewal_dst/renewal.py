@@ -213,7 +213,10 @@ def simulate_count(family: GeometricDst | ScaledBase, horizons,
 
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    ts = [float(t) for t in horizons]
+    try:
+        ts = [float(t) for t in horizons]
+    except OverflowError:   # an integer past the float range
+        raise ValueError("horizon must be finite and in float range") from None
     for t in ts:
         if not 0 < t < math.inf:
             raise ValueError(f"horizon must be finite and positive, got {t!r}")

@@ -32,6 +32,7 @@ from renewal_dst import (
     tv_to_limit,
 )
 from renewal_dst.cli import _cell, main
+from renewal_dst.limit_law import _mixture
 from renewal_dst.metrics import REPORT_COLUMNS, tv_vs_limit
 
 
@@ -295,6 +296,18 @@ def test_simulate_grid_past_float_range_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "float range" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# each growth rate's mixture is built once a process (limit_law._mixture)
+@pytest.mark.parametrize("argv", [
+    ("--alpha", "1.5"),
+    ("--alpha", "2"),
+    ("--alpha", "1.5", "--n-grid", "1000:1100:1"),
+], ids=["alpha-1.5", "alpha-2", "alpha-1.5-101-rows"])
+def test_simulate_builds_mixture_once(tmp_path, argv):
+    _mixture.cache_clear()
+    code, _ = run(tmp_path, "simulate", *argv)
+    assert code == 0 and _mixture.cache_info().misses <= 1
 
 
 def _simulate_warns_nothing(tmp_path, capsys, alpha, grid, samples):
@@ -562,6 +575,10 @@ def test_byte_identical_reruns(tmp_path, argv):
     (("simulate", "--alpha", "2.7", "--n-grid", "16:64:x2",
       "--samples", "2000"),
      "def52597669c1769f64ea142a7069d0911a4337264f367cc5c42c53103d7c086"),
+    # 11 rows off one path set at a non-dyadic alpha
+    (("simulate", "--alpha", "1.5", "--n-grid", "1000:1100:10",
+      "--samples", "2000"),
+     "6c187eb0e39011fd8bc6363f2e189625f1d93831cf1a1a8c19c3a2dff13f6199"),
     (("dst-demo", "--probe", "011100"),
      "6183fd7673c75556cdb8509d3100f023e45169bb55c08c2b8cb95c968adede23"),
     # eta = 0.80364 puts c = 0.872750 (x = 0) 1.2e-5 below the median
@@ -572,7 +589,8 @@ def test_byte_identical_reruns(tmp_path, argv):
      "5c445d6ee3af1a18d98e363927c1af2ae402a8fe61cfeb5212a18b841ea51ce9"),
     (("depth-dist", "--n", "1024"),
      "3f9e9958ba8c3c462d111ffdfb9d7cbdc80664e67f6a86fb5356bc1a9dafe5f8"),
-], ids=["simulate-dyadic", "simulate-alpha-2.7", "dst-demo-probe",
+], ids=["simulate-dyadic", "simulate-alpha-2.7", "simulate-alpha-1.5-rows",
+        "dst-demo-probe",
         "limit-law-median-band", "limit-law-half", "depth-dist-1024"])
 def test_output_matches_recorded_digest(tmp_path, argv, digest):
     code, data = run(tmp_path, *argv)

@@ -22,7 +22,9 @@ def geometric_reference(k, j_max):
     return IntPmf(1, masses, truncation=max(0.0, 1.0 - masses.sum()))
 
 
-@pytest.mark.parametrize("alpha", [1.0, 0.5, math.inf, math.nan])
+@pytest.mark.parametrize("alpha", [
+    1.0, 0.5, math.inf, math.nan,
+    pytest.param(10 ** 400, id="int-past-float-range")])
 def test_scaled_base_rejects_alpha_outside_one_to_inf(alpha):
     with pytest.raises(ValueError, match="alpha"):
         ScaledBase(alpha)

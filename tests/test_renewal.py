@@ -379,9 +379,12 @@ def test_simulate_count_validation():
 @pytest.mark.parametrize("family", [DST, ScaledBase(2.0)],
                          ids=["geometric", "scaled-base"])
 def test_simulate_count_rejects_infinite_horizon(family):
-    # an infinite horizon would never end the draws: refused before the first
+    # an infinite horizon would never end the draws: refused before the
+    # first, as is an integer past the float range
+    big = 10 ** 400
     for horizons in ([math.inf], [math.nan], [4.0, math.inf],
-                     [math.nan, 4.0], [2.0, math.nan, 8.0]):
+                     [math.nan, 4.0], [2.0, math.nan, 8.0], [big, 4.0],
+                     [2.0, big, 8.0], [4.0, big]):
         rng = stream_rng(1)
         with pytest.raises(ValueError, match="finite"):
             simulate_count(family, horizons, 3, rng)
